@@ -220,20 +220,6 @@ def distance(game: Game, v: int, u: int) -> int | float:
     return INFINITY
 
 
-def distances_to(game: Game, u: int) -> list[int | float]:
-    """Distance from every vertex to ``u`` (single backward BFS)."""
-    dist: list[int | float] = [INFINITY] * game.vertex_count
-    dist[u] = 0
-    frontier = deque([u])
-    while frontier:
-        x = frontier.popleft()
-        for p in game.predecessors[x]:
-            if dist[p] == INFINITY:
-                dist[p] = dist[x] + 1
-                frontier.append(p)
-    return dist
-
-
 def cmp_proximity(game: Game, u: int, a: int, b: int) -> int:
     """Compare two distinct vertices by proximity to ``u``.
 

@@ -9,10 +9,14 @@ initial (priority, owner) partition:
   agree on (a) whether an infinite path can stay inside the block and
   (b) which other blocks are reachable after a run of intra-block edges.
 
-Both refinements are deterministic: blocks are numbered by their least
-member and split groups are ordered before new ids are handed out.  A
-relational greatest-fixpoint oracle for each equivalence is included for
-cross-checking on small games.
+One engine serves both, with a signature function per equivalence.
+Signatures are cached per vertex; each round re-signs only the dirty
+vertices of non-singleton blocks (those whose signature the previous
+round's splits may have changed) and splits off exactly the members whose
+signature changed.  Both refinements are deterministic: the coarsest
+stable partition is unique, and blocks are finally numbered by their
+least member.  The relational greatest-fixpoint oracles at the end of the
+module are reference equipment for cross-checking on small games.
 """
 
 from __future__ import annotations
@@ -65,13 +69,14 @@ def _finalize(game: Game, block_of: list[int], blocks: dict[int, list[int]], kin
     for b, vs in enumerate(ordered):
         for v in vs:
             final_of[v] = b
-    part = Partition(block_of=final_of, blocks=[list(vs) for vs in ordered],
+    part = Partition(block_of=final_of, blocks=ordered,
                      divergent=[False] * len(ordered), kind=kind)
     flags = compute_divergent(game, part)
     for b, vs in enumerate(ordered):
         flag = flags[vs[0]]
         if kind == "stuttering":
-            assert all(flags[v] == flag for v in vs), "divergence not uniform in stable block"
+            if any(flags[v] != flag for v in vs):
+                raise RuntimeError(f"divergence not uniform in stable block {b}")
         part.divergent[b] = flag
     return part
 
@@ -96,26 +101,28 @@ def compute_divergent(game: Game, partition: Partition) -> list[bool]:
     return [v in alive for v in game.vertices()]
 
 
-def refine_strong(game: Game) -> Partition:
-    """Coarsest refinement of the initial partition in which all members of
-    a block have identical sets of successor blocks (strong bisimilarity).
+def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], dict[int, list[int]]]:
+    """Dirty-set signature refinement shared by both equivalences.
 
-    Signatures are cached per vertex and recomputed only for vertices whose
-    successors changed block.  Blocks stay signature-uniform between
-    rounds, so a round splits off exactly the members whose signature
-    changed, never rescanning the remainder; long split cascades (chains)
-    therefore stay linear.
+    ``signatures(game, block_of, sig, dirty)`` returns the new signature of
+    every vertex in the sorted list ``dirty``; it may read the cached
+    ``sig`` of vertices outside ``dirty``.  ``next_dirty(game, block_of,
+    moved)`` returns the vertices whose signature a round's moves may have
+    changed.  Blocks stay signature-uniform between rounds, so a round
+    splits off exactly the members whose signature changed, never
+    rescanning the remainder; long split cascades (chains) therefore stay
+    linear.  Members of singleton blocks are never re-signed: a singleton
+    cannot split, and no other vertex reads its signature.
     """
-    n = game.vertex_count
     block_of, initial = _initial_blocks(game)
     blocks: dict[int, set[int]] = {b: set(vs) for b, vs in initial.items()}
+    del initial
     next_id = len(blocks)
-    sig: list[tuple[int, ...] | None] = [None] * n
-    dirty = set(range(n))
+    sig: list[tuple | None] = [None] * game.vertex_count
+    dirty = [v for v in game.vertices() if len(blocks[block_of[v]]) > 1]
     while dirty:
         changed: dict[int, list[int]] = {}
-        for v in sorted(dirty):
-            s = tuple(sorted({block_of[w] for w in game.successors[v]}))
+        for v, s in zip(dirty, signatures(game, block_of, sig, dirty)):
             if s != sig[v]:
                 sig[v] = s
                 changed.setdefault(block_of[v], []).append(v)
@@ -123,10 +130,12 @@ def refine_strong(game: Game) -> Partition:
         for b in sorted(changed):
             members = blocks[b]
             touched = changed[b]
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[tuple, list[int]] = {}
             for v in touched:
                 groups.setdefault(sig[v], []).append(v)  # type: ignore[arg-type]
-            parts = sorted(groups.values(), key=lambda g: (-len(g), g[0]))
+            parts = list(groups.values())
+            if len(parts) > 1:
+                parts.sort(key=lambda g: (-len(g), g[0]))
             if len(touched) == len(members):
                 if len(parts) == 1:
                     continue  # whole block re-signed uniformly
@@ -142,84 +151,124 @@ def refine_strong(game: Game) -> Partition:
                     block_of[v] = next_id
                 moved.extend(part)
                 next_id += 1
-        dirty = set()
-        for u in moved:
-            dirty.update(game.predecessors[u])
-    final = {b: sorted(vs) for b, vs in blocks.items()}
-    return _finalize(game, block_of, final, kind="strong")
+        dirty = [v for v in next_dirty(game, block_of, moved) if len(blocks[block_of[v]]) > 1]
+        dirty.sort()
+    # free the engine state first: _finalize's own allocations set the peak
+    del sig, dirty
+    final = {}
+    for b in list(blocks):
+        final[b] = sorted(blocks.pop(b))
+    return block_of, final
 
 
-def _stuttering_signatures(
-    game: Game, block_of: list[int], members: list[int]
-) -> dict[int, tuple[bool, frozenset[int]]]:
-    """Signature (divergence bit, exit-block set) for each member of one
-    block, with exits propagated backwards over intra-block edges."""
-    member_set = set(members)
-    intra = {v: [w for w in game.successors[v] if w in member_set] for v in members}
+def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
+    succ = game.successors
+    return [tuple(sorted({block_of[w] for w in succ[v]})) for v in dirty]
 
-    divergent = vertices_with_infinite_path(members, intra.__getitem__)
 
-    # Exit sets are constant on intra-block SCCs; Tarjan emits components
-    # before the components that reach them, so one pass suffices.
-    sccs = strongly_connected_components(members, intra.__getitem__)
-    scc_of: dict[int, int] = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = i
-    scc_exits: list[frozenset[int]] = []
-    for i, comp in enumerate(sccs):
+def _dirty_strong(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
+    pred = game.predecessors
+    return {p for u in moved for p in pred[u]}
+
+
+def refine_strong(game: Game) -> Partition:
+    """Coarsest refinement of the initial partition in which all members of
+    a block have identical sets of successor blocks (strong bisimilarity).
+
+    A vertex's signature is its set of successor blocks, so only the
+    predecessors of vertices that changed block are re-signed.
+    """
+    block_of, blocks = _refine(game, _sign_strong, _dirty_strong)
+    return _finalize(game, block_of, blocks, kind="strong")
+
+
+def _sign_stuttering(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
+    """Signature (divergence bit, sorted exit-block tuple) of every dirty
+    vertex with respect to its current block.
+
+    Inert (intra-block) successors outside ``dirty`` contribute their
+    cached signatures: the dirty set is closed backwards under inert
+    edges, so those are still exact.  Dirty vertices without a dirty inert
+    successor are signed directly; the rest are signed per strongly
+    connected component of the dirty inert graph, whose exit sets and
+    divergence are constant on a component.
+    """
+    succ = game.successors
+    in_dirty = set(dirty)
+    new: dict[int, tuple[bool, tuple[int, ...]]] = {}
+    local: dict[int, tuple[bool, set[int], list[int]]] = {}
+    for v in dirty:
+        b = block_of[v]
+        div = False
         exits: set[int] = set()
+        inner: list[int] = []
+        for w in succ[v]:
+            bw = block_of[w]
+            if bw != b:
+                exits.add(bw)
+            elif w in in_dirty:
+                inner.append(w)
+            else:
+                d, e = sig[w]  # type: ignore[misc]
+                div = div or d
+                exits.update(e)
+        if inner:
+            local[v] = (div, exits, inner)
+        else:
+            new[v] = (div, tuple(sorted(exits)))
+    # Tarjan emits components before the components that reach them, so
+    # one pass over its output signs every component.
+    for comp in strongly_connected_components(local, lambda v: local[v][2]):
+        comp_set = set(comp)
+        div = len(comp) > 1
+        exits = set()
         for v in comp:
-            for w in game.successors[v]:
-                if w not in member_set:
-                    exits.add(block_of[w])
-            for w in intra[v]:
-                if scc_of[w] != i:
-                    exits |= scc_exits[scc_of[w]]
-        scc_exits.append(frozenset(exits))
+            d, e, inner = local[v]
+            div = div or d
+            exits |= e
+            for w in inner:
+                if w in comp_set:
+                    div = div or w == v
+                else:
+                    dw, ew = new[w]
+                    div = div or dw
+                    exits.update(ew)
+        s = (div, tuple(sorted(exits)))
+        for v in comp:
+            new[v] = s
+    return [new[v] for v in dirty]
 
-    return {v: (v in divergent, scc_exits[scc_of[v]]) for v in members}
+
+def _dirty_stuttering(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
+    """Moved vertices and their predecessors, closed backwards under edges
+    that are inert in the new partition: exactly the vertices whose exit
+    sets or divergence may have changed."""
+    pred = game.predecessors
+    dirty = set(moved)
+    for u in moved:
+        dirty.update(pred[u])
+    stack = list(dirty)
+    while stack:
+        x = stack.pop()
+        b = block_of[x]
+        for p in pred[x]:
+            if block_of[p] == b and p not in dirty:
+                dirty.add(p)
+                stack.append(p)
+    return dirty
 
 
 def refine_stuttering(game: Game) -> Partition:
     """Coarsest refinement of the initial partition that is stable for
     divergence-sensitive stuttering equivalence.
 
-    Each round recomputes, for every block that may still split, the
-    members' divergence flags and exit-block sets with respect to the
-    current partition, then splits all blocks at once.  A block needs
-    re-examination only when it was just split or when a successor of one
-    of its members changed block.
+    A vertex's signature is its divergence flag and the set of other
+    blocks it reaches after a run of intra-block edges.  Each round
+    re-signs only the dirty vertices of non-singleton blocks: those that
+    moved, their predecessors, and whatever reaches them by intra-block
+    edges.
     """
-    block_of, blocks = _initial_blocks(game)
-    next_id = len(blocks)
-    pending = {b for b, vs in blocks.items() if len(vs) > 1}
-    while pending:
-        splits: list[tuple[int, list[list[int]]]] = []
-        for b in sorted(pending):
-            members = blocks[b]
-            sigs = _stuttering_signatures(game, block_of, members)
-            groups: dict[tuple[bool, frozenset[int]], list[int]] = {}
-            for v in members:
-                groups.setdefault(sigs[v], []).append(v)
-            if len(groups) > 1:
-                splits.append((b, sorted(groups.values(), key=lambda g: (-len(g), g[0]))))
-        pending = set()
-        moved: list[int] = []
-        for b, parts in splits:
-            blocks[b] = parts[0]
-            pending.add(b)
-            for part in parts[1:]:
-                blocks[next_id] = part
-                for v in part:
-                    block_of[v] = next_id
-                moved.extend(part)
-                pending.add(next_id)
-                next_id += 1
-        for u in moved:
-            for p in game.predecessors[u]:
-                pending.add(block_of[p])
-        pending = {b for b in pending if len(blocks[b]) > 1}
+    block_of, blocks = _refine(game, _sign_stuttering, _dirty_stuttering)
     return _finalize(game, block_of, blocks, kind="stuttering")
 
 
@@ -247,7 +296,8 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
             targets.discard(b)
             if partition.divergent[b]:
                 targets.add(b)
-        assert targets, f"quotient block {b} has no successor (totality broken)"
+        if not targets:
+            raise ValueError(f"quotient block {b} has no successor (totality broken)")
         successors.append(sorted(targets))
     return Game(priority, owner, successors), list(block_of)
 

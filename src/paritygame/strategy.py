@@ -5,9 +5,13 @@ Given a winning memoryless strategy on the quotient, the lifted strategy
 shadows it: inside a block it steers along intra-block edges towards an
 exit onto the chosen target vertex, and where the quotient strategy stays
 put (a divergent block's self-loop) it keeps the play inside the block.
-With a memoryless quotient strategy every selector below depends only on
-the final vertex of the play, which is asserted by the test suite rather
-than assumed.
+
+:func:`lift_strategy` computes the lifted moves in one pass per winning
+block.  The path-level selectors (:func:`entry_set`, :func:`target_class`,
+:func:`target_vertex`, :func:`mimick_next`) define the same moves for any
+play and are the reference the tests compare the per-block pass against;
+with a memoryless quotient strategy they depend only on the final vertex
+of the play, which the test suite checks rather than assumes.
 
 :func:`verify_strategy` is the safety net: it checks region closure and
 the parity of every cycle of the strategy-restricted graph, so a defective
@@ -140,7 +144,8 @@ def target_vertex(ctx: LiftContext, p: Path | Sequence[int]) -> int:
     candidates = {
         u for w in closure for u in game.successors[w] if block_of[u] == tclass
     }
-    assert candidates, "stable block lost its exit onto the target class"
+    if not candidates:
+        raise ValueError("block has no exit onto the target class: unstable partition")
     return min(candidates)
 
 
@@ -182,25 +187,99 @@ def mimick_next(ctx: LiftContext, p: Path | Sequence[int]) -> int:
     b = ctx.vmap[last]
     inert = [u for u in game.successors[last] if ctx.vmap[u] == b]
     if not entries:
-        assert ctx.partition.divergent[b], "empty entry set at a non-divergent block"
-        assert inert, "divergent block member without an intra-block move"
+        if not ctx.partition.divergent[b]:
+            raise ValueError(f"quotient strategy stays at non-divergent block {b}")
+        if not inert:
+            raise ValueError(f"divergent block member {last} has no intra-block move")
         return min(inert)
     t = target_vertex(ctx, p)
     if game.has_edge(last, t):
         return t
     dist = _exit_distances(ctx, b, t)
-    assert any(u in dist for u in inert), "no inert route towards the target"
+    if not any(u in dist for u in inert):
+        raise ValueError(f"no inert route from {last} towards target vertex {t}")
     return min(inert, key=lambda u: (dist.get(u, float("inf")), u))
+
+
+def _lift_block(ctx: LiftContext, b: int, moves: dict[int, int]):
+    """Record in ``moves`` the :func:`mimick_next` choice of every member
+    of winning block ``b``, owned by the lifting player, from one pass
+    over the block."""
+    game = ctx.game
+    succ = game.successors
+    vmap = ctx.vmap
+    members = ctx.partition.blocks[b]
+    if b not in ctx.quotient_strategy.moves:
+        raise ValueError(f"quotient strategy undefined at winning block {b}")
+    t = ctx.quotient_strategy.moves[b]
+    intra = {v: [w for w in succ[v] if vmap[w] == b] for v in members}
+    if t == b:
+        if not ctx.partition.divergent[b]:
+            raise ValueError(f"quotient strategy stays at non-divergent block {b}")
+        for v in members:
+            if not intra[v]:
+                raise ValueError(f"divergent block member {v} has no intra-block move")
+            moves[v] = intra[v][0]
+        return
+    # target(v): least class-t vertex reachable by an intra-block run from
+    # v and one exit edge.  It is constant on intra-block SCCs, so one
+    # sweep over them in reverse topological order finds it: members
+    # without an intra-block move first, then the rest in Tarjan's order.
+    sccs = [[v] for v in members if not intra[v]]
+    inner = [v for v in members if intra[v]]
+    if inner:
+        sccs += strongly_connected_components(inner, intra.__getitem__)
+    target: dict[int, int] = {}
+    for comp in sccs:
+        best = None
+        for v in comp:
+            for w in succ[v]:
+                cand = w if vmap[w] == t else target.get(w)
+                if cand is not None and (best is None or cand < best):
+                    best = cand
+        if best is None:
+            raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
+        for v in comp:
+            target[v] = best
+    # Every vertex on a shortest route from v to an exit onto target(v)
+    # shares v's target, so a backward search confined to v's target group
+    # gives the same distances as one over the whole block.
+    dist: dict[int, int] = {}
+    frontier = deque()
+    for v in members:
+        if target[v] in succ[v]:
+            dist[v] = 1
+            frontier.append(v)
+    while frontier:
+        w = frontier.popleft()
+        for q in game.predecessors[w]:
+            if q not in dist and target.get(q) == target[w]:
+                dist[q] = dist[w] + 1
+                frontier.append(q)
+    for v in members:
+        tv = target[v]
+        if dist[v] == 1:
+            moves[v] = tv
+        else:
+            moves[v] = min(
+                (u for u in intra[v] if target[u] == tv and u in dist),
+                key=lambda u: (dist[u], u),
+            )
 
 
 def lift_strategy(ctx: LiftContext) -> Strategy:
     """Memoryless strategy on the original game induced by the quotient
-    strategy: defined on the player's vertices of every winning block."""
-    moves = {}
-    for v in ctx.game.vertices():
-        if ctx.game.owner[v] == ctx.player and ctx.vmap[v] in ctx.winning_blocks:
-            moves[v] = mimick_next(ctx, (v,))
-    return Strategy(ctx.player, moves)
+    strategy: defined on the player's vertices of every winning block.
+
+    One pass per winning block owned by the player yields the same moves
+    as calling :func:`mimick_next` on every such vertex; that path-level
+    selector remains as the reference the tests compare against.
+    """
+    moves: dict[int, int] = {}
+    for b in sorted(ctx.winning_blocks):
+        if ctx.quotient.owner[b] == ctx.player:
+            _lift_block(ctx, b, moves)
+    return Strategy(ctx.player, dict(sorted(moves.items())))
 
 
 @dataclass
@@ -243,7 +322,7 @@ def _find_cycle(start: int, comp: set[int], succ) -> list[int]:
             if w in comp and w not in parent:
                 parent[w] = x
                 frontier.append(w)
-    raise AssertionError("no cycle through a cyclic SCC vertex")
+    raise RuntimeError("no cycle through a cyclic SCC vertex")
 
 
 def verify_strategy(

@@ -1,6 +1,21 @@
 """Helpers shared between the strategy tests and the acceptance suite."""
 
-from paritygame import Game, LiftContext, quotient, refine_stuttering, solve_zielonka
+from paritygame import (
+    EVEN,
+    ODD,
+    Game,
+    LiftContext,
+    quotient,
+    refine_stuttering,
+    solve_zielonka,
+)
+
+
+def alternating_chain(n: int) -> Game:
+    """``n`` priority-1 vertices of alternating owner into a priority-0
+    sink: no edge is inert, so stuttering splits one vertex per round."""
+    owner = [EVEN if i % 2 == 0 else ODD for i in range(n)] + [EVEN]
+    return Game([1] * n + [0], owner, [[i + 1] for i in range(n)] + [[n]])
 
 
 def make_context(game: Game, player: int) -> LiftContext:

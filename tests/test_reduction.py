@@ -1,6 +1,12 @@
 """Partition refinement, quotients and the relational oracles."""
 
+import ast
+import inspect
+
 import pytest
+
+import paritygame.reduction
+import paritygame.strategy
 
 from paritygame import (
     EVEN,
@@ -115,6 +121,21 @@ def test_quotient_under_all_singletons_is_identity():
 def test_quotient_rejects_initial_partition(g1):
     with pytest.raises(ValueError):
         quotient(g1, initial_partition(g1))
+
+
+def test_quotient_rejects_a_non_total_game():
+    g = Game(priority=[0, 1], owner=[EVEN, EVEN], successors=[[1], []])
+    for refine in (refine_strong, refine_stuttering):
+        with pytest.raises(ValueError, match="totality"):
+            quotient(g, refine(g))
+
+
+@pytest.mark.parametrize("module", [paritygame.reduction, paritygame.strategy])
+def test_library_invariants_are_not_asserts(module):
+    # assert statements vanish under ``python -O``; invariants must raise
+    tree = ast.parse(inspect.getsource(module))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{module.__name__}: assert statements on lines {lines}"
 
 
 def test_strong_refines_stuttering():

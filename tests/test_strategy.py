@@ -1,5 +1,7 @@
 """Strategy lifting (entry sets, targets, mimicking) and verification."""
 
+import time
+
 import pytest
 
 from paritygame import (
@@ -7,6 +9,7 @@ from paritygame import (
     ODD,
     Game,
     LiftContext,
+    Partition,
     PathStrategyOracle,
     Strategy,
     consistent,
@@ -26,7 +29,7 @@ from paritygame import (
 )
 from paritygame.generators import Xoshiro256StarStar
 
-from helpers import make_context, random_consistent_walk
+from helpers import alternating_chain, make_context, random_consistent_walk
 
 
 def even_chain(n: int = 3) -> Game:
@@ -308,3 +311,67 @@ def test_path_strategy_oracle_returns_successors():
     # the induced play is consistent with the lifted strategy
     assert consistent(ctx.game, tuple(path), lift_strategy(ctx))
     assert path[:5] == [0, 1, 2, 3, 4]
+
+
+def _lifting_contexts(game):
+    part = refine_stuttering(game)
+    reduced, vmap = quotient(game, part)
+    qsol = solve_zielonka(reduced)
+    for player in (EVEN, ODD):
+        yield LiftContext.from_solution(game, part, reduced, vmap, qsol, player)
+
+
+def test_lift_strategy_matches_path_level_selector():
+    """The per-block pass emits exactly the path-level mimick_next move at
+    every owned vertex of a won block."""
+    games = [gen_random(1 + (s * 104729) % 60, 3, 3, s + 10_000) for s in range(500)]
+    games += [
+        gen_random(2 + (s * 13) % 50, 1 + s % 4, s % 2, s + 500_000) for s in range(250)
+    ]
+    games += [
+        gen_chain(n, p, o, q)
+        for n in (1, 2, 7, 40)
+        for p in (0, 1, 2)
+        for o in (EVEN, ODD)
+        for q in (0, 1)
+    ]
+    games += [alternating_chain(n) for n in (1, 2, 5, 40)]
+    contexts = 0
+    for i, g in enumerate(games):
+        for ctx in _lifting_contexts(g):
+            expected = {
+                v: mimick_next(ctx, (v,))
+                for v in ctx.won_region()
+                if g.owner[v] == ctx.player
+            }
+            assert lift_strategy(ctx).moves == expected, (i, ctx.player)
+            contexts += 1
+    assert contexts == 2 * len(games)
+
+
+def test_lifting_rejects_an_unstable_partition():
+    # block {0, 1} is not stable: 0 exits to the sink, 1 only loops
+    g = Game(priority=[1, 1, 0], owner=[EVEN] * 3, successors=[[2], [1], [2]])
+    part = Partition(block_of=[0, 0, 1], blocks=[[0, 1], [2]],
+                     divergent=[False, False], kind="stuttering")
+    reduced = Game(priority=[1, 0], owner=[EVEN, EVEN], successors=[[1], [1]])
+    ctx = LiftContext(g, part, reduced, [0, 0, 1], Strategy(EVEN, {0: 1, 1: 1}), EVEN, {0, 1})
+    with pytest.raises(ValueError, match="unstable"):
+        lift_strategy(ctx)
+    with pytest.raises(ValueError, match="unstable"):
+        mimick_next(ctx, (1,))
+
+
+@pytest.mark.parametrize(
+    "game", [alternating_chain(20_000), gen_chain(20_000, 1, EVEN, 0)],
+    ids=["alternating-chain", "even-chain"],
+)
+def test_reduce_then_solve_is_near_linear_on_long_chains(game):
+    t0 = time.perf_counter()
+    part = refine_stuttering(game)
+    reduced, vmap = quotient(game, part)
+    solution = lift_solution(game, part, reduced, vmap, solve_zielonka(reduced))
+    for player in (EVEN, ODD):
+        res = verify_strategy(game, player, solution.region(player), solution.strategy(player))
+        assert res.ok, (player, res)
+    assert time.perf_counter() - t0 < 10.0
