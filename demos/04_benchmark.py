@@ -37,7 +37,7 @@ for game_id, methods in by_game.items():
           f"{stut.red_v + stut.red_e:>9} {direct.total_us/1000:>10.3f} "
           f"{stut.total_us/1000:>9.3f}")
 
-# Whether reduction pays depends on the solver: the recursive solver
+# Whether reduction pays depends on the solver: Zielonka
 # walks chains in linear time, so reduction is pure overhead there, but
 # for measure lifting (quadratic on chains) shrinking first is decisive.
 spm_records = run_benchmark(

@@ -3,11 +3,12 @@
 Three interchangeable solvers produce winners plus memoryless winning
 strategies for both players:
 
-* :func:`solve_zielonka` — the recursive attractor decomposition, phrased
-  directly for the min-parity winner convention;
+* :func:`solve_zielonka` — the attractor decomposition, phrased directly
+  for the min-parity winner convention, on an explicit stack of
+  subgame-local levels (no Python recursion, no full-width masks);
 * :func:`solve_spm` — small progress measures, run on the max-converted
-  game (the lattice's standard presentation), with the second player's
-  strategy obtained from the dual game;
+  game (the lattice's standard presentation) and lifted from a predecessor
+  worklist, with the second player's strategy obtained from the dual game;
 * :func:`solve_brute` — strategy enumeration with a one-player cycle
   analysis, usable as an oracle on tiny games.
 """
@@ -15,7 +16,7 @@ strategies for both players:
 from __future__ import annotations
 
 import itertools
-import sys
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,36 +40,39 @@ class Solution:
         return self.strategy_even if player == EVEN else self.strategy_odd
 
 
-def winner_equivalent(solution: Solution, v: int, u: int) -> bool:
-    return solution.winner[v] == solution.winner[u]
-
-
 def _attract(
     game: Game, player: int, targets: list[int], alive: list[bool]
 ) -> tuple[set[int], dict[int, int]]:
     """Attractor of ``targets`` for ``player`` inside the subgame ``alive``,
     with a deterministic attractor strategy for the attracted player-owned
     vertices outside the target set."""
+    predecessors, owner, successors = game.predecessors, game.owner, game.successors
     in_attr = set(targets)
     witness: dict[int, int] = {}
     escape: dict[int, int] = {}
-    queue = deque(sorted(in_attr))
-    while queue:
-        u = queue.popleft()
-        for p in game.predecessors[u]:
+    # FIFO: the loop also visits the vertices appended while it runs
+    queue = sorted(in_attr)
+    for u in queue:
+        for p in predecessors[u]:
             if not alive[p] or p in in_attr:
                 continue
-            if game.owner[p] == player:
+            if owner[p] == player:
                 # witness chosen before p joins, so a self-loop can never be
-                # picked and witness chains always shorten the rank
-                witness[p] = min(w for w in game.successors[p] if w in in_attr)
+                # picked and witness chains always shorten the rank; the
+                # successors ascend, so the first one inside is the least
+                for w in successors[p]:
+                    if w in in_attr:
+                        witness[p] = w
+                        break
                 in_attr.add(p)
                 queue.append(p)
             else:
-                if p not in escape:
-                    escape[p] = sum(1 for w in game.successors[p] if alive[w])
-                escape[p] -= 1
-                if escape[p] == 0:
+                left = escape.get(p)
+                if left is None:
+                    left = sum(map(alive.__getitem__, successors[p]))
+                left -= 1
+                escape[p] = left
+                if left == 0:
                     in_attr.add(p)
                     queue.append(p)
     return in_attr, witness
@@ -83,46 +87,91 @@ def attractor(game: Game, player: int, targets) -> list[int]:
     return sorted(attr)
 
 
+@dataclass(slots=True)
+class _Level:
+    """One level of Zielonka's decomposition, kept on an explicit stack.
+
+    ``removed`` is what the level has taken out of the shared membership
+    array for the sub-level now running: first the attractor of ``lowest``,
+    then, when ``rerun`` is set, the opponent's trap.
+    """
+
+    vertices: list[int]
+    side: int
+    lowest: list[int]
+    removed: set[int]
+    witness: dict[int, int]
+    rerun: bool = False
+
+
 def solve_zielonka(game: Game) -> Solution:
-    """Recursive attractor-based solver (min-parity).
+    """Attractor-based solver (min-parity) on an explicit stack,
+    subgame-local.
 
     Each level removes the attractor of the lowest-priority vertices for
     the matching player, solves the remainder, and either claims the whole
     subgame or re-runs it without the opponent's established region.
+
+    A level works only on its own vertex list, ordered by priority and then
+    by vertex: the minimum priority, the lowest bucket and the next subgame
+    come from that list, never from the whole game, and a claimed region
+    grows from the sub-level's region.  One membership array marks the
+    current subgame; a level clears the vertices it removes before its
+    sub-level runs and restores them after, so no level copies it.  Deep
+    games need no Python recursion.
     """
     n = game.vertex_count
+    priority, owner, successors = game.priority, game.owner, game.successors
     moves: dict[int, dict[int, int]] = {EVEN: {}, ODD: {}}
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 1000))
+    alive = [True] * n
+    stack: list[_Level] = []
+    vertices = sorted(range(n), key=priority.__getitem__)
+    while True:
+        # descend: open a level per subgame until the subgame is empty
+        while vertices:
+            m = priority[vertices[0]]
+            side = m % 2
+            lowest = vertices[: bisect_right(vertices, m, key=priority.__getitem__)]
+            attr, witness = _attract(game, side, lowest, alive)
+            for v in attr:
+                alive[v] = False
+            stack.append(_Level(vertices, side, lowest, attr, witness))
+            if len(attr) == len(lowest):
+                # the attractor is the lowest bucket, a prefix of the list
+                vertices = vertices[len(lowest) :]
+            else:
+                vertices = [v for v in vertices if alive[v]]
+        regions: tuple[set[int], set[int]] = (set(), set())
+        # ascend: close levels until one must re-run without the opponent's trap
+        while stack:
+            level = stack[-1]
+            for v in level.removed:
+                alive[v] = True
+            side = level.side
+            opp = 1 - side
+            if level.rerun:
+                regions[opp].update(level.removed)
+            elif not regions[opp]:
+                for v in level.lowest:
+                    if owner[v] == side:
+                        moves[side][v] = min(w for w in successors[v] if alive[w])
+                moves[side].update(level.witness)
+                # the sub-level won its whole subgame; with the attractor
+                # that is this level's
+                regions[side].update(level.removed)
+            else:
+                trap, trap_witness = _attract(game, opp, sorted(regions[opp]), alive)
+                moves[opp].update(trap_witness)
+                for v in trap:
+                    alive[v] = False
+                level.removed, level.rerun = trap, True
+                vertices = [v for v in level.vertices if alive[v]]
+                break
+            stack.pop()
+        else:
+            break
 
-    def rec(alive: list[bool], size: int) -> tuple[set[int], set[int]]:
-        if size == 0:
-            return set(), set()
-        m = min(game.priority[v] for v in range(n) if alive[v])
-        side = m % 2
-        lowest = [v for v in range(n) if alive[v] and game.priority[v] == m]
-        attr, witness = _attract(game, side, lowest, alive)
-        sub = alive[:]
-        for v in attr:
-            sub[v] = False
-        regions = rec(sub, size - len(attr))
-        if not regions[1 - side]:
-            for v in lowest:
-                if game.owner[v] == side:
-                    moves[side][v] = min(w for w in game.successors[v] if alive[w])
-            moves[side].update(witness)
-            full = {v for v in range(n) if alive[v]}
-            return (full, set()) if side == EVEN else (set(), full)
-        opp = 1 - side
-        trap, trap_witness = _attract(game, opp, sorted(regions[opp]), alive)
-        moves[opp].update(trap_witness)
-        rest = alive[:]
-        for v in trap:
-            rest[v] = False
-        regions2 = rec(rest, size - len(trap))
-        regions2[opp].update(trap)
-        return regions2
-
-    region_even, region_odd = rec([True] * n, n)
+    region_even = regions[EVEN]
     winner = [EVEN if v in region_even else ODD for v in range(n)]
     strategies = {}
     for player in (EVEN, ODD):
@@ -131,7 +180,7 @@ def solve_zielonka(game: Game) -> Solution:
             {
                 v: w
                 for v, w in moves[player].items()
-                if winner[v] == player and game.owner[v] == player
+                if winner[v] == player and owner[v] == player
             },
         )
     return Solution(winner, strategies[EVEN], strategies[ODD])
@@ -179,8 +228,10 @@ def _spm_even_half(game: Game) -> tuple[ProgressMeasure, list[bool], dict[int, i
     measure = ProgressMeasure(odd_ps, bounds, [(0,) * width] * n)
     value = measure.value
 
-    def prog(v: int, w: int) -> tuple[int, ...] | None:
-        mw = value[w]
+    def prog(v: int, mw: tuple[int, ...] | None) -> tuple[int, ...] | None:
+        """Least measure that ``v`` may carry above a successor measured
+        ``mw``: equal on the components that ``v``'s priority keeps, and
+        strictly greater there when that priority is odd."""
         if mw is TOP:
             return TOP
         k = prefix_len[gmax.priority[v]]
@@ -200,25 +251,33 @@ def _spm_even_half(game: Game) -> tuple[ProgressMeasure, list[bool], dict[int, i
             return a is not TOP
         return a is not TOP and a < b
 
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            options = [prog(v, w) for w in gmax.successors[v]]
-            if gmax.owner[v] == EVEN:
-                best = options[0]
-                for o in options[1:]:
-                    if less(o, best):
-                        best = o
-            else:
-                best = options[0]
-                for o in options[1:]:
-                    if less(best, o):
-                        best = o
-            if less(value[v], best):
-                value[v] = best
-                assert measure.in_bounds(v)
-                changed = True
+    # Chaotic iteration from the bottom reaches the least fixpoint in any
+    # order of lifts, so a FIFO worklist converges to the same measure as a
+    # sweep over all vertices: a vertex is revisited only when one of its
+    # successors was lifted.  ``prog`` is monotone in the successor's
+    # measure, so the best option is ``prog`` of the best successor measure.
+    queue = deque(range(n))
+    queued = [True] * n
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        succs = gmax.successors[v]
+        pick = value[succs[0]]
+        if gmax.owner[v] == EVEN:
+            for w in succs[1:]:
+                if less(value[w], pick):
+                    pick = value[w]
+        else:
+            for w in succs[1:]:
+                if less(pick, value[w]):
+                    pick = value[w]
+        best = prog(v, pick)
+        if less(value[v], best):
+            value[v] = best
+            for p in gmax.predecessors[v]:
+                if not queued[p]:
+                    queued[p] = True
+                    queue.append(p)
 
     even_wins = [value[v] is not TOP for v in range(n)]
     strategy: dict[int, int] = {}
@@ -227,7 +286,7 @@ def _spm_even_half(game: Game) -> tuple[ProgressMeasure, list[bool], dict[int, i
             strategy[v] = min(
                 gmax.successors[v],
                 key=lambda w: (
-                    (1,) if prog(v, w) is TOP else (0, prog(v, w)),
+                    (1,) if prog(v, value[w]) is TOP else (0, prog(v, value[w])),
                     (1,) if value[w] is TOP else (0, value[w]),
                     w,
                 ),

@@ -18,6 +18,13 @@ def alternating_chain(n: int) -> Game:
     return Game([1] * n + [0], owner, [[i + 1] for i in range(n)] + [[n]])
 
 
+def priority_ladder(n: int) -> Game:
+    """Vertex i has priority i, owner i mod 2 and edges {i, i+1}; the last
+    vertex only loops."""
+    successors = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
+    return Game(list(range(n)), [i % 2 for i in range(n)], successors)
+
+
 def make_context(game: Game, player: int) -> LiftContext:
     part = refine_stuttering(game)
     reduced, vmap = quotient(game, part)

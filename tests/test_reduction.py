@@ -6,6 +6,7 @@ import inspect
 import pytest
 
 import paritygame.reduction
+import paritygame.solvers
 import paritygame.strategy
 
 from paritygame import (
@@ -130,7 +131,9 @@ def test_quotient_rejects_a_non_total_game():
             quotient(g, refine(g))
 
 
-@pytest.mark.parametrize("module", [paritygame.reduction, paritygame.strategy])
+@pytest.mark.parametrize(
+    "module", [paritygame.reduction, paritygame.solvers, paritygame.strategy]
+)
 def test_library_invariants_are_not_asserts(module):
     # assert statements vanish under ``python -O``; invariants must raise
     tree = ast.parse(inspect.getsource(module))

@@ -15,7 +15,7 @@ from paritygame.generators import Xoshiro256StarStar
 from paritygame.graphs import strongly_connected_components, vertices_with_infinite_path
 from paritygame.reduction import _initial_blocks
 
-from helpers import alternating_chain
+from helpers import alternating_chain, priority_ladder
 
 
 def _stuttering_signatures(
@@ -79,13 +79,6 @@ def naive_strong(game):
 
 def naive_stuttering(game):
     return _naive_rounds(game, _stuttering_signatures)
-
-
-def priority_ladder(n: int) -> Game:
-    """Vertex i has priority i, owner i mod 2 and edges {i, i+1}; the last
-    vertex only loops."""
-    successors = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
-    return Game(list(range(n)), [i % 2 for i in range(n)], successors)
 
 
 def game_zoo(trial: int, rng: Xoshiro256StarStar) -> Game:

@@ -1,5 +1,7 @@
 """Solver correctness: attractor, Zielonka, progress measures, brute force."""
 
+import sys
+
 import pytest
 
 from paritygame import (
@@ -15,7 +17,6 @@ from paritygame import (
     solve_spm,
     solve_zielonka,
     verify_strategy,
-    winner_equivalent,
 )
 
 
@@ -85,12 +86,20 @@ def test_three_way_agreement_sample():
         assert solve_brute(g).winner == wz, seed
 
 
-def test_winner_equivalent(g1, g4):
-    sol1 = solve_zielonka(g1)
-    assert winner_equivalent(sol1, 0, 1)
-    sol4 = solve_zielonka(g4)
-    assert not winner_equivalent(sol4, 0, 2)
-    assert winner_equivalent(sol4, 2, 2)
+def test_zielonka_nests_deeper_than_the_recursion_limit():
+    # vertex i has priority 2i, owner i mod 2 and edges {i, i+1}: every
+    # level peels off one vertex, so Zielonka nests 3,000 levels
+    n = 3000
+    g = Game(
+        [2 * i for i in range(n)],
+        [i % 2 for i in range(n)],
+        [[i, i + 1] for i in range(n - 1)] + [[n - 1]],
+    )
+    limit = sys.getrecursionlimit()
+    sol = solve_zielonka(g)
+    assert sys.getrecursionlimit() == limit
+    assert sol.winner == [EVEN] * n
+    assert verify_strategy(g, EVEN, list(g.vertices()), sol.strategy_even).ok
 
 
 def test_solution_invariants_and_strategy_soundness():
