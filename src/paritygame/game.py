@@ -28,7 +28,9 @@ class Game:
     """Immutable parity game on dense vertex indices.
 
     Successor lists are normalised to duplicate-free ascending order and
-    predecessor lists are derived from them.  Construction does not insist
+    predecessor lists are derived from them.  Empty names read as ``None``,
+    and a game without any name has ``names is None``, as a parsed file
+    without names does.  Construction does not insist
     on the game invariants (so broken games can be inspected); run
     :func:`validate` to obtain the list of violations.
     """
@@ -47,22 +49,43 @@ class Game:
             raise ValueError("priority, owner and successors must have equal length")
         if names is not None and len(names) != n:
             raise ValueError("names must have one entry per vertex")
-        for v, p in enumerate(owner):
-            if p not in (EVEN, ODD):
-                raise ValueError(f"vertex {v}: owner must be {EVEN} (even) or {ODD} (odd)")
-        for v, p in enumerate(priority):
-            if p < 0:
-                raise ValueError(f"vertex {v}: priority must be a natural number")
-        self.priority = tuple(priority)
-        self.owner = tuple(owner)
-        self.successors = tuple(tuple(sorted(set(s))) for s in successors)
-        self.names = None if names is None else tuple(n or None for n in names)
+        owner = tuple(owner)
+        if owner.count(EVEN) + owner.count(ODD) != n:
+            for v, p in enumerate(owner):
+                if p not in (EVEN, ODD):
+                    raise ValueError(f"vertex {v}: owner must be {EVEN} (even) or {ODD} (odd)")
+        priority = tuple(priority)
+        if min(priority, default=0) < 0:
+            for v, p in enumerate(priority):
+                if p < 0:
+                    raise ValueError(f"vertex {v}: priority must be a natural number")
+        self.priority = priority
+        self.owner = owner
+        self.successors = tuple(map(tuple, map(sorted, map(set, successors))))
+        if names is not None:
+            names = tuple([nm or None for nm in names])
+            if names.count(None) == n:
+                names = None
+        self.names = names
         preds: list[list[int]] = [[] for _ in range(n)]
         for v, succs in enumerate(self.successors):
             for w in succs:
                 if 0 <= w < n:
                     preds[w].append(v)
-        self.predecessors = tuple(tuple(p) for p in preds)
+        self.predecessors = tuple(map(tuple, preds))
+
+    @classmethod
+    def _relabelled(cls, game: Game, priority: tuple[int, ...], owner: tuple[int, ...]) -> Game:
+        """``game`` with other priorities and owners.  The new game shares
+        ``game``'s normalised successor, predecessor and name tuples, which
+        is safe because games are immutable."""
+        new = cls.__new__(cls)
+        new.priority = priority
+        new.owner = owner
+        new.successors = game.successors
+        new.predecessors = game.predecessors
+        new.names = game.names
+        return new
 
     @property
     def vertex_count(self) -> int:
@@ -220,29 +243,6 @@ def distance(game: Game, v: int, u: int) -> int | float:
     return INFINITY
 
 
-def cmp_proximity(game: Game, u: int, a: int, b: int) -> int:
-    """Compare two distinct vertices by proximity to ``u``.
-
-    Returns -1 when ``a`` precedes ``b`` (strictly closer to ``u``, or at
-    equal distance with smaller index) and +1 otherwise.  The relation is a
-    strict total order on distinct vertices; ``a == b`` is rejected.
-    """
-    if a == b:
-        raise ValueError("cmp_proximity is only defined on distinct vertices")
-    da, db = distance(game, a, u), distance(game, b, u)
-    if da != db:
-        return -1 if da < db else 1
-    return -1 if a < b else 1
-
-
-def min_vertex(vertices: Iterable[int]) -> int:
-    """Least vertex of a non-empty set under the fixed vertex order."""
-    vs = list(vertices)
-    if not vs:
-        raise ValueError("min_vertex of an empty set")
-    return min(vs)
-
-
 def consistent(game: Game, path: Path | Sequence[int], strategy: Strategy) -> bool:
     """True iff every move of the path taken at a strategy-owned vertex in
     the strategy's domain follows the strategy."""
@@ -289,16 +289,19 @@ def convert_priorities(game: Game, direction: str = "max_to_min") -> Game:
 
     Every priority becomes ``d - priority`` where ``d`` is the maximum
     priority rounded up to an even number; this preserves the winner of
-    every vertex.  Both directions use the same reflection.
+    every vertex.  Both directions use the same reflection.  The result
+    shares ``game``'s successor, predecessor and name tuples; only the
+    priorities are new.
     """
     if direction not in ("max_to_min", "min_to_max"):
         raise ValueError(f"unknown direction {direction!r}")
-    d = max(game.priority, default=0)
+    return Game._relabelled(game, _reflect(game.priority), game.owner)
+
+
+def _reflect(priority: Sequence[int]) -> tuple[int, ...]:
+    """``d - p`` for every priority ``p``, with ``d`` the maximum priority
+    rounded up to an even number."""
+    d = max(priority, default=0)
     if d % 2 == 1:
         d += 1
-    return Game(
-        [d - p for p in game.priority],
-        game.owner,
-        game.successors,
-        game.names,
-    )
+    return tuple([d - p for p in priority])

@@ -10,7 +10,9 @@ Grammar::
 Owner 0 is the even player, 1 the odd player.  Whitespace is free-form;
 comments are not supported.  Internally the toolkit always uses min-parity
 winner semantics: parsing with ``convention="max"`` reflects the priorities
-on input (and writing converts back at the CLI boundary).
+as read, before the game is built, so every parse constructs and
+normalises its game exactly once (writing converts back at the CLI
+boundary).
 
 A companion, equally line-oriented format stores solutions: a header
 ``solution <max-id>;`` followed by ``<id> <winner> (<move>)? ;`` per
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .game import EVEN, ODD, Game, Strategy, convert_priorities
+from .game import EVEN, ODD, Game, Strategy, _reflect
 
 
 class FormatError(ValueError):
@@ -33,8 +35,11 @@ class FormatError(ValueError):
 
 
 _HEADER_RE = re.compile(r"^\s*parity\s+(\d+)\s*;\s*$")
+# The successor field runs from a digit to its last digit or comma; spelled
+# greedily rather than as a lazy ``[0-9][0-9,\s]*?`` it matches the same
+# text without retrying the rest of the pattern after every character.
 _VERTEX_RE = re.compile(
-    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9][0-9,\s]*?))?\s*(?:\"([^\"]*)\")?\s*;\s*$"
+    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9](?:[0-9,\s]*[0-9,])?))?\s*(?:\"([^\"]*)\")?\s*;\s*$"
 )
 
 
@@ -50,61 +55,79 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     if isinstance(text, bytes):
         text = text.decode("ascii")
 
-    entries: dict[int, tuple[int, int, list[int], str | None]] = {}
+    ids: list[int] = []
+    priority: list[int] = []
+    owner: list[int] = []
+    successors: list[list[int]] = []
+    names: list[str | None] = []
+    # ``seen`` stays None while the ids run 0, 1, 2, ... in file order,
+    # which rules out duplicates without a set lookup per line.
+    seen: set[int] | None = None
     lines = text.split("\n")
     start = 0
     if lines and _HEADER_RE.match(lines[0]):
         start = 1
     for lineno, raw in enumerate(lines[start:], start=start + 1):
-        if not raw.strip():
-            continue
         m = _VERTEX_RE.match(raw)
         if m is None:
+            if not raw.strip():
+                continue
             raise FormatError(lineno, f"cannot parse vertex line {raw.strip()!r}")
-        vid = int(m.group(1))
-        if vid in entries:
-            raise FormatError(lineno, f"duplicate vertex id {vid}")
-        succ_field = (m.group(4) or "").strip()
-        if not succ_field:
+        vid_text, prio_text, owner_text, succ_field, name = m.groups()
+        vid = int(vid_text)
+        if seen is None and vid != len(ids):
+            seen = set(ids)
+        if seen is not None:
+            if vid in seen:
+                raise FormatError(lineno, f"duplicate vertex id {vid}")
+            seen.add(vid)
+        # The field starts with a digit and ends in a digit or comma, so it
+        # needs no stripping.
+        if succ_field is None:
             raise FormatError(lineno, f"vertex {vid} has an empty successor list")
         try:
-            succs = [int(tok) for tok in succ_field.split(",")]
+            successors.append(list(map(int, succ_field.split(","))))
         except ValueError:
             raise FormatError(lineno, f"bad successor list {succ_field!r}") from None
-        entries[vid] = (int(m.group(2)), int(m.group(3)), succs, m.group(5))
+        ids.append(vid)
+        priority.append(int(prio_text))
+        owner.append(int(owner_text))
+        names.append(name)
 
-    if not entries:
+    if not ids:
         raise FormatError(1, "no vertices in input")
-    n = max(entries) + 1
-    for vid in range(n):
-        if vid not in entries:
-            raise FormatError(1, f"vertex ids are not contiguous: {vid} is missing")
-    priority = [entries[v][0] for v in range(n)]
-    owner = [entries[v][1] for v in range(n)]
-    successors = [entries[v][2] for v in range(n)]
-    names = [entries[v][3] for v in range(n)]
-    for v in range(n):
-        for w in successors[v]:
-            if not (0 <= w < n):
-                raise FormatError(1, f"dangling successor id {w} at vertex {v}")
-    if all(nm is None for nm in names):
-        names = None
-    game = Game(priority, owner, successors, names)
+    n = len(ids)
+    if seen is not None:
+        top = max(ids)
+        if top + 1 != n:
+            for vid in range(top + 1):
+                if vid not in seen:
+                    raise FormatError(1, f"vertex ids are not contiguous: {vid} is missing")
+        order = sorted(range(n), key=ids.__getitem__)
+        priority = [priority[i] for i in order]
+        owner = [owner[i] for i in order]
+        successors = [successors[i] for i in order]
+        names = [names[i] for i in order]
+    if max(map(max, successors)) >= n:
+        for v, succs in enumerate(successors):
+            for w in succs:
+                if w >= n:
+                    raise FormatError(1, f"dangling successor id {w} at vertex {v}")
     if convention == "max":
-        game = convert_priorities(game, "max_to_min")
-    return game
+        priority = _reflect(priority)
+    return Game(priority, owner, successors, names)
 
 
 def write_pgsolver(game: Game) -> str:
     """Serialise a game, deterministically: ascending vertex order and
     sorted successor lists, priorities written verbatim (min-parity)."""
+    names = game.names or (None,) * game.vertex_count
     out = [f"parity {game.vertex_count - 1};"]
-    for v in game.vertices():
-        succs = ",".join(str(w) for w in game.successors[v])
-        name = ""
-        if game.names is not None and game.names[v]:
-            name = f' "{game.names[v]}"'
-        out.append(f"{v} {game.priority[v]} {game.owner[v]} {succs}{name};")
+    for v, (p, o, succs, name) in enumerate(
+        zip(game.priority, game.owner, game.successors, names)
+    ):
+        label = f' "{name}"' if name else ""
+        out.append(f"{v} {p} {o} {','.join(map(str, succs))}{label};")
     return "\n".join(out)
 
 
@@ -113,9 +136,9 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     exactly at vertices owned by their winner."""
     moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
     out = [f"solution {game.vertex_count - 1};"]
-    for v in game.vertices():
+    for v, o in enumerate(game.owner):
         w = winner[v]
-        if game.owner[v] == w:
+        if o == w:
             out.append(f"{v} {w} {moves[w][v]};")
         else:
             out.append(f"{v} {w};")

@@ -310,11 +310,10 @@ def solve_spm(game: Game) -> Solution:
     shifted by one), whose even player coincides with the original odd one.
     """
     _, even_wins, even_moves = _spm_even_half(game)
-    dual = Game(
-        [p + 1 for p in game.priority],
-        [1 - o for o in game.owner],
-        game.successors,
-        game.names,
+    dual = Game._relabelled(
+        game,
+        tuple([p + 1 for p in game.priority]),
+        tuple([1 - o for o in game.owner]),
     )
     _, odd_wins, odd_moves = _spm_even_half(dual)
     for v in game.vertices():

@@ -212,6 +212,23 @@ def _lift_block(ctx: LiftContext, b: int, moves: dict[int, int]):
     if b not in ctx.quotient_strategy.moves:
         raise ValueError(f"quotient strategy undefined at winning block {b}")
     t = ctx.quotient_strategy.moves[b]
+    if len(members) == 1:
+        # Most blocks of a barely reducible game are singletons: the only
+        # intra-block move is a self-loop, and the least successor in the
+        # target block is both the target vertex and a direct exit.
+        (v,) = members
+        if t == b:
+            if not ctx.partition.divergent[b]:
+                raise ValueError(f"quotient strategy stays at non-divergent block {b}")
+            if v not in succ[v]:
+                raise ValueError(f"divergent block member {v} has no intra-block move")
+            moves[v] = v
+            return
+        for w in succ[v]:
+            if vmap[w] == t:
+                moves[v] = w
+                return
+        raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
     intra = {v: [w for w in succ[v] if vmap[w] == b] for v in members}
     if t == b:
         if not ctx.partition.divergent[b]:
@@ -280,20 +297,6 @@ def lift_strategy(ctx: LiftContext) -> Strategy:
         if ctx.quotient.owner[b] == ctx.player:
             _lift_block(ctx, b, moves)
     return Strategy(ctx.player, dict(sorted(moves.items())))
-
-
-@dataclass
-class PathStrategyOracle:
-    """Path-dependent strategy interface over the lifting construction:
-    feed it any play ending at an owned vertex, get the next vertex."""
-
-    context: LiftContext
-
-    def next_move(self, p: Path | Sequence[int]) -> int:
-        return mimick_next(self.context, p)
-
-    def __call__(self, p: Path | Sequence[int]) -> int:
-        return self.next_move(p)
 
 
 @dataclass

@@ -1,14 +1,29 @@
-"""Helpers shared between the strategy tests and the acceptance suite."""
+"""Helpers shared between the test modules: game families, lifting
+contexts, and reference definitions that only the tests use."""
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from paritygame import (
     EVEN,
     ODD,
     Game,
     LiftContext,
+    Path,
+    distance,
+    mimick_next,
     quotient,
     refine_stuttering,
     solve_zielonka,
 )
+
+
+def assert_same_game(a: Game, b: Game):
+    """``a`` and ``b`` are equal, hash alike and derive the same
+    predecessor lists (which ``==`` does not compare)."""
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.predecessors == b.predecessors
 
 
 def alternating_chain(n: int) -> Game:
@@ -54,3 +69,40 @@ def random_consistent_walk(game, ctx, rng, start, max_len=10):
             break
         walk.append(allowed[rng.below(len(allowed))])
     return walk
+
+
+def cmp_proximity(game: Game, u: int, a: int, b: int) -> int:
+    """Compare two distinct vertices by proximity to ``u``.
+
+    Returns -1 when ``a`` precedes ``b`` (strictly closer to ``u``, or at
+    equal distance with smaller index) and +1 otherwise.  The relation is a
+    strict total order on distinct vertices; ``a == b`` is rejected.
+    """
+    if a == b:
+        raise ValueError("cmp_proximity is only defined on distinct vertices")
+    da, db = distance(game, a, u), distance(game, b, u)
+    if da != db:
+        return -1 if da < db else 1
+    return -1 if a < b else 1
+
+
+def min_vertex(vertices: Iterable[int]) -> int:
+    """Least vertex of a non-empty set under the fixed vertex order."""
+    vs = list(vertices)
+    if not vs:
+        raise ValueError("min_vertex of an empty set")
+    return min(vs)
+
+
+@dataclass
+class PathStrategyOracle:
+    """Path-dependent strategy interface over the lifting construction:
+    feed it any play ending at an owned vertex, get the next vertex."""
+
+    context: LiftContext
+
+    def next_move(self, p: Path | Sequence[int]) -> int:
+        return mimick_next(self.context, p)
+
+    def __call__(self, p: Path | Sequence[int]) -> int:
+        return self.next_move(p)

@@ -9,18 +9,19 @@ from paritygame import (
     Game,
     Path,
     Strategy,
-    cmp_proximity,
     consistent,
     convert_priorities,
     distance,
     gen_chain,
     gen_random,
-    min_vertex,
     play_from,
+    solve_spm,
     solve_zielonka,
     stats,
     validate,
 )
+
+from helpers import assert_same_game, cmp_proximity, min_vertex
 
 
 def test_validate_clean_game(g1):
@@ -42,6 +43,59 @@ def test_successor_lists_normalised():
     g = Game(priority=[0], owner=[EVEN], successors=[[0, 0, 0]])
     assert g.successors == ((0,),)
     assert g.predecessors == ((0,),)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (([0, 1], [EVEN], [[0], [1]]), "priority, owner and successors must have equal length"),
+        (([0, 1], [EVEN, ODD], [[0]]), "priority, owner and successors must have equal length"),
+        (([0, 1], [EVEN, ODD], [[0], [1]], ["a"]), "names must have one entry per vertex"),
+        (([0, 1, 2], [EVEN, 2, 5], [[0], [1], [2]]), "vertex 1: owner must be 0 (even) or 1 (odd)"),
+        (([0, 0], [EVEN, -1], [[0], [1]]), "vertex 1: owner must be 0 (even) or 1 (odd)"),
+        (([0, -1, -2], [EVEN, ODD, EVEN], [[0], [1], [2]]), "vertex 1: priority must be a natural number"),
+        # the owner check runs before the priority check
+        (([-1, 0], [EVEN, 2], [[0], [1]]), "vertex 1: owner must be 0 (even) or 1 (odd)"),
+        (([1, 2, -3], [ODD, ODD, ODD], [[0], [1], [2]]), "vertex 2: priority must be a natural number"),
+    ],
+)
+def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, message):
+    with pytest.raises(ValueError) as exc:
+        Game(*fields)
+    assert str(exc.value) == message
+
+
+def test_priority_flips_equal_freshly_constructed_games(monkeypatch):
+    import paritygame.solvers as solvers
+
+    games = [gen_random(1 + seed % 15, 3, 1 + seed % 6, seed) for seed in range(20)]
+    games.append(Game([0, 3, 2], [EVEN, ODD, ODD], [[1], [1, 0], [0]], names=["x", "", None]))
+    games.append(Game([4, 1], [ODD, EVEN], [[1, 5], [0]]))  # a dangling edge
+    real_even_half = solvers._spm_even_half
+    halves = []
+
+    def recording_even_half(game):
+        halves.append(game)
+        return real_even_half(game)
+
+    monkeypatch.setattr(solvers, "_spm_even_half", recording_even_half)
+    for g in games:
+        for direction in ("max_to_min", "min_to_max"):
+            flipped = convert_priorities(g, direction)
+            d = max(g.priority) + max(g.priority) % 2
+            assert_same_game(
+                flipped, Game([d - p for p in g.priority], g.owner, g.successors, g.names)
+            )
+        if validate(g):
+            continue
+        halves.clear()
+        solve_spm(g)
+        primal, dual = halves
+        assert primal is g
+        assert_same_game(
+            dual,
+            Game([p + 1 for p in g.priority], [1 - o for o in g.owner], g.successors, g.names),
+        )
 
 
 def test_stats_g1(g1):

@@ -1,12 +1,16 @@
 """PGSolver format parsing/writing and the solution format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import alternating_chain, assert_same_game, priority_ladder
 from paritygame import (
     EVEN,
     ODD,
     FormatError,
     Game,
+    convert_priorities,
     gen_chain,
     gen_random,
     parse_pgsolver,
@@ -14,6 +18,7 @@ from paritygame import (
     quotient,
     refine_stuttering,
     solve_zielonka,
+    validate,
     write_pgsolver,
     write_solution,
 )
@@ -48,6 +53,9 @@ def test_parse_duplicate_vertex_rejected():
 def test_parse_dangling_successor_rejected():
     with pytest.raises(FormatError, match="dangling"):
         parse_pgsolver("0 0 0 1,7;\n1 1 1 0;")
+    # the first id past the last vertex is dangling too
+    with pytest.raises(FormatError, match="dangling successor id 2 at vertex 1"):
+        parse_pgsolver("1 1 1 0,2;\n0 0 0 1;")
 
 
 def test_parse_gap_in_ids_rejected():
@@ -95,6 +103,9 @@ def test_names_round_trip_and_empty_names_omitted():
     assert write_pgsolver(g) == text
     unnamed = Game([0], [EVEN], [[0]], names=[""])
     assert '"' not in write_pgsolver(unnamed)
+    # a game whose names are all empty has none, like the text it writes
+    assert unnamed.names is None
+    assert parse_pgsolver(write_pgsolver(unnamed)) == unnamed
 
 
 def test_round_trip_on_random_games():
@@ -127,3 +138,87 @@ def test_solution_move_only_when_winner_owns(g1):
 def test_parse_solution_rejects_garbage():
     with pytest.raises(FormatError):
         parse_solution("solution 0;\n0 2;")
+
+
+# ---------------------------------------------------------------------------
+# Properties over the seeded generators and over mutated text.
+
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
+
+# Anything but a quote or a line break fits in a name.
+NAMES = st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def games(draw):
+    n = draw(st.integers(1, 25))
+    family = draw(st.sampled_from(["random", "chain", "ladder", "alternating"]))
+    if family == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        g = gen_random(n, draw(st.integers(1, 4)), draw(st.integers(0, 8)), seed)
+    elif family == "chain":
+        g = gen_chain(n, draw(st.integers(0, 3)), draw(st.sampled_from([EVEN, ODD])),
+                      draw(st.integers(0, 3)))
+    elif family == "ladder":
+        g = priority_ladder(n)
+    else:
+        g = alternating_chain(n)
+    if draw(st.booleans()):
+        names = draw(st.lists(NAMES, min_size=g.vertex_count, max_size=g.vertex_count))
+        g = Game(g.priority, g.owner, g.successors, names)
+    return g
+
+
+@PROPERTY
+@given(games(), st.sampled_from(["min", "max"]))
+def test_parse_inverts_write_in_both_conventions(g, convention):
+    text = write_pgsolver(g)
+    expected = g if convention == "min" else convert_priorities(g, "max_to_min")
+    assert_same_game(parse_pgsolver(text, convention), expected)
+    assert write_pgsolver(parse_pgsolver(text, "min")) == text
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_parse_ignores_line_order_and_blank_lines(g, data):
+    header, *lines = write_pgsolver(g).split("\n")
+    lines = data.draw(st.permutations(lines))
+    blanks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(lines)), st.sampled_from(["", " ", "\t  "])), max_size=6
+    ))
+    for pos, blank in sorted(blanks, reverse=True):
+        lines.insert(pos, blank)
+    if data.draw(st.booleans()):
+        lines.insert(0, header)
+    text = "\n".join(lines)
+    for convention in ("min", "max"):
+        assert_same_game(
+            parse_pgsolver(text, convention), parse_pgsolver(write_pgsolver(g), convention)
+        )
+
+
+def _parses_or_raises_format_error(text):
+    for convention in ("min", "max"):
+        try:
+            parsed = parse_pgsolver(text, convention)
+        except FormatError as exc:
+            assert 1 <= exc.line <= text.count("\n") + 1
+        else:
+            assert validate(parsed) == []
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_mutated_text_raises_only_format_errors(g, data):
+    text = write_pgsolver(g)
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + data.draw(st.text(' \t\n,;"0123456789-x', max_size=4)) + text[j:]
+    _parses_or_raises_format_error(text)
+
+
+@PROPERTY
+@given(st.text(max_size=60))
+def test_arbitrary_text_raises_only_format_errors(text):
+    _parses_or_raises_format_error(text)

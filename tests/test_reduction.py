@@ -5,6 +5,8 @@ import inspect
 
 import pytest
 
+import paritygame.game
+import paritygame.io
 import paritygame.reduction
 import paritygame.solvers
 import paritygame.strategy
@@ -132,7 +134,14 @@ def test_quotient_rejects_a_non_total_game():
 
 
 @pytest.mark.parametrize(
-    "module", [paritygame.reduction, paritygame.solvers, paritygame.strategy]
+    "module",
+    [
+        paritygame.game,
+        paritygame.io,
+        paritygame.reduction,
+        paritygame.solvers,
+        paritygame.strategy,
+    ],
 )
 def test_library_invariants_are_not_asserts(module):
     # assert statements vanish under ``python -O``; invariants must raise

@@ -10,7 +10,6 @@ from paritygame import (
     Game,
     LiftContext,
     Partition,
-    PathStrategyOracle,
     Strategy,
     consistent,
     entry_set,
@@ -29,7 +28,12 @@ from paritygame import (
 )
 from paritygame.generators import Xoshiro256StarStar
 
-from helpers import alternating_chain, make_context, random_consistent_walk
+from helpers import (
+    PathStrategyOracle,
+    alternating_chain,
+    make_context,
+    random_consistent_walk,
+)
 
 
 def even_chain(n: int = 3) -> Game:
