@@ -37,9 +37,10 @@ for game_id, methods in by_game.items():
           f"{stut.red_v + stut.red_e:>9} {direct.total_us/1000:>10.3f} "
           f"{stut.total_us/1000:>9.3f}")
 
-# Whether reduction pays depends on the solver: Zielonka
-# walks chains in linear time, so reduction is pure overhead there, but
-# for measure lifting (quadratic on chains) shrinking first is decisive.
+# Zielonka walks chains in linear time, so reduction is pure overhead
+# there.  Whole-game measure lifting (`solve_spm`) is quadratic on chains,
+# but `solve` settles the sink's self-loop and its attractor before any
+# lifting starts, so the direct route needs no reduction either.
 spm_records = run_benchmark(
     [("chain-1000", gen_chain(1000, 1, ODD, 0))],
     methods=("direct", "stuttering+solve"),

@@ -48,12 +48,16 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
 
     ``convention`` states how priorities in the file are to be read:
     ``"min"`` takes them verbatim, ``"max"`` reflects them so that internal
-    semantics is always min-parity.
+    semantics is always min-parity.  ``bytes`` are decoded as UTF-8.
     """
     if convention not in ("min", "max"):
         raise ValueError(f"unknown priority convention {convention!r}")
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise FormatError(line, f"not UTF-8: {exc.reason}") from None
 
     ids: list[int] = []
     priority: list[int] = []
@@ -74,7 +78,13 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
                 continue
             raise FormatError(lineno, f"cannot parse vertex line {raw.strip()!r}")
         vid_text, prio_text, owner_text, succ_field, name = m.groups()
-        vid = int(vid_text)
+        # the fields are digits, so only a number longer than ``int``
+        # converts can fail here
+        try:
+            vid = int(vid_text)
+            prio = int(prio_text)
+        except ValueError:
+            raise FormatError(lineno, "vertex id or priority has too many digits") from None
         if seen is None and vid != len(ids):
             seen = set(ids)
         if seen is not None:
@@ -90,7 +100,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         except ValueError:
             raise FormatError(lineno, f"bad successor list {succ_field!r}") from None
         ids.append(vid)
-        priority.append(int(prio_text))
+        priority.append(prio)
         owner.append(int(owner_text))
         names.append(name)
 
@@ -164,12 +174,16 @@ def parse_solution(text: str) -> tuple[list[int], dict[int, int]]:
         m = _SOLUTION_RE.match(raw)
         if m is None:
             raise FormatError(lineno, f"cannot parse solution line {raw.strip()!r}")
-        vid = int(m.group(1))
+        try:
+            vid = int(m.group(1))
+            move = None if m.group(3) is None else int(m.group(3))
+        except ValueError:
+            raise FormatError(lineno, "vertex id or move has too many digits") from None
         if vid in winners:
             raise FormatError(lineno, f"duplicate vertex id {vid}")
         winners[vid] = int(m.group(2))
-        if m.group(3) is not None:
-            moves[vid] = int(m.group(3))
+        if move is not None:
+            moves[vid] = move
     if not winners:
         raise FormatError(1, "no vertices in solution")
     n = max(winners) + 1

@@ -92,12 +92,15 @@ def compute_divergent(game: Game, partition: Partition) -> list[bool]:
     diverges iff it can reach, along intra-block edges, an intra-block
     cycle."""
     block_of = partition.block_of
-
-    def intra(v: int) -> list[int]:
+    # a vertex without an intra-block successor cannot diverge, so only
+    # the others enter the peeling
+    intra: dict[int, list[int]] = {}
+    for v, succs in enumerate(game.successors):
         b = block_of[v]
-        return [w for w in game.successors[v] if block_of[w] == b]
-
-    alive = vertices_with_infinite_path(game.vertices(), intra)
+        inside = [w for w in succs if block_of[w] == b]
+        if inside:
+            intra[v] = inside
+    alive = vertices_with_infinite_path(intra, intra.__getitem__)
     return [v in alive for v in game.vertices()]
 
 

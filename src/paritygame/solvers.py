@@ -11,6 +11,13 @@ strategies for both players:
   worklist, with the second player's strategy obtained from the dual game;
 * :func:`solve_brute` — strategy enumeration with a one-player cycle
   analysis, usable as an oracle on tiny games.
+
+:func:`solve` runs the first two behind the preprocessing of Friedmann and
+Lange ("Solving Parity Games in Practice", ATVA 2009): self-loop dominions
+and their attractors are settled first, then Zielonka's core runs on the
+remaining vertex list in place, or SPM on each strongly connected
+component of the remainder, bottom-up.  Its winners equal the whole-game
+solvers'; its strategies win but need not be theirs.
 """
 
 from __future__ import annotations
@@ -104,28 +111,31 @@ class _Level:
     rerun: bool = False
 
 
-def solve_zielonka(game: Game) -> Solution:
-    """Attractor-based solver (min-parity) on an explicit stack,
-    subgame-local.
+def _zielonka(
+    game: Game, vertices: list[int], alive: list[bool]
+) -> tuple[tuple[set[int], set[int]], dict[int, dict[int, int]]]:
+    """Zielonka's decomposition of the subgame ``vertices`` (min-parity),
+    on an explicit stack of subgame-local levels.
+
+    ``vertices`` is ordered by priority and then by vertex, and ``alive``
+    marks exactly those vertices; the subgame must be total.  Returns both
+    players' winning regions of the subgame and candidate moves, which
+    cover at least every vertex that its owner wins and stay inside the
+    subgame.  ``alive`` is restored before returning.
 
     Each level removes the attractor of the lowest-priority vertices for
     the matching player, solves the remainder, and either claims the whole
     subgame or re-runs it without the opponent's established region.
-
-    A level works only on its own vertex list, ordered by priority and then
-    by vertex: the minimum priority, the lowest bucket and the next subgame
-    come from that list, never from the whole game, and a claimed region
-    grows from the sub-level's region.  One membership array marks the
-    current subgame; a level clears the vertices it removes before its
-    sub-level runs and restores them after, so no level copies it.  Deep
-    games need no Python recursion.
+    A level works only on its own vertex list: the minimum priority, the
+    lowest bucket and the next subgame come from that list, never from the
+    whole game, and a claimed region grows from the sub-level's region.
+    One membership array marks the current subgame; a level clears the
+    vertices it removes before its sub-level runs and restores them after,
+    so no level copies it.  Deep games need no Python recursion.
     """
-    n = game.vertex_count
     priority, owner, successors = game.priority, game.owner, game.successors
     moves: dict[int, dict[int, int]] = {EVEN: {}, ODD: {}}
-    alive = [True] * n
     stack: list[_Level] = []
-    vertices = sorted(range(n), key=priority.__getitem__)
     while True:
         # descend: open a level per subgame until the subgame is empty
         while vertices:
@@ -169,10 +179,14 @@ def solve_zielonka(game: Game) -> Solution:
                 break
             stack.pop()
         else:
-            break
+            return regions, moves
 
-    region_even = regions[EVEN]
-    winner = [EVEN if v in region_even else ODD for v in range(n)]
+
+def _solution(game: Game, region_even: set[int], moves: dict[int, dict[int, int]]) -> Solution:
+    """The solution whose even region is ``region_even``, each player's
+    strategy being ``moves`` cut down to the vertices it owns and wins."""
+    winner = [EVEN if v in region_even else ODD for v in range(game.vertex_count)]
+    owner = game.owner
     strategies = {}
     for player in (EVEN, ODD):
         strategies[player] = Strategy(
@@ -184,6 +198,15 @@ def solve_zielonka(game: Game) -> Solution:
             },
         )
     return Solution(winner, strategies[EVEN], strategies[ODD])
+
+
+def solve_zielonka(game: Game) -> Solution:
+    """Attractor-based solver (min-parity) on the whole game: the
+    subgame-local, stack-based Zielonka core run on every vertex."""
+    n = game.vertex_count
+    vertices = sorted(range(n), key=game.priority.__getitem__)
+    regions, moves = _zielonka(game, vertices, [True] * n)
+    return _solution(game, regions[EVEN], moves)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +437,91 @@ def solve_brute(game: Game) -> Solution:
     )
 
 
+def _subgame(game: Game, vertices: list[int]) -> Game:
+    """The subgame on the ascending list ``vertices``, renumbered in that
+    order, keeping the edges that stay inside it."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return Game(
+        [game.priority[v] for v in vertices],
+        [game.owner[v] for v in vertices],
+        [[index[w] for w in game.successors[v] if w in index] for v in vertices],
+    )
+
+
+def _claim(
+    game: Game,
+    player: int,
+    won: list[int],
+    alive: list[bool],
+    regions: tuple[set[int], set[int]],
+    moves: dict[int, dict[int, int]],
+) -> None:
+    """Give ``player`` the attractor of ``won`` among the ``alive``
+    vertices, with its witness moves, and take the attractor out of
+    ``alive``."""
+    attr, witness = _attract(game, player, won, alive)
+    for v in attr:
+        alive[v] = False
+    regions[player].update(attr)
+    moves[player].update(witness)
+
+
 def solve(game: Game, algorithm: str = "zielonka") -> Solution:
-    """Dispatch by algorithm name (``zielonka``, ``spm`` or ``brute``)."""
-    try:
-        fn = {"zielonka": solve_zielonka, "spm": solve_spm, "brute": solve_brute}[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}") from None
-    return fn(game)
+    """Solve with ``zielonka``, ``spm`` or ``brute``.
+
+    ``zielonka`` and ``spm`` first settle what needs no solver, after
+    Friedmann and Lange ("Solving Parity Games in Practice", ATVA 2009):
+
+    1. a vertex with a self-loop whose priority has its owner's parity is
+       won by its owner, who plays the loop;
+    2. each player's self-loop vertices are closed under that player's
+       attractor, the witnesses being the moves; the complement of the
+       attractors is again a total subgame;
+    3. ``zielonka`` runs its core on that remainder in place; ``spm`` takes
+       the remainder's strongly connected components bottom-up, runs
+       :func:`solve_spm` on what is unsolved of each, and claims the
+       attractors of both regions it found before the next component.
+
+    Winners equal the whole-game solvers'; the strategies win but may
+    differ from theirs.  When no vertex has such a self-loop,
+    ``zielonka`` returns exactly :func:`solve_zielonka`'s solution.
+    ``brute`` is :func:`solve_brute` on the whole game.
+    """
+    if algorithm == "brute":
+        return solve_brute(game)
+    if algorithm not in ("zielonka", "spm"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    priority, owner, successors = game.priority, game.owner, game.successors
+    loops: tuple[list[int], list[int]] = ([], [])
+    for v, succs in enumerate(successors):
+        if v in succs and priority[v] % 2 == owner[v]:
+            loops[owner[v]].append(v)
+    n = game.vertex_count
+    alive = [True] * n
+    regions: tuple[set[int], set[int]] = (set(), set())
+    moves: dict[int, dict[int, int]] = {EVEN: {}, ODD: {}}
+    for player in (EVEN, ODD):
+        moves[player].update(zip(loops[player], loops[player]))
+        _claim(game, player, loops[player], alive, regions, moves)
+    rest = [v for v in range(n) if alive[v]]
+    if algorithm == "zielonka":
+        rest.sort(key=priority.__getitem__)
+        rest_regions, rest_moves = _zielonka(game, rest, alive)
+        for player in (EVEN, ODD):
+            regions[player].update(rest_regions[player])
+            moves[player].update(rest_moves[player])
+    else:
+        # components come sinks first, so whatever leaves the unsolved part
+        # of a component is already solved, and that part is a total subgame
+        for component in strongly_connected_components(rest, successors.__getitem__):
+            unsolved = sorted(v for v in component if alive[v])
+            if not unsolved:
+                continue
+            sub = solve_spm(_subgame(game, unsolved))
+            for player in (EVEN, ODD):
+                moves[player].update(
+                    (unsolved[i], unsolved[w]) for i, w in sub.strategy(player).moves.items()
+                )
+                won = [unsolved[i] for i in sub.region(player)]
+                _claim(game, player, won, alive, regions, moves)
+    return _solution(game, regions[EVEN], moves)

@@ -9,8 +9,8 @@ import sys
 PIPELINE = r"""
 from paritygame import (
     gen_random, refine_strong, refine_stuttering, quotient,
-    solve_zielonka, solve_spm, write_pgsolver, write_partition,
-    LiftContext, lift_strategy, EVEN, ODD,
+    solve, solve_zielonka, solve_spm, write_pgsolver, write_partition,
+    write_solution, LiftContext, lift_strategy, EVEN, ODD,
 )
 
 chunks = []
@@ -26,8 +26,18 @@ for seed in (1, 2, 3):
     for player in (EVEN, ODD):
         ctx = LiftContext.from_solution(g, part, reduced, vmap, sol, player)
         chunks.append(str(sorted(lift_strategy(ctx).moves.items())))
+    for game in (g, reduced):
+        for algorithm in ("zielonka", "spm"):
+            s = solve(game, algorithm)
+            chunks.append(write_solution(game, s.winner, s.strategy_even, s.strategy_odd))
     strong = refine_strong(g)
     chunks.append(write_partition(strong))
+# sparse games, each with a vertex that wins by its own self-loop
+for seed in range(5):
+    g = gen_random(20, 2, 3, seed)
+    for algorithm in ("zielonka", "spm"):
+        s = solve(g, algorithm)
+        chunks.append(write_solution(g, s.winner, s.strategy_even, s.strategy_odd))
 small = gen_random(12, 3, 3, 9)
 chunks.append(str(solve_spm(small).winner))
 print("\n".join(chunks))

@@ -118,6 +118,38 @@ def test_round_trip_accepts_bytes(g1):
     assert parse_pgsolver(write_pgsolver(g1).encode("ascii")) == g1
 
 
+def test_non_ascii_name_round_trips_through_utf8_bytes():
+    g = Game([0], [EVEN], [[0]], names=["é"])
+    assert parse_pgsolver(write_pgsolver(g).encode()) == g
+
+
+def test_bytes_that_are_not_utf8_raise_format_error():
+    with pytest.raises(FormatError, match="line 2: not UTF-8") as info:
+        parse_pgsolver(b'0 0 0 0;\n1 0 0 0 "\xff";')
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0 " + "1" * 5000 + " 0 0;", "0 0 0 0;\n" + "1" * 5000 + " 0 0 0;"],
+    ids=["priority", "vertex-id"],
+)
+def test_numbers_too_long_for_int_raise_format_error(text):
+    lineno = text.count("\n") + 1
+    with pytest.raises(FormatError, match=f"line {lineno}: .* too many digits"):
+        parse_pgsolver(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["solution 0;\n" + "1" * 5000 + " 0;", "solution 0;\n0 0 " + "1" * 5000 + ";"],
+    ids=["vertex-id", "move"],
+)
+def test_solution_numbers_too_long_for_int_raise_format_error(text):
+    with pytest.raises(FormatError, match="line 2: .* too many digits"):
+        parse_solution(text)
+
+
 def test_solution_format_round_trip(g4):
     sol = solve_zielonka(g4)
     text = write_solution(g4, sol.winner, sol.strategy_even, sol.strategy_odd)

@@ -1,8 +1,12 @@
-"""Solver correctness: attractor, Zielonka, progress measures, brute force."""
+"""Solver correctness: attractor, Zielonka, progress measures, brute force,
+and the preprocessing driver behind ``solve``."""
 
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritygame import (
     EVEN,
@@ -18,6 +22,10 @@ from paritygame import (
     solve_zielonka,
     verify_strategy,
 )
+from paritygame.generators import Xoshiro256StarStar
+
+from helpers import alternating_chain, priority_ladder
+from test_refinement_reference import game_zoo
 
 
 def test_attractor_chain_pulls_everything():
@@ -174,3 +182,110 @@ def test_solvers_on_reduced_chain_agree_with_direct():
     reduced, vmap = quotient(g, refine_stuttering(g))
     qsol = solve_zielonka(reduced)
     assert all(direct.winner[v] == qsol.winner[vmap[v]] for v in g.vertices())
+
+
+# ---------------------------------------------------------------------------
+# The preprocessing driver: self-loop dominions, attractor closure, then the
+# Zielonka core on the remainder or SPM per strongly connected component.
+# Its strategies may differ from the whole-game solvers', so it is held to
+# equal winners and strategies that verify.
+
+
+def assert_solves(g, sol, winner):
+    """``sol`` has the winners ``winner`` and, for each player, a strategy
+    defined on exactly the vertices it owns and wins, which verifies."""
+    assert sol.winner == winner
+    for player in (EVEN, ODD):
+        region = sol.region(player)
+        strategy = sol.strategy(player)
+        assert set(strategy.moves) == {v for v in region if g.owner[v] == player}
+        res = verify_strategy(g, player, region, strategy)
+        assert res.ok, (player, res)
+
+
+def _game_zoo():
+    rng = Xoshiro256StarStar(4242)
+    return [game_zoo(trial, rng) for trial in range(400)]
+
+
+def _chains():
+    return [
+        gen_chain(n, p, o, s)
+        for n in (1, 2, 7, 30, 200)
+        for p in range(3)
+        for o in (EVEN, ODD)
+        for s in range(3)
+    ]
+
+
+DRIVER_FAMILIES = {
+    "criterion-1": lambda: [gen_random(1 + s % 8, 1 + s % 3, s % 4, s) for s in range(500)],
+    "game-zoo": _game_zoo,
+    "ladders": lambda: [priority_ladder(n) for n in range(1, 201)],
+    "chains": _chains,
+    "alternating-chains": lambda: [alternating_chain(n) for n in range(1, 41)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(DRIVER_FAMILIES))
+def test_driver_wins_what_zielonka_wins(family):
+    for i, g in enumerate(DRIVER_FAMILIES[family]()):
+        winner = solve_zielonka(g).winner
+        for algorithm in ("zielonka", "spm"):
+            sol = solve(g, algorithm)
+            assert sol.winner == winner, (i, algorithm)
+            assert_solves(g, sol, winner)
+
+
+def test_driver_without_winning_self_loops_is_the_whole_game_zielonka():
+    checked = 0
+    for seed in range(300):
+        g = gen_random(1 + seed % 30, 1 + seed % 4, seed % 6, seed)
+        if any(v in g.successors[v] and g.priority[v] % 2 == g.owner[v] for v in g.vertices()):
+            continue
+        ref, sol = solve_zielonka(g), solve(g, "zielonka")
+        assert sol.winner == ref.winner
+        assert list(sol.strategy_even.moves.items()) == list(ref.strategy_even.moves.items())
+        assert list(sol.strategy_odd.moves.items()) == list(ref.strategy_odd.moves.items())
+        checked += 1
+    assert checked > 100
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 10))
+    priority = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    owner = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+    # at most two successors, so that brute force enumerates few strategies
+    successors = [
+        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))) for _ in range(n)
+    ]
+    return Game(priority, owner, successors)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(small_games(), st.sampled_from(["zielonka", "spm"]))
+def test_driver_preserves_the_brute_force_winners(g, algorithm):
+    assert_solves(g, solve(g, algorithm), solve_brute(g).winner)
+
+
+LADDER_WINNER = [v % 2 for v in range(3000)]
+
+
+@pytest.mark.parametrize(
+    "game, algorithm, winner",
+    [
+        (lambda: priority_ladder(3000), "zielonka", LADDER_WINNER),
+        (lambda: priority_ladder(3000), "spm", LADDER_WINNER),
+        (lambda: gen_chain(20000, 1, ODD, 0), "spm", [EVEN] * 20001),
+    ],
+    ids=["ladder-zielonka", "ladder-spm", "odd-chain-spm"],
+)
+def test_driver_settles_self_loop_games_in_linear_time(game, algorithm, winner):
+    # the whole-game solvers take minutes or more on these: Zielonka opens
+    # about n^2/4 levels on the ladder, SPM makes about 2^(n/2) lifts on it
+    # and a quadratic number on the chain
+    g = game()
+    t0 = time.perf_counter()
+    assert_solves(g, solve(g, algorithm), winner)
+    assert time.perf_counter() - t0 < 10.0
