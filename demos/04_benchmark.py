@@ -2,8 +2,8 @@
 
 One record per (game, method, solver): original and reduced sizes plus
 wall-clock reduction and solving times, best of the configured
-repetitions.  The winner of vertex 0 is cross-checked across methods, so
-the harness doubles as a soundness test.
+repetitions.  The winner of every vertex is cross-checked across methods,
+so the harness doubles as a soundness test.
 """
 
 from paritygame import ODD, gen_chain, gen_random

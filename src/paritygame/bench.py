@@ -3,9 +3,10 @@
 For each (game, method, solver) combination one record is produced with
 the original and reduced sizes and the wall-clock reduction and solving
 times (best of a configurable number of repetitions, microsecond
-resolution internally, milliseconds in the CSV).  The winner of vertex 0
-is cross-checked across all methods per game; a mismatch means a soundness
-bug and aborts the run.
+resolution internally, milliseconds in the CSV).  The winner of every
+vertex, carried back through the block map for reduced methods, is
+cross-checked across all methods per game; a mismatch means a soundness
+bug and aborts the run.  The CSV reports the winner of vertex 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ CSV_HEADER = (
 
 
 class WinnerMismatchError(RuntimeError):
-    """Different methods disagree on the winner of vertex 0."""
+    """Different methods disagree on the winner of some vertex."""
 
 
 @dataclass
@@ -72,7 +73,7 @@ def _measure_once(game: Game, method: str, solver: str):
         t0 = time.perf_counter_ns()
         solution = solve(game, solver)
         t1 = time.perf_counter_ns()
-        return 0, (t1 - t0) // 1000, game.vertex_count, game.edge_count, solution.winner[0]
+        return 0, (t1 - t0) // 1000, game.vertex_count, game.edge_count, solution.winner
     refine = refine_strong if method == "strong+solve" else refine_stuttering
     t0 = time.perf_counter_ns()
     part = refine(game)
@@ -85,11 +86,11 @@ def _measure_once(game: Game, method: str, solver: str):
         (t2 - t1) // 1000,
         reduced.vertex_count,
         reduced.edge_count,
-        solution.winner[vmap[0]],
+        [solution.winner[b] for b in vmap],
     )
 
 
-def _bench_one(args) -> BenchRecord:
+def _bench_one(args) -> tuple[BenchRecord, list[int]]:
     game_id, game, method, solver, repetitions = args
     best = None
     for _ in range(repetitions):
@@ -97,7 +98,7 @@ def _bench_one(args) -> BenchRecord:
         if best is None or sample[0] + sample[1] < best[0] + best[1]:
             best = sample
     reduce_us, solve_us, red_v, red_e, winner = best
-    return BenchRecord(
+    record = BenchRecord(
         game_id=game_id,
         method=method,
         solver=solver,
@@ -107,9 +108,10 @@ def _bench_one(args) -> BenchRecord:
         red_e=red_e,
         reduce_us=reduce_us,
         solve_us=solve_us,
-        winner_v0=winner,
+        winner_v0=winner[0],
         runs=repetitions,
     )
+    return record, winner
 
 
 def run_benchmark(
@@ -134,19 +136,23 @@ def run_benchmark(
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_bench_one, tasks))
+            results = list(pool.map(_bench_one, tasks))
     else:
-        records = [_bench_one(t) for t in tasks]
+        results = [_bench_one(t) for t in tasks]
 
-    by_game: dict[str, set[int]] = {}
-    for r in records:
-        by_game.setdefault(r.game_id, set()).add(r.winner_v0)
-    for game_id, winners in by_game.items():
-        if len(winners) > 1:
-            raise WinnerMismatchError(
-                f"game {game_id}: methods disagree on the winner of vertex 0"
+    first: dict[str, tuple[BenchRecord, list[int]]] = {}
+    for r, winner in results:
+        ref, ref_winner = first.setdefault(r.game_id, (r, winner))
+        if winner != ref_winner:
+            v = next(
+                (v for v, (a, b) in enumerate(zip(ref_winner, winner)) if a != b),
+                min(len(winner), len(ref_winner)),
             )
-    return records
+            raise WinnerMismatchError(
+                f"game {r.game_id}: {r.method}/{r.solver} and {ref.method}/{ref.solver} "
+                f"disagree on the winner of vertex {v}"
+            )
+    return [r for r, _ in results]
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

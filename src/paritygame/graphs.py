@@ -1,93 +1,101 @@
-"""Small graph helpers shared by the refinement engine, the solvers and the
-strategy verifier: iterative strongly-connected components and the set of
-vertices admitting an infinite path."""
+"""Small graph helpers shared by the refinement engine, the solvers, the
+strategy lifting and the strategy verifier: iterative strongly-connected
+components and the set of vertices admitting an infinite path.
+
+Both take the subgraph's vertices ``nodes`` and a successor table
+``succ``, indexed by vertex: a tuple or list over the whole game, or a
+dict over ``nodes``.  ``succ[v]`` may mention vertices outside ``nodes``;
+those are ignored.  All state lives in dicts keyed by ``nodes``, so a call
+costs time linear in ``nodes`` and the edges leaving them, however large
+the table is.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+SuccessorTable = Sequence[Sequence[int]] | Mapping[int, Sequence[int]]
 
 
 def strongly_connected_components(
-    nodes: Iterable[int], succ: Callable[[int], Sequence[int]]
+    nodes: Iterable[int], succ: SuccessorTable
 ) -> list[list[int]]:
     """Tarjan's algorithm, iterative.
 
-    ``succ(v)`` may mention vertices outside ``nodes``; those are ignored.
-    Components are emitted in reverse topological order (every component
-    precedes the components that can reach it).
+    The depth-first search starts from ``nodes`` in the given order and
+    follows ``succ[v]`` in its order.  Components are emitted in reverse
+    topological order (every component precedes the components that can
+    reach it); a component lists its root last, each other member before
+    the members it was discovered from.
     """
-    nodes = list(nodes)
-    node_set = set(nodes)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    # low[v]: 0 before v is visited, then its low link, which starts as
+    # its index; a vertex whose component has been emitted gets ``done``,
+    # above every index, so it never lowers a link
+    low = dict.fromkeys(nodes, 0)
+    done = len(low) + 1
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
 
-    for root in nodes:
-        if root in index:
+    for root in low:
+        if low[root]:
             continue
-        # (vertex, iterator position) call stack
-        work = [(root, 0)]
+        counter += 1
+        low[root] = counter
+        stack.append(root)
+        # (vertex, its index, iterator over its successors) call stack
+        work = [(root, counter, iter(succ[root]))]
         while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            succs = succ(v)
-            for i in range(pos, len(succs)):
-                w = succs[i]
-                if w not in node_set:
+            v, index, successors = work[-1]
+            for w in successors:
+                lw = low.get(w)
+                if lw is None:
                     continue
-                if w not in index:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+                if lw == 0:
+                    counter += 1
+                    low[w] = counter
+                    stack.append(w)
+                    work.append((w, counter, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if lw < low[v]:
+                    low[v] = lw
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == index:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    comp.reverse()
+                    for w in comp:
+                        low[w] = done
+                    sccs.append(comp)
+                else:
+                    parent = work[-1][0]
+                    if lv < low[parent]:
+                        low[parent] = lv
     return sccs
 
 
-def vertices_with_infinite_path(
-    nodes: Iterable[int], succ: Callable[[int], Sequence[int]]
-) -> set[int]:
+def vertices_with_infinite_path(nodes: Iterable[int], succ: SuccessorTable) -> set[int]:
     """Vertices from which an infinite path exists inside the subgraph
     spanned by ``nodes``.
 
     Computed by repeatedly peeling vertices without remaining successors;
     whatever survives can reach a cycle.
     """
-    nodes = list(nodes)
-    node_set = set(nodes)
-    out_deg = {}
     preds: dict[int, list[int]] = {v: [] for v in nodes}
-    for v in nodes:
+    out_deg: dict[int, int] = {}
+    for v in preds:
         k = 0
-        for w in succ(v):
-            if w in node_set:
+        for w in succ[v]:
+            if w in preds:
                 k += 1
                 preds[w].append(v)
         out_deg[v] = k
-    queue = [v for v in nodes if out_deg[v] == 0]
+    queue = [v for v, k in out_deg.items() if k == 0]
     dead = set(queue)
     while queue:
         v = queue.pop()
@@ -98,4 +106,4 @@ def vertices_with_infinite_path(
             if out_deg[p] == 0:
                 dead.add(p)
                 queue.append(p)
-    return node_set - dead
+    return set(preds) - dead

@@ -15,8 +15,8 @@ vertices of non-singleton blocks (those whose signature the previous
 round's splits may have changed) and splits off exactly the members whose
 signature changed.  Both refinements are deterministic: the coarsest
 stable partition is unique, and blocks are finally numbered by their
-least member.  The relational greatest-fixpoint oracles at the end of the
-module are reference equipment for cross-checking on small games.
+least member.  The test suite cross-checks both on small games against
+relational greatest-fixpoint oracles of its own.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def compute_divergent(game: Game, partition: Partition) -> list[bool]:
         inside = [w for w in succs if block_of[w] == b]
         if inside:
             intra[v] = inside
-    alive = vertices_with_infinite_path(intra, intra.__getitem__)
+    alive = vertices_with_infinite_path(intra, intra)
     return [v in alive for v in game.vertices()]
 
 
@@ -199,7 +199,8 @@ def _sign_stuttering(game: Game, block_of: list[int], sig: list, dirty: list[int
     succ = game.successors
     in_dirty = set(dirty)
     new: dict[int, tuple[bool, tuple[int, ...]]] = {}
-    local: dict[int, tuple[bool, set[int], list[int]]] = {}
+    local: dict[int, tuple[bool, set[int]]] = {}
+    inert: dict[int, list[int]] = {}
     for v in dirty:
         b = block_of[v]
         div = False
@@ -216,20 +217,21 @@ def _sign_stuttering(game: Game, block_of: list[int], sig: list, dirty: list[int
                 div = div or d
                 exits.update(e)
         if inner:
-            local[v] = (div, exits, inner)
+            local[v] = (div, exits)
+            inert[v] = inner
         else:
             new[v] = (div, tuple(sorted(exits)))
     # Tarjan emits components before the components that reach them, so
     # one pass over its output signs every component.
-    for comp in strongly_connected_components(local, lambda v: local[v][2]):
+    for comp in strongly_connected_components(inert, inert):
         comp_set = set(comp)
         div = len(comp) > 1
         exits = set()
         for v in comp:
-            d, e, inner = local[v]
+            d, e = local[v]
             div = div or d
             exits |= e
-            for w in inner:
+            for w in inert[v]:
                 if w in comp_set:
                     div = div or w == v
                 else:
@@ -311,130 +313,3 @@ def write_partition(partition: Partition) -> str:
     for v, b in enumerate(partition.block_of):
         lines.append(f"{v} {b} {1 if partition.divergent[b] else 0}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Relational greatest-fixpoint oracles (test equipment, small games only).
-
-
-def _divergent_wrt(game: Game, rel: set[tuple[int, int]], v: int) -> bool:
-    related = {u for u in game.vertices() if (v, u) in rel}
-
-    def succ(x: int) -> list[int]:
-        return [w for w in game.successors[x] if w in related]
-
-    return v in vertices_with_infinite_path(related, succ)
-
-
-def _inert_closure(game: Game, rel: set[tuple[int, int]], start: int) -> list[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in game.successors[x]:
-            if (x, y) in rel and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return sorted(seen)
-
-
-def oracle_stuttering_pairs(game: Game) -> set[tuple[int, int]]:
-    """Stuttering equivalence as a relation, by greatest-fixpoint deletion.
-
-    Starts from all priority/owner-equal pairs and repeatedly removes pairs
-    violating the transfer condition or the divergence agreement, with
-    inert steps and divergence evaluated against the current relation.
-
-    The transfer condition is monotone in the relation, so its violations
-    are deleted down to a fixpoint first; only then are divergence flags
-    compared.  Interleaving the two over-deletes: while transfer-doomed
-    pairs are still present, they can lend one vertex of a pair a spurious
-    divergence witness that its partner already lost, splitting pairs that
-    the largest stuttering bisimulation keeps together.
-
-    Quadratic in pairs per pass; intended for games with at most a dozen
-    vertices.
-    """
-    n = game.vertex_count
-    rel = {
-        (v, w)
-        for v in range(n)
-        for w in range(n)
-        if game.priority[v] == game.priority[w] and game.owner[v] == game.owner[w]
-    }
-
-    def transfer_ok(v: int, w: int) -> bool:
-        closure = _inert_closure(game, rel, w)
-        for u in game.successors[v]:
-            if (v, u) in rel and (u, w) in rel:
-                continue
-            if not any(
-                (v, w2) in rel and any((u, u2) in rel for u2 in game.successors[w2])
-                for w2 in closure
-            ):
-                return False
-        return True
-
-    while True:
-        while True:
-            bad: set[tuple[int, int]] = set()
-            for (v, w) in rel:
-                if v == w or (w, v) in bad:
-                    continue
-                if not transfer_ok(v, w):
-                    bad.add((v, w))
-                    bad.add((w, v))
-            if not bad:
-                break
-            rel -= bad
-        div = [_divergent_wrt(game, rel, v) for v in range(n)]
-        bad = {
-            (v, w)
-            for (v, w) in rel
-            if v != w and div[v] != div[w]
-        }
-        if not bad:
-            return rel
-        rel -= {(w, v) for (v, w) in bad} | bad
-
-
-def oracle_strong_pairs(game: Game) -> set[tuple[int, int]]:
-    """Strong bisimilarity as a relation, by greatest-fixpoint deletion."""
-    n = game.vertex_count
-    rel = {
-        (v, w)
-        for v in range(n)
-        for w in range(n)
-        if game.priority[v] == game.priority[w] and game.owner[v] == game.owner[w]
-    }
-    while True:
-        bad: set[tuple[int, int]] = set()
-        for (v, w) in rel:
-            if v == w or (w, v) in bad:
-                continue
-            ok = all(
-                any((u, u2) in rel for u2 in game.successors[w])
-                for u in game.successors[v]
-            ) and all(
-                any((u2, u) in rel for u2 in game.successors[v])
-                for u in game.successors[w]
-            )
-            if not ok:
-                bad.add((v, w))
-                bad.add((w, v))
-        if not bad:
-            return rel
-        rel -= bad
-
-
-def partition_from_relation(game: Game, rel: set[tuple[int, int]]) -> list[list[int]]:
-    """Blocks induced by an equivalence relation, sorted by representative."""
-    seen: set[int] = set()
-    blocks: list[list[int]] = []
-    for v in game.vertices():
-        if v in seen:
-            continue
-        cls = sorted(u for u in game.vertices() if (v, u) in rel)
-        seen.update(cls)
-        blocks.append(cls)
-    return blocks

@@ -362,26 +362,19 @@ def _cycle_wins(game: Game, player: int, fixed: dict[int, int]) -> set[int]:
     minimum priority has the opponent's parity, when ``player`` is pinned
     to the memoryless strategy ``fixed``."""
     n = game.vertex_count
-
-    def restricted(v: int) -> list[int]:
-        if game.owner[v] == player:
-            return [fixed[v]]
-        return list(game.successors[v])
-
+    restricted = [
+        (fixed[v],) if game.owner[v] == player else game.successors[v] for v in range(n)
+    ]
     opponent = 1 - player
     bad: set[int] = set()
     for q in sorted(set(game.priority)):
         if q % 2 != opponent:
             continue
         sub = [v for v in range(n) if game.priority[v] >= q]
-        sub_set = set(sub)
-        sccs = strongly_connected_components(
-            sub, lambda v: [w for w in restricted(v) if w in sub_set]
-        )
-        for comp in sccs:
+        for comp in strongly_connected_components(sub, restricted):
             if not any(game.priority[v] == q for v in comp):
                 continue
-            if len(comp) > 1 or comp[0] in restricted(comp[0]):
+            if len(comp) > 1 or comp[0] in restricted[comp[0]]:
                 bad.update(comp)
     # backward reachability of a bad cycle in the restricted graph
     reach = set(bad)
@@ -389,7 +382,7 @@ def _cycle_wins(game: Game, player: int, fixed: dict[int, int]) -> set[int]:
     while queue:
         u = queue.popleft()
         for p in game.predecessors[u]:
-            if p not in reach and u in restricted(p):
+            if p not in reach and u in restricted[p]:
                 reach.add(p)
                 queue.append(p)
     return reach
@@ -513,7 +506,7 @@ def solve(game: Game, algorithm: str = "zielonka") -> Solution:
     else:
         # components come sinks first, so whatever leaves the unsolved part
         # of a component is already solved, and that part is a total subgame
-        for component in strongly_connected_components(rest, successors.__getitem__):
+        for component in strongly_connected_components(rest, successors):
             unsolved = sorted(v for v in component if alive[v])
             if not unsolved:
                 continue

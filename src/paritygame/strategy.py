@@ -15,13 +15,17 @@ of the play, which the test suite checks rather than assumes.
 
 :func:`verify_strategy` is the safety net: it checks region closure and
 the parity of every cycle of the strategy-restricted graph, so a defective
-lifted strategy is reported as a hard error instead of being trusted.
+lifted strategy is reported as a hard error instead of being trusted.  It
+builds the restricted successor table once and decomposes it into nested
+strongly connected components, peeling each won component's
+minimum-priority vertices.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 from .game import EVEN, ODD, Game, Path, Strategy
@@ -245,7 +249,7 @@ def _lift_block(ctx: LiftContext, b: int, moves: dict[int, int]):
     sccs = [[v] for v in members if not intra[v]]
     inner = [v for v in members if intra[v]]
     if inner:
-        sccs += strongly_connected_components(inner, intra.__getitem__)
+        sccs += strongly_connected_components(inner, intra)
     target: dict[int, int] = {}
     for comp in sccs:
         best = None
@@ -334,52 +338,62 @@ def verify_strategy(
     """Independent check that ``strategy`` wins everywhere on ``region``.
 
     Verifies (a) the opponent cannot leave the region and the strategy does
-    not either, and (b) every cycle of the strategy-restricted graph inside
-    the region has a minimum priority of the player's parity.  On failure
-    the result carries an escaping edge, an uncovered vertex, or a witness
-    cycle.
+    not either, vertex by vertex in ascending order, and (b) every cycle of
+    the strategy-restricted graph inside the region has a minimum priority
+    of the player's parity.  On failure the result carries an escaping
+    edge, an uncovered vertex, or a witness cycle.  A region naming a
+    vertex the game does not have raises :class:`ValueError`.
+
+    The cycle condition is checked by nested strongly connected components
+    (Emerson and Lei, LICS 1986) over one restricted successor table: the
+    strategy's move at the player's vertices, every successor at the
+    opponent's.  A cyclic component whose minimum priority has the
+    opponent's parity holds a losing cycle through a vertex of that
+    priority.  Otherwise every cycle of the component through such a vertex
+    is won, and the cycles that avoid them lie inside the components of
+    what is left without them, which are decomposed in turn.
     """
-    W = set(region)
+    n = game.vertex_count
+    owner, priority, successors = game.owner, game.priority, game.successors
+    moves = strategy.moves
     opponent = 1 - player
-    for v in sorted(W):
-        if game.owner[v] == opponent:
-            for w in game.successors[v]:
-                if w not in W:
+    inside = [False] * n
+    for v in region:
+        if not 0 <= v < n:
+            raise ValueError(f"region vertex {v} is not a vertex of the game")
+        inside[v] = True
+    members = list(compress(range(n), inside))
+    restricted = list(successors)
+    for v in members:
+        if owner[v] == opponent:
+            for w in successors[v]:
+                if not inside[w]:
                     return VerifyResult(False, "opponent can escape the region", (v, w))
         else:
-            if v not in strategy.moves:
+            if v not in moves:
                 return VerifyResult(False, "strategy undefined inside the region", (v,))
-            w = strategy.moves[v]
-            if not game.has_edge(v, w):
+            w = moves[v]
+            if w not in successors[v]:
                 return VerifyResult(False, "strategy move is not a game edge", (v, w))
-            if w not in W:
+            if not inside[w]:
                 return VerifyResult(False, "strategy leaves the region", (v, w))
+            restricted[v] = (w,)
 
-    def restricted(v: int) -> list[int]:
-        if game.owner[v] == player:
-            return [strategy.moves[v]]
-        return list(game.successors[v])
-
-    for q in sorted({game.priority[v] for v in W}):
-        if q % 2 == player:
-            continue
-        sub = [v for v in sorted(W) if game.priority[v] >= q]
-        sub_set = set(sub)
-        sccs = strongly_connected_components(
-            sub, lambda v: [w for w in restricted(v) if w in sub_set]
-        )
-        for comp in sccs:
-            if not any(game.priority[v] == q for v in comp):
+    pending = [members]
+    while pending:
+        for comp in strongly_connected_components(pending.pop(), restricted):
+            if len(comp) == 1 and comp[0] not in restricted[comp[0]]:
                 continue
-            cyclic = len(comp) > 1 or comp[0] in restricted(comp[0])
-            if not cyclic:
-                continue
-            start = min(v for v in comp if game.priority[v] == q)
-            comp_set = set(comp)
-            cycle = _find_cycle(start, comp_set, lambda v: [w for w in restricted(v) if w in comp_set])
-            return VerifyResult(
-                False, f"cycle with losing minimal priority {q}", tuple(cycle)
-            )
+            q = min(map(priority.__getitem__, comp))
+            if q % 2 == opponent:
+                start = min(v for v in comp if priority[v] == q)
+                cycle = _find_cycle(start, set(comp), restricted.__getitem__)
+                return VerifyResult(
+                    False, f"cycle with losing minimal priority {q}", tuple(cycle)
+                )
+            rest = [v for v in comp if priority[v] != q]
+            if rest:
+                pending.append(rest)
     return VerifyResult(True)
 
 

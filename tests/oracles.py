@@ -1,0 +1,136 @@
+"""Relational greatest-fixpoint oracles for strong bisimilarity and
+divergence-sensitive stuttering equivalence.
+
+Test equipment for small games: each oracle starts from all
+priority/owner-equal pairs and deletes violating pairs until a fixpoint,
+independently of the signature-refinement engine it cross-checks.
+"""
+
+from __future__ import annotations
+
+from paritygame import Game
+
+from test_graphs_reference import reference_infinite_path
+
+
+def divergent_wrt(game: Game, rel: set[tuple[int, int]], v: int) -> bool:
+    related = {u for u in game.vertices() if (v, u) in rel}
+
+    def succ(x: int) -> list[int]:
+        return [w for w in game.successors[x] if w in related]
+
+    return v in reference_infinite_path(related, succ)
+
+
+def inert_closure(game: Game, rel: set[tuple[int, int]], start: int) -> list[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in game.successors[x]:
+            if (x, y) in rel and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return sorted(seen)
+
+
+def oracle_stuttering_pairs(game: Game) -> set[tuple[int, int]]:
+    """Stuttering equivalence as a relation, by greatest-fixpoint deletion.
+
+    Starts from all priority/owner-equal pairs and repeatedly removes pairs
+    violating the transfer condition or the divergence agreement, with
+    inert steps and divergence evaluated against the current relation.
+
+    The transfer condition is monotone in the relation, so its violations
+    are deleted down to a fixpoint first; only then are divergence flags
+    compared.  Interleaving the two over-deletes: while transfer-doomed
+    pairs are still present, they can lend one vertex of a pair a spurious
+    divergence witness that its partner already lost, splitting pairs that
+    the largest stuttering bisimulation keeps together.
+
+    Quadratic in pairs per pass; intended for games with at most a dozen
+    vertices.
+    """
+    n = game.vertex_count
+    rel = {
+        (v, w)
+        for v in range(n)
+        for w in range(n)
+        if game.priority[v] == game.priority[w] and game.owner[v] == game.owner[w]
+    }
+
+    def transfer_ok(v: int, w: int) -> bool:
+        closure = inert_closure(game, rel, w)
+        for u in game.successors[v]:
+            if (v, u) in rel and (u, w) in rel:
+                continue
+            if not any(
+                (v, w2) in rel and any((u, u2) in rel for u2 in game.successors[w2])
+                for w2 in closure
+            ):
+                return False
+        return True
+
+    while True:
+        while True:
+            bad: set[tuple[int, int]] = set()
+            for (v, w) in rel:
+                if v == w or (w, v) in bad:
+                    continue
+                if not transfer_ok(v, w):
+                    bad.add((v, w))
+                    bad.add((w, v))
+            if not bad:
+                break
+            rel -= bad
+        div = [divergent_wrt(game, rel, v) for v in range(n)]
+        bad = {
+            (v, w)
+            for (v, w) in rel
+            if v != w and div[v] != div[w]
+        }
+        if not bad:
+            return rel
+        rel -= {(w, v) for (v, w) in bad} | bad
+
+
+def oracle_strong_pairs(game: Game) -> set[tuple[int, int]]:
+    """Strong bisimilarity as a relation, by greatest-fixpoint deletion."""
+    n = game.vertex_count
+    rel = {
+        (v, w)
+        for v in range(n)
+        for w in range(n)
+        if game.priority[v] == game.priority[w] and game.owner[v] == game.owner[w]
+    }
+    while True:
+        bad: set[tuple[int, int]] = set()
+        for (v, w) in rel:
+            if v == w or (w, v) in bad:
+                continue
+            ok = all(
+                any((u, u2) in rel for u2 in game.successors[w])
+                for u in game.successors[v]
+            ) and all(
+                any((u2, u) in rel for u2 in game.successors[v])
+                for u in game.successors[w]
+            )
+            if not ok:
+                bad.add((v, w))
+                bad.add((w, v))
+        if not bad:
+            return rel
+        rel -= bad
+
+
+def partition_from_relation(game: Game, rel: set[tuple[int, int]]) -> list[list[int]]:
+    """Blocks induced by an equivalence relation, sorted by representative."""
+    seen: set[int] = set()
+    blocks: list[list[int]] = []
+    for v in game.vertices():
+        if v in seen:
+            continue
+        cls = sorted(u for u in game.vertices() if (v, u) in rel)
+        seen.update(cls)
+        blocks.append(cls)
+    return blocks

@@ -19,10 +19,7 @@ from paritygame import (
     gen_random,
     lift_strategy,
     mimick_next,
-    oracle_strong_pairs,
-    oracle_stuttering_pairs,
     parse_pgsolver,
-    partition_from_relation,
     quotient,
     refine_strong,
     refine_stuttering,
@@ -36,6 +33,7 @@ from paritygame.bench import CSV_HEADER, records_to_csv, run_benchmark
 from paritygame.generators import Xoshiro256StarStar
 
 from helpers import random_consistent_walk
+from oracles import oracle_strong_pairs, oracle_stuttering_pairs, partition_from_relation
 
 
 @contextmanager

@@ -96,6 +96,28 @@ def test_winner_mismatch_aborts(monkeypatch):
         run_benchmark([("chain-100", gen_chain(100, 1, ODD, 0))], repetitions=1)
 
 
+def test_winner_mismatch_beyond_vertex_0_aborts(monkeypatch):
+    # the direct method loses the sink of the chain while every method
+    # agrees on vertex 0
+    game = gen_chain(100, 1, ODD, 0)
+    real = bench.solve
+
+    def wrong_sink(g, solver):
+        sol = real(g, solver)
+        if g.vertex_count == game.vertex_count:
+            sol.winner[-1] = 1 - sol.winner[-1]
+        return sol
+
+    monkeypatch.setattr(bench, "solve", wrong_sink)
+    with pytest.raises(WinnerMismatchError, match="vertex 100"):
+        run_benchmark(
+            [("chain-100", game)],
+            methods=("direct", "stuttering+solve"),
+            repetitions=1,
+            jobs=1,
+        )
+
+
 def test_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_benchmark(small_grid(), methods=("direct", "sideways"))

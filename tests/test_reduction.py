@@ -5,7 +5,11 @@ import inspect
 
 import pytest
 
+import paritygame.bench
+import paritygame.cli
 import paritygame.game
+import paritygame.generators
+import paritygame.graphs
 import paritygame.io
 import paritygame.reduction
 import paritygame.solvers
@@ -21,14 +25,19 @@ from paritygame import (
     gen_divergent_pair,
     gen_random,
     initial_partition,
-    oracle_strong_pairs,
-    oracle_stuttering_pairs,
-    partition_from_relation,
     quotient,
     refine_strong,
     refine_stuttering,
     solve_zielonka,
     write_partition,
+)
+
+from oracles import (
+    divergent_wrt,
+    inert_closure,
+    oracle_strong_pairs,
+    oracle_stuttering_pairs,
+    partition_from_relation,
 )
 
 
@@ -136,7 +145,11 @@ def test_quotient_rejects_a_non_total_game():
 @pytest.mark.parametrize(
     "module",
     [
+        paritygame.bench,
+        paritygame.cli,
         paritygame.game,
+        paritygame.generators,
+        paritygame.graphs,
         paritygame.io,
         paritygame.reduction,
         paritygame.solvers,
@@ -250,17 +263,15 @@ def test_oracle_equivalence_random_games():
 def relation_satisfies_stuttering_conditions(game, rel):
     """Direct check of the defining conditions, with divergence and inert
     steps taken with respect to the relation itself."""
-    from paritygame.reduction import _divergent_wrt, _inert_closure
-
     if any((w, v) not in rel for (v, w) in rel):
         return False
-    div = {v: _divergent_wrt(game, rel, v) for v in game.vertices()}
+    div = {v: divergent_wrt(game, rel, v) for v in game.vertices()}
     for (v, w) in rel:
         if game.priority[v] != game.priority[w] or game.owner[v] != game.owner[w]:
             return False
         if div[v] != div[w]:
             return False
-        closure = _inert_closure(game, rel, w)
+        closure = inert_closure(game, rel, w)
         for u in game.successors[v]:
             if (v, u) in rel and (u, w) in rel:
                 continue

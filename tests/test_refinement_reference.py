@@ -26,11 +26,11 @@ def _stuttering_signatures(
     member_set = set(members)
     intra = {v: [w for w in game.successors[v] if w in member_set] for v in members}
 
-    divergent = vertices_with_infinite_path(members, intra.__getitem__)
+    divergent = vertices_with_infinite_path(members, intra)
 
     # Exit sets are constant on intra-block SCCs; Tarjan emits components
     # before the components that reach them, so one pass suffices.
-    sccs = strongly_connected_components(members, intra.__getitem__)
+    sccs = strongly_connected_components(members, intra)
     scc_of: dict[int, int] = {}
     for i, comp in enumerate(sccs):
         for v in comp:

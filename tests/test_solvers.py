@@ -289,3 +289,12 @@ def test_driver_settles_self_loop_games_in_linear_time(game, algorithm, winner):
     t0 = time.perf_counter()
     assert_solves(g, solve(g, algorithm), winner)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_spm_driver_is_linear_on_a_chain_that_preprocessing_leaves_whole():
+    # the sink's self-loop loses for its owner, so nothing is settled before
+    # the component pass, which runs over all 20,001 vertices, 20,000 deep
+    g = gen_chain(20000, 1, EVEN, 1)
+    t0 = time.perf_counter()
+    assert_solves(g, solve(g, "spm"), [ODD] * 20001)
+    assert time.perf_counter() - t0 < 10.0

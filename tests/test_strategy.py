@@ -170,6 +170,12 @@ def test_verify_strategy_flags_missing_move(g4):
     assert not res.ok and res.witness == (1,)
 
 
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_verify_strategy_rejects_a_region_outside_the_game(g4, vertex):
+    with pytest.raises(ValueError, match=f"region vertex {vertex} "):
+        verify_strategy(g4, EVEN, [0, 1, vertex], Strategy(EVEN, {0: 1, 1: 1}))
+
+
 def test_lifting_ignores_routes_that_leave_the_block():
     """Regression: picking inert successors by global graph distance walks
     into a cycle here, because the globally shortest route to the target

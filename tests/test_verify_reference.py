@@ -1,0 +1,251 @@
+"""Differential check of the strategy verifier.
+
+The production verifier builds the strategy-restricted successor table
+once and decomposes it into nested strongly connected components.  The
+reference below is the earlier form, kept here as the exactness oracle:
+one strongly connected component pass per losing priority over the
+vertices of at least that priority, through per-vertex successor
+callbacks.  Both must give the same verdict on every strategy, and the
+same reason and witness whenever the region is not closed.  A rejected
+cycle may be another one than the reference's, so every cycle witness is
+checked for what it claims: a cycle of the restricted graph inside the
+region whose minimum priority has the opponent's parity.
+"""
+
+from __future__ import annotations
+
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paritygame import (
+    EVEN,
+    ODD,
+    Game,
+    Solution,
+    Strategy,
+    VerifyResult,
+    gen_chain,
+    gen_random,
+    lift_solution,
+    quotient,
+    refine_stuttering,
+    solve,
+    solve_zielonka,
+    verify_strategy,
+)
+from paritygame.generators import Xoshiro256StarStar
+from paritygame.strategy import _find_cycle
+
+from helpers import alternating_chain, priority_ladder
+from test_graphs_reference import reference_sccs
+from test_refinement_reference import game_zoo
+
+
+def reference_verify_strategy(
+    game: Game, player: int, region, strategy: Strategy
+) -> VerifyResult:
+    """Independent check that ``strategy`` wins everywhere on ``region``.
+
+    Verifies (a) the opponent cannot leave the region and the strategy does
+    not either, and (b) every cycle of the strategy-restricted graph inside
+    the region has a minimum priority of the player's parity.  On failure
+    the result carries an escaping edge, an uncovered vertex, or a witness
+    cycle.
+    """
+    W = set(region)
+    opponent = 1 - player
+    for v in sorted(W):
+        if game.owner[v] == opponent:
+            for w in game.successors[v]:
+                if w not in W:
+                    return VerifyResult(False, "opponent can escape the region", (v, w))
+        else:
+            if v not in strategy.moves:
+                return VerifyResult(False, "strategy undefined inside the region", (v,))
+            w = strategy.moves[v]
+            if not game.has_edge(v, w):
+                return VerifyResult(False, "strategy move is not a game edge", (v, w))
+            if w not in W:
+                return VerifyResult(False, "strategy leaves the region", (v, w))
+
+    def restricted(v: int) -> list[int]:
+        if game.owner[v] == player:
+            return [strategy.moves[v]]
+        return list(game.successors[v])
+
+    for q in sorted({game.priority[v] for v in W}):
+        if q % 2 == player:
+            continue
+        sub = [v for v in sorted(W) if game.priority[v] >= q]
+        sub_set = set(sub)
+        sccs = reference_sccs(
+            sub, lambda v: [w for w in restricted(v) if w in sub_set]
+        )
+        for comp in sccs:
+            if not any(game.priority[v] == q for v in comp):
+                continue
+            cyclic = len(comp) > 1 or comp[0] in restricted(comp[0])
+            if not cyclic:
+                continue
+            start = min(v for v in comp if game.priority[v] == q)
+            comp_set = set(comp)
+            cycle = _find_cycle(start, comp_set, lambda v: [w for w in restricted(v) if w in comp_set])
+            return VerifyResult(
+                False, f"cycle with losing minimal priority {q}", tuple(cycle)
+            )
+    return VerifyResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Strategies to verify: solved, lifted, and corrupted.
+
+
+def _games():
+    rng = Xoshiro256StarStar(5150)
+    games = [game_zoo(trial, rng) for trial in range(300)]
+    games += [gen_random(40, 1 + s % 5, 3, s) for s in range(60)]
+    games += [gen_chain(n, p, o, q) for n in (1, 7, 60) for p in (0, 1) for o in (EVEN, ODD)
+              for q in (0, 1)]
+    games += [alternating_chain(n) for n in (1, 6, 60)]
+    games += [priority_ladder(n) for n in (1, 2, 9, 40)]
+    return games
+
+
+def _solutions(game: Game):
+    """The direct solutions of both algorithms and the lifted solution."""
+    yield solve(game, "zielonka")
+    yield solve(game, "spm")
+    part = refine_stuttering(game)
+    reduced, vmap = quotient(game, part)
+    yield lift_solution(game, part, reduced, vmap, solve(reduced, "zielonka"))
+
+
+def _corruptions(game: Game, solution: Solution, player: int, rng: Xoshiro256StarStar):
+    """(region, strategy) pairs: the claim as solved, then the same claim
+    with one move redirected along an edge, one move redirected off the
+    edges (the perfbench corruption), one move dropped, the region grown
+    or shrunk by a vertex, and the player claiming the opponent's region
+    with arbitrary moves."""
+    n = game.vertex_count
+    region = solution.region(player)
+    moves = solution.strategy(player).moves
+    yield region, moves
+    owned = sorted(moves)
+    for _ in range(3):
+        if owned:
+            v = owned[rng.below(len(owned))]
+            succs = game.successors[v]
+            yield region, {**moves, v: succs[rng.below(len(succs))]}
+    if owned:
+        v = owned[0]
+        off = [w for w in range(n) if not game.has_edge(v, w)]
+        if off:
+            yield region, {**moves, v: off[0]}
+        yield region, {u: w for u, w in moves.items() if u != v}
+    v = rng.below(n)
+    grown = sorted(set(region) | {v})
+    yield grown, {**moves, **({v: game.successors[v][0]} if game.owner[v] == player else {})}
+    if region:
+        yield [u for u in region if u != region[rng.below(len(region))]], moves
+    # the whole game, every owned vertex playing its first or last move
+    for pick in (0, -1):
+        everything = {v: game.successors[v][pick] for v in range(n) if game.owner[v] == player}
+        yield list(range(n)), everything
+
+
+CYCLE_REASON = re.compile(r"cycle with losing minimal priority (\d+)")
+
+
+def _check_cycle_witness(game, player, region, moves, result: VerifyResult):
+    """The witness is a cycle of the restricted graph inside the region,
+    and its minimum priority is the one the reason names and has the
+    opponent's parity."""
+    q = int(CYCLE_REASON.fullmatch(result.reason).group(1))
+    cycle = result.witness
+    inside = set(region)
+    assert cycle and set(cycle) <= inside
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        if game.owner[v] == player:
+            assert moves[v] == w
+        else:
+            assert game.has_edge(v, w)
+    assert min(game.priority[v] for v in cycle) == q
+    assert q % 2 == 1 - player
+
+
+def _assert_agrees(game, player, region, moves):
+    strategy = Strategy(player, moves)
+    result = verify_strategy(game, player, region, strategy)
+    expected = reference_verify_strategy(game, player, region, strategy)
+    assert result.ok == expected.ok
+    if not expected.ok and not expected.reason.startswith("cycle"):
+        assert (result.reason, result.witness) == (expected.reason, expected.witness)
+    elif not expected.ok:
+        assert CYCLE_REASON.fullmatch(expected.reason)
+        _check_cycle_witness(game, player, region, moves, result)
+    return result
+
+
+def test_verdicts_match_the_reference_on_solved_and_corrupted_strategies():
+    rng = Xoshiro256StarStar(8080)
+    outcomes: dict[str, int] = {}
+    for i, game in enumerate(_games()):
+        for solution in _solutions(game):
+            for player in (EVEN, ODD):
+                for region, moves in _corruptions(game, solution, player, rng):
+                    result = _assert_agrees(game, player, region, moves)
+                    kind = "ok" if result.ok else result.reason.split(" minimal")[0]
+                    outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every kind of verdict is exercised
+    assert set(outcomes) == {
+        "ok",
+        "opponent can escape the region",
+        "strategy undefined inside the region",
+        "strategy move is not a game edge",
+        "strategy leaves the region",
+        "cycle with losing",
+    }, outcomes
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_cycle_witnesses_on_large_random_games():
+    # whole-game claims with arbitrary moves: nearly always a losing cycle,
+    # found deep in the nested decomposition
+    rng = Xoshiro256StarStar(77)
+    rejected = 0
+    for seed in range(20):
+        game = gen_random(400, 6, 3, seed)
+        for player in (EVEN, ODD):
+            moves = {
+                v: game.successors[v][rng.below(len(game.successors[v]))]
+                for v in game.vertices()
+                if game.owner[v] == player
+            }
+            rejected += not _assert_agrees(game, player, list(game.vertices()), moves).ok
+    assert rejected >= 30
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 12))
+    priority = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    owner = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+    successors = [
+        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))) for _ in range(n)
+    ]
+    return Game(priority, owner, successors)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(small_games(), st.sampled_from(["zielonka", "spm"]))
+def test_lifted_strategies_verify(game, algorithm):
+    part = refine_stuttering(game)
+    reduced, vmap = quotient(game, part)
+    lifted = lift_solution(game, part, reduced, vmap, solve(reduced, algorithm))
+    assert lifted.winner == solve_zielonka(game).winner
+    for player in (EVEN, ODD):
+        region, strategy = lifted.region(player), lifted.strategy(player)
+        assert verify_strategy(game, player, region, strategy).ok
+        assert reference_verify_strategy(game, player, region, strategy).ok
