@@ -8,10 +8,8 @@ from .game import (
     ODD,
     Game,
     GameStats,
-    Path,
     Play,
     Strategy,
-    consistent,
     convert_priorities,
     distance,
     play_from,
@@ -42,12 +40,8 @@ from .solvers import (
 from .strategy import (
     LiftContext,
     VerifyResult,
-    entry_set,
     lift_solution,
     lift_strategy,
-    mimick_next,
-    target_class,
-    target_vertex,
     verify_strategy,
 )
 
@@ -59,7 +53,6 @@ __all__ = [
     "INFINITY",
     "Game",
     "GameStats",
-    "Path",
     "Play",
     "Strategy",
     "Partition",
@@ -71,7 +64,6 @@ __all__ = [
     "validate",
     "stats",
     "distance",
-    "consistent",
     "play_from",
     "convert_priorities",
     "parse_pgsolver",
@@ -90,10 +82,6 @@ __all__ = [
     "solve_spm",
     "solve_brute",
     "progress_measure",
-    "entry_set",
-    "target_class",
-    "target_vertex",
-    "mimick_next",
     "lift_strategy",
     "lift_solution",
     "verify_strategy",

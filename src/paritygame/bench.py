@@ -12,7 +12,6 @@ bug and aborts the run.  The CSV reports the winner of vertex 0.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .game import Game
@@ -90,8 +89,9 @@ def _measure_once(game: Game, method: str, solver: str):
     )
 
 
-def _bench_one(args) -> tuple[BenchRecord, list[int]]:
-    game_id, game, method, solver, repetitions = args
+def _bench_one(
+    game_id: str, game: Game, method: str, solver: str, repetitions: int
+) -> tuple[BenchRecord, list[int]]:
     best = None
     for _ in range(repetitions):
         sample = _measure_once(game, method, solver)
@@ -119,7 +119,6 @@ def run_benchmark(
     methods=METHODS,
     solvers=("zielonka",),
     repetitions: int = 3,
-    jobs: int = 1,
 ) -> list[BenchRecord]:
     """One record per (game, method, solver); raises
     :class:`WinnerMismatchError` when methods disagree on a game."""
@@ -128,17 +127,12 @@ def run_benchmark(
             raise ValueError(f"unknown method {m!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    tasks = [
-        (game_id, game, method, solver, repetitions)
+    results = [
+        _bench_one(game_id, game, method, solver, repetitions)
         for game_id, game in games
         for method in methods
         for solver in solvers
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bench_one, tasks))
-    else:
-        results = [_bench_one(t) for t in tasks]
 
     first: dict[str, tuple[BenchRecord, list[int]]] = {}
     for r, winner in results:

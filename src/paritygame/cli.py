@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_game(path: str, convention: str) -> Game:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return parse_pgsolver(fh.read(), convention)
 
 
@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     )
     p_bench.add_argument("--solvers", default="zielonka", help="comma list of solvers")
     p_bench.add_argument("--repetitions", type=int, default=3)
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("-o", "--output", help="CSV output file (default: stdout)")
     return parser
 
@@ -223,7 +222,6 @@ def _cmd_bench(args) -> int:
         methods=methods,
         solvers=solvers,
         repetitions=args.repetitions,
-        jobs=args.jobs,
     )
     _write_text(args.output, bench_mod.records_to_csv(records))
     return 0

@@ -1,4 +1,6 @@
-"""Core parity game representation and path/strategy primitives.
+"""Core parity game representation: games, memoryless strategies,
+eventually-periodic plays (:func:`play_from`), graph distance and
+priority conversion.
 
 A parity game is a total directed graph whose vertices carry a natural
 priority and an owning player.  The winner of an infinite play is decided
@@ -119,34 +121,6 @@ class Game:
 
 
 @dataclass(frozen=True)
-class Path:
-    """Non-empty finite vertex sequence; consecutive vertices must be joined
-    by game edges (checked against a concrete game via :meth:`is_valid`)."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("a path contains at least one vertex")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __getitem__(self, i):
-        return self.vertices[i]
-
-    @property
-    def last(self) -> int:
-        return self.vertices[-1]
-
-    def is_valid(self, game: Game) -> bool:
-        vs = self.vertices
-        if any(not (0 <= v < game.vertex_count) for v in vs):
-            return False
-        return all(game.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-
-
-@dataclass(frozen=True)
 class Play:
     """Eventually-periodic infinite path: finite prefix followed by a
     repeated non-empty cycle.  The prefix may be empty when the play cycles
@@ -241,18 +215,6 @@ def distance(game: Game, v: int, u: int) -> int | float:
                 seen.add(w)
                 frontier.append((w, d + 1))
     return INFINITY
-
-
-def consistent(game: Game, path: Path | Sequence[int], strategy: Strategy) -> bool:
-    """True iff every move of the path taken at a strategy-owned vertex in
-    the strategy's domain follows the strategy."""
-    vs = path.vertices if isinstance(path, Path) else tuple(path)
-    for j in range(len(vs) - 1):
-        v = vs[j]
-        if game.owner[v] == strategy.player and v in strategy.moves:
-            if vs[j + 1] != strategy.moves[v]:
-                return False
-    return True
 
 
 def play_from(

@@ -2,16 +2,20 @@
 original game, plus an independent strategy verifier.
 
 Given a winning memoryless strategy on the quotient, the lifted strategy
-shadows it: inside a block it steers along intra-block edges towards an
-exit onto the chosen target vertex, and where the quotient strategy stays
-put (a divergent block's self-loop) it keeps the play inside the block.
+shadows it.  Take a member ``v``, owned by the lifting player, of a winning
+block ``b`` whose quotient move goes to another block ``t``.  Its target
+vertex is the least vertex of ``t`` reachable from ``v`` by intra-block
+moves followed by one exit edge.  ``v`` moves straight to its target
+vertex when that is an edge; otherwise it moves to the intra-block
+successor fewest intra-block steps away from an exit onto that target,
+the least such successor on ties.  Where the quotient strategy stays put
+(a divergent block's self-loop), ``v`` takes its least intra-block
+successor and the play stays inside the block.
 
-:func:`lift_strategy` computes the lifted moves in one pass per winning
-block.  The path-level selectors (:func:`entry_set`, :func:`target_class`,
-:func:`target_vertex`, :func:`mimick_next`) define the same moves for any
-play and are the reference the tests compare the per-block pass against;
-with a memoryless quotient strategy they depend only on the final vertex
-of the play, which the test suite checks rather than assumes.
+:func:`lift_strategy` computes these moves in one pass per winning block.
+The path-level mimicking construction, which defines the same moves for
+any play, lives in the tests (``tests/lifting_reference.py``) as the
+reference the per-block pass is compared against.
 
 :func:`verify_strategy` is the safety net: it checks region closure and
 the parity of every cycle of the strategy-restricted graph, so a defective
@@ -26,9 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Sequence
 
-from .game import EVEN, ODD, Game, Path, Strategy
+from .game import EVEN, ODD, Game, Strategy
 from .graphs import strongly_connected_components
 from .reduction import Partition
 from .solvers import Solution
@@ -81,134 +84,12 @@ class LiftContext:
         return [v for v in self.game.vertices() if self.vmap[v] in self.winning_blocks]
 
 
-def _path_vertices(p: Path | Sequence[int]) -> tuple[int, ...]:
-    return p.vertices if isinstance(p, Path) else tuple(p)
-
-
-def _check_in_won_blocks(ctx: LiftContext, vs: tuple[int, ...]):
-    if not Path(vs).is_valid(ctx.game):
-        raise ValueError("sequence is not a path of the game")
-    for v in vs:
-        if ctx.vmap[v] not in ctx.winning_blocks:
-            raise ValueError(f"path vertex {v} lies outside the winning blocks")
-
-
-def entry_set(ctx: LiftContext, p: Path | Sequence[int]) -> list[int]:
-    """Vertices of new blocks that strategy-consistent continuations of the
-    play may enter next.
-
-    With a memoryless quotient strategy the set is a function of the final
-    block alone: the chosen successor block at own vertices (empty when the
-    strategy stays on a divergent block), every other successor block at
-    opponent vertices.
-    """
-    vs = _path_vertices(p)
-    _check_in_won_blocks(ctx, vs)
-    c = ctx.vmap[vs[-1]]
-    if ctx.quotient.owner[c] == ctx.player:
-        if c not in ctx.quotient_strategy.moves:
-            raise ValueError(f"quotient strategy undefined at winning block {c}")
-        t = ctx.quotient_strategy.moves[c]
-        if t == c:
-            return []
-        return list(ctx.partition.blocks[t])
-    out: list[int] = []
-    for b in ctx.quotient.successors[c]:
-        if b != c:
-            out.extend(ctx.partition.blocks[b])
-    return sorted(out)
-
-
-def target_class(ctx: LiftContext, p: Path | Sequence[int]) -> int:
-    """Block of the least entry vertex: the unique block the lifted
-    strategy will steer the play into."""
-    entries = entry_set(ctx, p)
-    if not entries:
-        raise ValueError("target_class of an empty entry set")
-    return ctx.vmap[min(entries)]
-
-
-def target_vertex(ctx: LiftContext, p: Path | Sequence[int]) -> int:
-    """Least target-class vertex reachable by an intra-block run from the
-    end of the play followed by a single exit edge."""
-    tclass = target_class(ctx, p)
-    vs = _path_vertices(p)
-    last = vs[-1]
-    b = ctx.vmap[last]
-    game = ctx.game
-    block_of = ctx.vmap
-    closure = {last}
-    stack = [last]
-    while stack:
-        x = stack.pop()
-        for w in game.successors[x]:
-            if block_of[w] == b and w not in closure:
-                closure.add(w)
-                stack.append(w)
-    candidates = {
-        u for w in closure for u in game.successors[w] if block_of[u] == tclass
-    }
-    if not candidates:
-        raise ValueError("block has no exit onto the target class: unstable partition")
-    return min(candidates)
-
-
-def _exit_distances(ctx: LiftContext, block: int, t: int) -> dict[int, int]:
-    """Shortest number of steps from each block member to the target vertex
-    ``t`` using intra-block edges and one final exit edge."""
-    game = ctx.game
-    members = ctx.partition.blocks[block]
-    member_set = set(members)
-    dist = {w: 1 for w in members if game.has_edge(w, t)}
-    frontier = deque(sorted(dist))
-    while frontier:
-        w = frontier.popleft()
-        for q in game.predecessors[w]:
-            if q in member_set and q not in dist:
-                dist[q] = dist[w] + 1
-                frontier.append(q)
-    return dist
-
-
-def mimick_next(ctx: LiftContext, p: Path | Sequence[int]) -> int:
-    """Next move of the lifted strategy after play ``p`` (whose final
-    vertex the lifting player owns).
-
-    When an exit is wanted and directly available, take it; otherwise move
-    to the inert successor closest to an exit onto the target vertex.
-    Proximity is measured along intra-block steps: a globally short route
-    that first leaves the block is no help to a play that must stay inert,
-    and ranking by graph distance can lock the play into an intra-block
-    cycle.  With an empty entry set the block is divergent and the play
-    simply stays inside it.
-    """
-    vs = _path_vertices(p)
-    last = vs[-1]
-    game = ctx.game
-    if game.owner[last] != ctx.player:
-        raise ValueError(f"path ends at vertex {last} not owned by player {ctx.player}")
-    entries = entry_set(ctx, p)
-    b = ctx.vmap[last]
-    inert = [u for u in game.successors[last] if ctx.vmap[u] == b]
-    if not entries:
-        if not ctx.partition.divergent[b]:
-            raise ValueError(f"quotient strategy stays at non-divergent block {b}")
-        if not inert:
-            raise ValueError(f"divergent block member {last} has no intra-block move")
-        return min(inert)
-    t = target_vertex(ctx, p)
-    if game.has_edge(last, t):
-        return t
-    dist = _exit_distances(ctx, b, t)
-    if not any(u in dist for u in inert):
-        raise ValueError(f"no inert route from {last} towards target vertex {t}")
-    return min(inert, key=lambda u: (dist.get(u, float("inf")), u))
-
-
 def _lift_block(ctx: LiftContext, b: int, moves: dict[int, int]):
-    """Record in ``moves`` the :func:`mimick_next` choice of every member
-    of winning block ``b``, owned by the lifting player, from one pass
-    over the block."""
+    """Record in ``moves`` the lifted move of every member of winning
+    block ``b``, owned by the lifting player, from one pass over the
+    block: the direct edge to the member's target vertex, else the
+    intra-block successor nearest an exit onto it, or the least
+    intra-block successor when the quotient strategy stays on ``b``."""
     game = ctx.game
     succ = game.successors
     vmap = ctx.vmap
@@ -292,9 +173,9 @@ def lift_strategy(ctx: LiftContext) -> Strategy:
     """Memoryless strategy on the original game induced by the quotient
     strategy: defined on the player's vertices of every winning block.
 
-    One pass per winning block owned by the player yields the same moves
-    as calling :func:`mimick_next` on every such vertex; that path-level
-    selector remains as the reference the tests compare against.
+    Each winning block owned by the player is lifted in one pass (see
+    the module docstring for the rule).  The tests compare the result
+    with the path-level mimicking construction on every such vertex.
     """
     moves: dict[int, int] = {}
     for b in sorted(ctx.winning_blocks):

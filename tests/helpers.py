@@ -4,18 +4,20 @@ contexts, and reference definitions that only the tests use."""
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from hypothesis import strategies as st
+
 from paritygame import (
     EVEN,
     ODD,
     Game,
     LiftContext,
-    Path,
     distance,
-    mimick_next,
     quotient,
     refine_stuttering,
     solve_zielonka,
 )
+
+from lifting_reference import Path, mimick_next
 
 
 def assert_same_game(a: Game, b: Game):
@@ -24,6 +26,21 @@ def assert_same_game(a: Game, b: Game):
     assert a == b
     assert hash(a) == hash(b)
     assert a.predecessors == b.predecessors
+
+
+@st.composite
+def small_games(draw, max_vertices: int, max_priority: int, max_successors: int) -> Game:
+    """Hypothesis strategy: games of 1..``max_vertices`` vertices with
+    priorities 0..``max_priority``, both owners, and 1..``max_successors``
+    successors per vertex."""
+    n = draw(st.integers(1, max_vertices))
+    priority = draw(st.lists(st.integers(0, max_priority), min_size=n, max_size=n))
+    owner = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+    successors = [
+        draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max_successors))
+        for _ in range(n)
+    ]
+    return Game(priority, owner, successors)
 
 
 def alternating_chain(n: int) -> Game:

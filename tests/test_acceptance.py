@@ -18,7 +18,6 @@ from paritygame import (
     gen_divergent_pair,
     gen_random,
     lift_strategy,
-    mimick_next,
     parse_pgsolver,
     quotient,
     refine_strong,
@@ -33,6 +32,7 @@ from paritygame.bench import CSV_HEADER, records_to_csv, run_benchmark
 from paritygame.generators import Xoshiro256StarStar
 
 from helpers import random_consistent_walk
+from lifting_reference import mimick_next
 from oracles import oracle_strong_pairs, oracle_stuttering_pairs, partition_from_relation
 
 

@@ -75,17 +75,6 @@ def test_multiple_solvers_multiply_rows():
     assert len({r.winner_v0 for r in records}) == 1
 
 
-def test_parallel_jobs_agree_with_serial():
-    games = small_grid()
-    serial = run_benchmark(games, repetitions=1, jobs=1)
-    parallel = run_benchmark(games, repetitions=1, jobs=2)
-    key = lambda r: (r.game_id, r.method, r.solver)
-    assert sorted((r.game_id, r.method, r.winner_v0) for r in serial) == sorted(
-        (r.game_id, r.method, r.winner_v0) for r in parallel
-    )
-    assert {key(r) for r in serial} == {key(r) for r in parallel}
-
-
 def test_winner_mismatch_aborts(monkeypatch):
     # a broken solver that reports a winner depending on the game size
     def fake_solve(game, solver):
@@ -114,7 +103,6 @@ def test_winner_mismatch_beyond_vertex_0_aborts(monkeypatch):
             [("chain-100", game)],
             methods=("direct", "stuttering+solve"),
             repetitions=1,
-            jobs=1,
         )
 
 

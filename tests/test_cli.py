@@ -113,8 +113,6 @@ def test_bench_family_grid(tmp_path):
             "all",
             "--repetitions",
             "1",
-            "--jobs",
-            "2",
             "-o",
             str(out),
         ]
@@ -196,6 +194,26 @@ def test_usage_errors_exit_2(capsys):
     assert cli_dispatch(["--no-such-flag", "info", "x"]) == 2
     assert cli_dispatch(["bench"]) == 2
     capsys.readouterr()
+
+
+def test_bench_has_no_jobs_option(capsys):
+    assert cli_dispatch(["bench", "--family", "chain", "--n", "10", "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_info_reads_utf8_names(tmp_path, capsys):
+    f = tmp_path / "named.gm"
+    f.write_text('0 0 0 0 "\u00e9";\n', encoding="utf-8")
+    assert cli_dispatch(["--convention", "min", "info", str(f)]) == 0
+    assert "vertices:   1" in capsys.readouterr().out
+
+
+def test_info_rejects_invalid_utf8_with_line_number(tmp_path, capsys):
+    f = tmp_path / "bad.gm"
+    f.write_bytes(b'0 0 0 1;\n1 0 0 1 "\xff";\n')
+    assert cli_dispatch(["--convention", "min", "info", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "UTF-8" in err
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

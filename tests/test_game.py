@@ -7,9 +7,7 @@ from paritygame import (
     INFINITY,
     ODD,
     Game,
-    Path,
     Strategy,
-    consistent,
     convert_priorities,
     distance,
     gen_chain,
@@ -22,6 +20,7 @@ from paritygame import (
 )
 
 from helpers import assert_same_game, cmp_proximity, min_vertex
+from lifting_reference import Path, consistent
 
 
 def test_validate_clean_game(g1):

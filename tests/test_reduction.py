@@ -4,6 +4,7 @@ import ast
 import inspect
 
 import pytest
+from hypothesis import given, settings
 
 import paritygame.bench
 import paritygame.cli
@@ -32,6 +33,7 @@ from paritygame import (
     write_partition,
 )
 
+from helpers import small_games
 from oracles import (
     divergent_wrt,
     inert_closure,
@@ -258,6 +260,15 @@ def test_oracle_equivalence_random_games():
         assert partition_from_relation(g, oracle_stuttering_pairs(g)) == stut, seed
         strong = refine_strong(g).blocks
         assert partition_from_relation(g, oracle_strong_pairs(g)) == strong, seed
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(small_games(max_vertices=8, max_priority=2, max_successors=3))
+def test_refinement_equals_oracle_property(g):
+    stut = refine_stuttering(g).blocks
+    assert partition_from_relation(g, oracle_stuttering_pairs(g)) == stut
+    strong = refine_strong(g).blocks
+    assert partition_from_relation(g, oracle_strong_pairs(g)) == strong
 
 
 def relation_satisfies_stuttering_conditions(game, rel):

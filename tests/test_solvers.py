@@ -24,7 +24,7 @@ from paritygame import (
 )
 from paritygame.generators import Xoshiro256StarStar
 
-from helpers import alternating_chain, priority_ladder
+from helpers import alternating_chain, priority_ladder, small_games
 from test_refinement_reference import game_zoo
 
 
@@ -251,20 +251,12 @@ def test_driver_without_winning_self_loops_is_the_whole_game_zielonka():
     assert checked > 100
 
 
-@st.composite
-def small_games(draw):
-    n = draw(st.integers(1, 10))
-    priority = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    owner = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
-    # at most two successors, so that brute force enumerates few strategies
-    successors = [
-        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))) for _ in range(n)
-    ]
-    return Game(priority, owner, successors)
-
-
+# At most two successors, so that brute force enumerates few strategies.
 @settings(deadline=None, derandomize=True, max_examples=300)
-@given(small_games(), st.sampled_from(["zielonka", "spm"]))
+@given(
+    small_games(max_vertices=10, max_priority=4, max_successors=2),
+    st.sampled_from(["zielonka", "spm"]),
+)
 def test_driver_preserves_the_brute_force_winners(g, algorithm):
     assert_solves(g, solve(g, algorithm), solve_brute(g).winner)
 

@@ -11,19 +11,14 @@ from paritygame import (
     LiftContext,
     Partition,
     Strategy,
-    consistent,
-    entry_set,
     gen_chain,
     gen_divergent_pair,
     gen_random,
     lift_solution,
     lift_strategy,
-    mimick_next,
     quotient,
     refine_stuttering,
     solve_zielonka,
-    target_class,
-    target_vertex,
     verify_strategy,
 )
 from paritygame.generators import Xoshiro256StarStar
@@ -34,6 +29,7 @@ from helpers import (
     make_context,
     random_consistent_walk,
 )
+from lifting_reference import consistent, entry_set, mimick_next, target_class, target_vertex
 
 
 def even_chain(n: int = 3) -> Game:

@@ -38,7 +38,7 @@ from paritygame import (
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.strategy import _find_cycle
 
-from helpers import alternating_chain, priority_ladder
+from helpers import alternating_chain, priority_ladder, small_games
 from test_graphs_reference import reference_sccs
 from test_refinement_reference import game_zoo
 
@@ -227,19 +227,11 @@ def test_cycle_witnesses_on_large_random_games():
     assert rejected >= 30
 
 
-@st.composite
-def small_games(draw):
-    n = draw(st.integers(1, 12))
-    priority = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    owner = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
-    successors = [
-        sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))) for _ in range(n)
-    ]
-    return Game(priority, owner, successors)
-
-
 @settings(deadline=None, derandomize=True, max_examples=300)
-@given(small_games(), st.sampled_from(["zielonka", "spm"]))
+@given(
+    small_games(max_vertices=12, max_priority=3, max_successors=3),
+    st.sampled_from(["zielonka", "spm"]),
+)
 def test_lifted_strategies_verify(game, algorithm):
     part = refine_stuttering(game)
     reduced, vmap = quotient(game, part)
