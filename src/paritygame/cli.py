@@ -167,7 +167,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     game = _read_game(args.file, args.convention)
-    with open(args.solution, "r", encoding="ascii") as fh:
+    with open(args.solution, "rb") as fh:
         winner, moves = parse_solution(fh.read())
     if len(winner) != game.vertex_count:
         print("solution does not cover the game's vertices", file=sys.stderr)

@@ -34,13 +34,26 @@ class FormatError(ValueError):
         self.line = line
 
 
-_HEADER_RE = re.compile(r"^\s*parity\s+(\d+)\s*;\s*$")
+# All patterns are ASCII-only: a Unicode ``\d`` would also take digits
+# such as "\u0661" or "\uff10", which ``int`` then converts.
+_HEADER_RE = re.compile(r"^\s*parity\s+(\d+)\s*;\s*$", re.ASCII)
 # The successor field runs from a digit to its last digit or comma; spelled
 # greedily rather than as a lazy ``[0-9][0-9,\s]*?`` it matches the same
 # text without retrying the rest of the pattern after every character.
 _VERTEX_RE = re.compile(
-    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9](?:[0-9,\s]*[0-9,])?))?\s*(?:\"([^\"]*)\")?\s*;\s*$"
+    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9](?:[0-9,\s]*[0-9,])?))?\s*(?:\"([^\"]*)\")?\s*;\s*$",
+    re.ASCII,
 )
+
+
+def _decode_utf8(data: bytes) -> str:
+    """``data`` decoded as UTF-8; a bad byte raises :class:`FormatError`
+    naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(line, f"not UTF-8: {exc.reason}") from None
 
 
 def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
@@ -53,11 +66,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     if convention not in ("min", "max"):
         raise ValueError(f"unknown priority convention {convention!r}")
     if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = text.count(b"\n", 0, exc.start) + 1
-            raise FormatError(line, f"not UTF-8: {exc.reason}") from None
+        text = _decode_utf8(text)
 
     ids: list[int] = []
     priority: list[int] = []
@@ -155,13 +164,15 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     return "\n".join(out)
 
 
-_SOLUTION_RE = re.compile(r"^\s*(\d+)\s+([01])(?:\s+(\d+))?\s*;\s*$")
-_SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$")
+_SOLUTION_RE = re.compile(r"^\s*(\d+)\s+([01])(?:\s+(\d+))?\s*;\s*$", re.ASCII)
+_SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$", re.ASCII)
 
 
-def parse_solution(text: str) -> tuple[list[int], dict[int, int]]:
+def parse_solution(text: str | bytes) -> tuple[list[int], dict[int, int]]:
     """Parse solution text; returns the winner per vertex and the move map
-    (over all vertices that carry one)."""
+    (over all vertices that carry one).  ``bytes`` are decoded as UTF-8."""
+    if isinstance(text, bytes):
+        text = _decode_utf8(text)
     winners: dict[int, int] = {}
     moves: dict[int, int] = {}
     lines = text.split("\n")

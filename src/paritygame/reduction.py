@@ -10,13 +10,16 @@ initial (priority, owner) partition:
   (b) which other blocks are reachable after a run of intra-block edges.
 
 One engine serves both, with a signature function per equivalence.
-Signatures are cached per vertex; each round re-signs only the dirty
+Its state is flat: the block of every vertex, the size of every block and
+a cached signature per vertex.  Each round re-signs only the dirty
 vertices of non-singleton blocks (those whose signature the previous
 round's splits may have changed) and splits off exactly the members whose
-signature changed.  Both refinements are deterministic: the coarsest
-stable partition is unique, and blocks are finally numbered by their
-least member.  The test suite cross-checks both on small games against
-relational greatest-fixpoint oracles of its own.
+signature changed.  Member lists exist only in the result: one ascending
+pass over the block map builds them sorted and numbers the blocks by
+their least member.  Both refinements are deterministic, since the
+coarsest stable partition is unique.  The test suite cross-checks both
+on small games against relational greatest-fixpoint oracles of its own,
+and against the earlier engine that kept a set of members per block.
 """
 
 from __future__ import annotations
@@ -49,42 +52,44 @@ class Partition:
         return len(self.blocks)
 
 
-def _initial_blocks(game: Game) -> tuple[list[int], dict[int, list[int]]]:
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v in game.vertices():
-        groups.setdefault((game.priority[v], game.owner[v]), []).append(v)
-    ordered = sorted(groups.values(), key=lambda vs: vs[0])
-    block_of = [0] * game.vertex_count
-    blocks: dict[int, list[int]] = {}
-    for b, vs in enumerate(ordered):
-        blocks[b] = vs
-        for v in vs:
-            block_of[v] = b
-    return block_of, blocks
+def _initial_blocks(game: Game) -> tuple[list[int], list[int]]:
+    """Block of every vertex in the (priority, owner) partition, classes
+    numbered by first occurrence, and the size of every block."""
+    ids: dict[tuple[int, int], int] = {}
+    block_of = [ids.setdefault(key, len(ids)) for key in zip(game.priority, game.owner)]
+    size = [0] * len(ids)
+    for b in block_of:
+        size[b] += 1
+    return block_of, size
 
 
-def _finalize(game: Game, block_of: list[int], blocks: dict[int, list[int]], kind: str) -> Partition:
-    ordered = sorted(blocks.values(), key=lambda vs: vs[0])
-    final_of = [0] * game.vertex_count
-    for b, vs in enumerate(ordered):
-        for v in vs:
-            final_of[v] = b
-    part = Partition(block_of=final_of, blocks=ordered,
-                     divergent=[False] * len(ordered), kind=kind)
+def _finalize(game: Game, block_of: list[int], kind: str) -> Partition:
+    """Renumber ``block_of`` in place by least member and collect the
+    sorted member lists, both in one ascending pass; then attach the
+    divergence flags, which must be uniform on stuttering blocks."""
+    final = [-1] * (max(block_of, default=-1) + 1)
+    blocks: list[list[int]] = []
+    for v, b in enumerate(block_of):
+        f = final[b]
+        if f < 0:
+            f = final[b] = len(blocks)
+            blocks.append([v])
+        else:
+            blocks[f].append(v)
+        block_of[v] = f
+    part = Partition(block_of=block_of, blocks=blocks, divergent=[], kind=kind)
     flags = compute_divergent(game, part)
-    for b, vs in enumerate(ordered):
-        flag = flags[vs[0]]
-        if kind == "stuttering":
-            if any(flags[v] != flag for v in vs):
+    part.divergent = [flags[vs[0]] for vs in blocks]
+    if kind == "stuttering":
+        for b, vs in enumerate(blocks):
+            if len(vs) > 1 and any(flags[v] != part.divergent[b] for v in vs):
                 raise RuntimeError(f"divergence not uniform in stable block {b}")
-        part.divergent[b] = flag
     return part
 
 
 def initial_partition(game: Game) -> Partition:
     """Coarsest partition whose blocks agree on priority and owner."""
-    block_of, blocks = _initial_blocks(game)
-    return _finalize(game, block_of, blocks, kind="initial")
+    return _finalize(game, _initial_blocks(game)[0], kind="initial")
 
 
 def compute_divergent(game: Game, partition: Partition) -> list[bool]:
@@ -104,25 +109,24 @@ def compute_divergent(game: Game, partition: Partition) -> list[bool]:
     return [v in alive for v in game.vertices()]
 
 
-def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], dict[int, list[int]]]:
-    """Dirty-set signature refinement shared by both equivalences.
+def _refine(game: Game, signatures, next_dirty) -> list[int]:
+    """Dirty-set signature refinement shared by both equivalences; returns
+    the block of every vertex.
 
     ``signatures(game, block_of, sig, dirty)`` returns the new signature of
     every vertex in the sorted list ``dirty``; it may read the cached
     ``sig`` of vertices outside ``dirty``.  ``next_dirty(game, block_of,
     moved)`` returns the vertices whose signature a round's moves may have
-    changed.  Blocks stay signature-uniform between rounds, so a round
+    changed.  The state is ``block_of`` and the size of every block, no
+    member sets.  Blocks stay signature-uniform between rounds, so a round
     splits off exactly the members whose signature changed, never
     rescanning the remainder; long split cascades (chains) therefore stay
     linear.  Members of singleton blocks are never re-signed: a singleton
     cannot split, and no other vertex reads its signature.
     """
-    block_of, initial = _initial_blocks(game)
-    blocks: dict[int, set[int]] = {b: set(vs) for b, vs in initial.items()}
-    del initial
-    next_id = len(blocks)
+    block_of, size = _initial_blocks(game)
     sig: list[tuple | None] = [None] * game.vertex_count
-    dirty = [v for v in game.vertices() if len(blocks[block_of[v]]) > 1]
+    dirty = [v for v, b in enumerate(block_of) if size[b] > 1]
     while dirty:
         changed: dict[int, list[int]] = {}
         for v, s in zip(dirty, signatures(game, block_of, sig, dirty)):
@@ -131,7 +135,6 @@ def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], dict[int, li
                 changed.setdefault(block_of[v], []).append(v)
         moved: list[int] = []
         for b in sorted(changed):
-            members = blocks[b]
             touched = changed[b]
             groups: dict[tuple, list[int]] = {}
             for v in touched:
@@ -139,29 +142,23 @@ def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], dict[int, li
             parts = list(groups.values())
             if len(parts) > 1:
                 parts.sort(key=lambda g: (-len(g), g[0]))
-            if len(touched) == len(members):
+            if len(touched) == size[b]:
                 if len(parts) == 1:
                     continue  # whole block re-signed uniformly
-                blocks[b] = set(parts[0])
-                parts = parts[1:]
+                # the largest group keeps the block id
+                size[b] = len(parts.pop(0))
             else:
                 # untouched members share the stale-but-valid signature and
                 # keep the block id; every changed group splits away
-                members.difference_update(touched)
+                size[b] -= len(touched)
             for part in parts:
-                blocks[next_id] = set(part)
+                new_id = len(size)
+                size.append(len(part))
                 for v in part:
-                    block_of[v] = next_id
+                    block_of[v] = new_id
                 moved.extend(part)
-                next_id += 1
-        dirty = [v for v in next_dirty(game, block_of, moved) if len(blocks[block_of[v]]) > 1]
-        dirty.sort()
-    # free the engine state first: _finalize's own allocations set the peak
-    del sig, dirty
-    final = {}
-    for b in list(blocks):
-        final[b] = sorted(blocks.pop(b))
-    return block_of, final
+        dirty = sorted(v for v in next_dirty(game, block_of, moved) if size[block_of[v]] > 1)
+    return block_of
 
 
 def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
@@ -181,8 +178,7 @@ def refine_strong(game: Game) -> Partition:
     A vertex's signature is its set of successor blocks, so only the
     predecessors of vertices that changed block are re-signed.
     """
-    block_of, blocks = _refine(game, _sign_strong, _dirty_strong)
-    return _finalize(game, block_of, blocks, kind="strong")
+    return _finalize(game, _refine(game, _sign_strong, _dirty_strong), kind="strong")
 
 
 def _sign_stuttering(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
@@ -273,8 +269,7 @@ def refine_stuttering(game: Game) -> Partition:
     moved, their predecessors, and whatever reaches them by intra-block
     edges.
     """
-    block_of, blocks = _refine(game, _sign_stuttering, _dirty_stuttering)
-    return _finalize(game, block_of, blocks, kind="stuttering")
+    return _finalize(game, _refine(game, _sign_stuttering, _dirty_stuttering), kind="stuttering")
 
 
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
@@ -289,15 +284,15 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     if partition.kind not in ("strong", "stuttering"):
         raise ValueError(f"cannot quotient a partition of kind {partition.kind!r}")
     block_of = partition.block_of
-    priority = []
-    owner = []
+    reps = [members[0] for members in partition.blocks]
+    priority = list(map(game.priority.__getitem__, reps))
+    owner = list(map(game.owner.__getitem__, reps))
+    succ = game.successors
+    stuttering = partition.kind == "stuttering"
     successors = []
     for b, members in enumerate(partition.blocks):
-        rep = members[0]
-        priority.append(game.priority[rep])
-        owner.append(game.owner[rep])
-        targets = {block_of[w] for v in members for w in game.successors[v]}
-        if partition.kind == "stuttering":
+        targets = {block_of[w] for v in members for w in succ[v]}
+        if stuttering:
             targets.discard(b)
             if partition.divergent[b]:
                 targets.add(b)

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: subcommands, conventions, exit codes."""
 
+import pytest
+
 from paritygame import ODD, gen_chain, parse_pgsolver, write_pgsolver
 from paritygame.cli import cli_dispatch
 
@@ -214,6 +216,23 @@ def test_info_rejects_invalid_utf8_with_line_number(tmp_path, capsys):
     assert cli_dispatch(["--convention", "min", "info", str(f)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [("solution 1;\n0 0 1;\n1 0 \u00e9;\n".encode(), "cannot parse"),
+     ("solution 1;\n0 0 1;\n1 0 \u0661;\n".encode(), "cannot parse"),
+     (b"solution 1;\n0 0 1;\n1 0 \xff;\n", "not UTF-8")],
+    ids=["utf8", "non-ascii-digit", "not-utf8"],
+)
+def test_verify_reports_bad_solution_bytes_with_line_number(tmp_path, capsys, data, reason):
+    f = write_game(tmp_path / "g.gm", G1_MIN_TEXT)
+    sol_file = tmp_path / "bad.sol"
+    sol_file.write_bytes(data)
+    assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and reason in err
+    assert "codec" not in err
 
 
 def test_domain_errors_exit_1(tmp_path, capsys):

@@ -8,7 +8,7 @@ import sys
 
 PIPELINE = r"""
 from paritygame import (
-    gen_random, refine_strong, refine_stuttering, quotient,
+    Game, gen_chain, gen_random, refine_strong, refine_stuttering, quotient,
     solve, solve_zielonka, solve_spm, write_pgsolver, write_partition,
     write_solution, LiftContext, lift_strategy, EVEN, ODD,
 )
@@ -38,6 +38,18 @@ for seed in range(5):
     for algorithm in ("zielonka", "spm"):
         s = solve(g, algorithm)
         chunks.append(write_solution(g, s.winner, s.strategy_even, s.strategy_odd))
+# larger partitions, where many blocks split in one round, and a chain
+# whose ids are permuted so that its one-vertex splits run out of order
+chain = gen_chain(500, 1, ODD, 0)
+n = chain.vertex_count
+perm = [7 * v % n for v in range(n)]
+priority, owner, succ = [0] * n, [0] * n, [None] * n
+for v in range(n):
+    priority[perm[v]] = chain.priority[v]
+    owner[perm[v]] = chain.owner[v]
+    succ[perm[v]] = [perm[w] for w in chain.successors[v]]
+for g in [gen_random(2000, 5, 3, seed) for seed in (1, 2, 3)] + [Game(priority, owner, succ)]:
+    chunks += [write_partition(refine_strong(g)), write_partition(refine_stuttering(g))]
 small = gen_random(12, 3, 3, 9)
 chunks.append(str(solve_spm(small).winner))
 print("\n".join(chunks))

@@ -129,6 +129,22 @@ def test_bytes_that_are_not_utf8_raise_format_error():
     assert info.value.line == 2
 
 
+def test_solution_bytes_that_are_not_utf8_raise_format_error():
+    with pytest.raises(FormatError, match="line 3: not UTF-8") as info:
+        parse_solution(b"solution 1;\n0 0 1;\n1 \xc3;")
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\uff10", "\u0966"])
+def test_non_ascii_digits_raise_format_error(digit):
+    with pytest.raises(FormatError, match="line 2: cannot parse vertex") as info:
+        parse_pgsolver(f"0 0 0 0;\n1 {digit} 0 0;".encode())
+    assert info.value.line == 2
+    with pytest.raises(FormatError, match="line 3: cannot parse solution") as info:
+        parse_solution(f"solution 1;\n0 0 1;\n1 0 {digit};".encode())
+    assert info.value.line == 3
+
+
 @pytest.mark.parametrize(
     "text",
     ["0 " + "1" * 5000 + " 0 0;", "0 0 0 0;\n" + "1" * 5000 + " 0 0 0;"],
@@ -155,6 +171,7 @@ def test_solution_format_round_trip(g4):
     text = write_solution(g4, sol.winner, sol.strategy_even, sol.strategy_odd)
     assert text.splitlines()[0] == "solution 2;"
     winner, moves = parse_solution(text)
+    assert parse_solution(text.encode()) == (winner, moves)
     assert winner == sol.winner
     # moves present exactly where the winner owns the vertex
     assert moves == {0: 1, 1: 1, 2: 2}

@@ -337,3 +337,28 @@ def test_write_partition_dump():
     g = gen_chain(2, 1, ODD, 0)
     dump = write_partition(refine_stuttering(g))
     assert dump == "0 0 0\n1 0 0\n2 1 1"
+
+
+def _flip_divergence(vertex):
+    """``compute_divergent`` with the flag of ``vertex`` inverted."""
+
+    def patched(game, partition):
+        flags = compute_divergent(game, partition)
+        flags[vertex] = not flags[vertex]
+        return flags
+
+    return patched
+
+
+def test_stuttering_divergence_flags_checked_per_block(monkeypatch):
+    g = gen_chain(2, 1, ODD, 0)  # stuttering blocks [[0, 1], [2]], sink divergent
+    assert refine_stuttering(g).divergent == [False, True]
+    # a one-member block takes its flag from compute_divergent as it stands
+    monkeypatch.setattr(paritygame.reduction, "compute_divergent", _flip_divergence(2))
+    part = refine_stuttering(g)
+    assert part.blocks == [[0, 1], [2]]
+    assert part.divergent == [False, False]
+    # two members of one stable block that disagree are an error
+    monkeypatch.setattr(paritygame.reduction, "compute_divergent", _flip_divergence(1))
+    with pytest.raises(RuntimeError, match="divergence not uniform in stable block 0"):
+        refine_stuttering(g)

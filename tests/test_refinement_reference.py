@@ -1,4 +1,4 @@
-"""Differential check of the incremental refinement engine.
+"""Differential checks of the incremental refinement engine.
 
 The production engine caches signatures and re-signs only the vertices
 whose signature a split may have changed; the reference below recomputes
@@ -8,14 +8,29 @@ the engine's dirty-set signer.  Both must produce identical partitions
 on every game, including the structured families that trigger long split
 cascades and multi-way splits, and games whose blocks are all singletons
 from the start.
+
+A second reference is the engine as it stood when it kept a set of
+members per block; the flat engine that replaced it must give the same
+partitions (numbering and divergence flags included) and the same
+quotient games.
 """
 
-from paritygame import Game, gen_chain, gen_random, refine_strong, refine_stuttering
+import pytest
+
+from paritygame import (
+    Game,
+    Partition,
+    compute_divergent,
+    gen_chain,
+    gen_random,
+    quotient,
+    refine_strong,
+    refine_stuttering,
+)
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.graphs import strongly_connected_components, vertices_with_infinite_path
-from paritygame.reduction import _initial_blocks
 
-from helpers import alternating_chain, priority_ladder
+from helpers import alternating_chain, assert_same_game, priority_ladder
 
 
 def _stuttering_signatures(
@@ -51,7 +66,14 @@ def _stuttering_signatures(
 
 
 def _naive_rounds(game, signature_of):
-    block_of, blocks = _initial_blocks(game)
+    groups: dict = {}
+    for v in game.vertices():
+        groups.setdefault((game.priority[v], game.owner[v]), []).append(v)
+    blocks = dict(enumerate(groups.values()))
+    block_of = [0] * game.vertex_count
+    for b, vs in blocks.items():
+        for v in vs:
+            block_of[v] = b
     while True:
         groups: dict = {}
         for b, members in sorted(blocks.items()):
@@ -117,3 +139,268 @@ def test_incremental_refinement_matches_naive_reference():
             sorted(sorted(b) for b in refine_stuttering(g).blocks)
             == naive_stuttering(g)
         ), trial
+
+
+# The engine as it stood with a dict of member sets per block, kept
+# verbatim (signature functions and dirty rules included) as the exactness
+# oracle for the size-array engine: both must give equal partitions,
+# numbering and divergence flags included, and equal quotients.
+
+def _initial_blocks(game: Game) -> tuple[list[int], dict[int, list[int]]]:
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in game.vertices():
+        groups.setdefault((game.priority[v], game.owner[v]), []).append(v)
+    ordered = sorted(groups.values(), key=lambda vs: vs[0])
+    block_of = [0] * game.vertex_count
+    blocks: dict[int, list[int]] = {}
+    for b, vs in enumerate(ordered):
+        blocks[b] = vs
+        for v in vs:
+            block_of[v] = b
+    return block_of, blocks
+
+
+def _finalize(game: Game, block_of: list[int], blocks: dict[int, list[int]], kind: str) -> Partition:
+    ordered = sorted(blocks.values(), key=lambda vs: vs[0])
+    final_of = [0] * game.vertex_count
+    for b, vs in enumerate(ordered):
+        for v in vs:
+            final_of[v] = b
+    part = Partition(block_of=final_of, blocks=ordered,
+                     divergent=[False] * len(ordered), kind=kind)
+    flags = compute_divergent(game, part)
+    for b, vs in enumerate(ordered):
+        flag = flags[vs[0]]
+        if kind == "stuttering":
+            if any(flags[v] != flag for v in vs):
+                raise RuntimeError(f"divergence not uniform in stable block {b}")
+        part.divergent[b] = flag
+    return part
+
+
+def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], dict[int, list[int]]]:
+    """Dirty-set signature refinement shared by both equivalences.
+
+    ``signatures(game, block_of, sig, dirty)`` returns the new signature of
+    every vertex in the sorted list ``dirty``; it may read the cached
+    ``sig`` of vertices outside ``dirty``.  ``next_dirty(game, block_of,
+    moved)`` returns the vertices whose signature a round's moves may have
+    changed.  Blocks stay signature-uniform between rounds, so a round
+    splits off exactly the members whose signature changed, never
+    rescanning the remainder; long split cascades (chains) therefore stay
+    linear.  Members of singleton blocks are never re-signed: a singleton
+    cannot split, and no other vertex reads its signature.
+    """
+    block_of, initial = _initial_blocks(game)
+    blocks: dict[int, set[int]] = {b: set(vs) for b, vs in initial.items()}
+    del initial
+    next_id = len(blocks)
+    sig: list[tuple | None] = [None] * game.vertex_count
+    dirty = [v for v in game.vertices() if len(blocks[block_of[v]]) > 1]
+    while dirty:
+        changed: dict[int, list[int]] = {}
+        for v, s in zip(dirty, signatures(game, block_of, sig, dirty)):
+            if s != sig[v]:
+                sig[v] = s
+                changed.setdefault(block_of[v], []).append(v)
+        moved: list[int] = []
+        for b in sorted(changed):
+            members = blocks[b]
+            touched = changed[b]
+            groups: dict[tuple, list[int]] = {}
+            for v in touched:
+                groups.setdefault(sig[v], []).append(v)  # type: ignore[arg-type]
+            parts = list(groups.values())
+            if len(parts) > 1:
+                parts.sort(key=lambda g: (-len(g), g[0]))
+            if len(touched) == len(members):
+                if len(parts) == 1:
+                    continue  # whole block re-signed uniformly
+                blocks[b] = set(parts[0])
+                parts = parts[1:]
+            else:
+                # untouched members share the stale-but-valid signature and
+                # keep the block id; every changed group splits away
+                members.difference_update(touched)
+            for part in parts:
+                blocks[next_id] = set(part)
+                for v in part:
+                    block_of[v] = next_id
+                moved.extend(part)
+                next_id += 1
+        dirty = [v for v in next_dirty(game, block_of, moved) if len(blocks[block_of[v]]) > 1]
+        dirty.sort()
+    # free the engine state first: _finalize's own allocations set the peak
+    del sig, dirty
+    final = {}
+    for b in list(blocks):
+        final[b] = sorted(blocks.pop(b))
+    return block_of, final
+
+
+def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
+    succ = game.successors
+    return [tuple(sorted({block_of[w] for w in succ[v]})) for v in dirty]
+
+
+def _dirty_strong(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
+    pred = game.predecessors
+    return {p for u in moved for p in pred[u]}
+
+
+def _sign_stuttering(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
+    """Signature (divergence bit, sorted exit-block tuple) of every dirty
+    vertex with respect to its current block.
+
+    Inert (intra-block) successors outside ``dirty`` contribute their
+    cached signatures: the dirty set is closed backwards under inert
+    edges, so those are still exact.  Dirty vertices without a dirty inert
+    successor are signed directly; the rest are signed per strongly
+    connected component of the dirty inert graph, whose exit sets and
+    divergence are constant on a component.
+    """
+    succ = game.successors
+    in_dirty = set(dirty)
+    new: dict[int, tuple[bool, tuple[int, ...]]] = {}
+    local: dict[int, tuple[bool, set[int]]] = {}
+    inert: dict[int, list[int]] = {}
+    for v in dirty:
+        b = block_of[v]
+        div = False
+        exits: set[int] = set()
+        inner: list[int] = []
+        for w in succ[v]:
+            bw = block_of[w]
+            if bw != b:
+                exits.add(bw)
+            elif w in in_dirty:
+                inner.append(w)
+            else:
+                d, e = sig[w]  # type: ignore[misc]
+                div = div or d
+                exits.update(e)
+        if inner:
+            local[v] = (div, exits)
+            inert[v] = inner
+        else:
+            new[v] = (div, tuple(sorted(exits)))
+    # Tarjan emits components before the components that reach them, so
+    # one pass over its output signs every component.
+    for comp in strongly_connected_components(inert, inert):
+        comp_set = set(comp)
+        div = len(comp) > 1
+        exits = set()
+        for v in comp:
+            d, e = local[v]
+            div = div or d
+            exits |= e
+            for w in inert[v]:
+                if w in comp_set:
+                    div = div or w == v
+                else:
+                    dw, ew = new[w]
+                    div = div or dw
+                    exits.update(ew)
+        s = (div, tuple(sorted(exits)))
+        for v in comp:
+            new[v] = s
+    return [new[v] for v in dirty]
+
+
+def _dirty_stuttering(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
+    """Moved vertices and their predecessors, closed backwards under edges
+    that are inert in the new partition: exactly the vertices whose exit
+    sets or divergence may have changed."""
+    pred = game.predecessors
+    dirty = set(moved)
+    for u in moved:
+        dirty.update(pred[u])
+    stack = list(dirty)
+    while stack:
+        x = stack.pop()
+        b = block_of[x]
+        for p in pred[x]:
+            if block_of[p] == b and p not in dirty:
+                dirty.add(p)
+                stack.append(p)
+    return dirty
+
+
+def reference_strong(game: Game) -> Partition:
+    block_of, blocks = _refine(game, _sign_strong, _dirty_strong)
+    return _finalize(game, block_of, blocks, kind="strong")
+
+
+def reference_stuttering(game: Game) -> Partition:
+    block_of, blocks = _refine(game, _sign_stuttering, _dirty_stuttering)
+    return _finalize(game, block_of, blocks, kind="stuttering")
+
+
+def reference_quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
+    """Quotient game of a stable partition plus the vertex-to-block map.
+
+    Block priorities and owners come from the representative (blocks are
+    uniform by construction).  For strong partitions a block keeps a
+    self-loop iff some member has an intra-block edge; for stuttering
+    partitions intra-block edges collapse into a self-loop exactly on
+    divergent blocks.
+    """
+    if partition.kind not in ("strong", "stuttering"):
+        raise ValueError(f"cannot quotient a partition of kind {partition.kind!r}")
+    block_of = partition.block_of
+    priority = []
+    owner = []
+    successors = []
+    for b, members in enumerate(partition.blocks):
+        rep = members[0]
+        priority.append(game.priority[rep])
+        owner.append(game.owner[rep])
+        targets = {block_of[w] for v in members for w in game.successors[v]}
+        if partition.kind == "stuttering":
+            targets.discard(b)
+            if partition.divergent[b]:
+                targets.add(b)
+        if not targets:
+            raise ValueError(f"quotient block {b} has no successor (totality broken)")
+        successors.append(sorted(targets))
+    return Game(priority, owner, successors), list(block_of)
+
+
+def torus(k: int, seed: int) -> Game:
+    """k x k torus, each vertex moving right or down, with priorities 0..2
+    and owners drawn from ``seed``."""
+    rng = Xoshiro256StarStar(seed)
+    n = k * k
+    successors = [[i * k + (j + 1) % k, (i + 1) % k * k + j] for i in range(k) for j in range(k)]
+    return Game([rng.below(3) for _ in range(n)], [rng.below(2) for _ in range(n)], successors)
+
+
+def oracle_games():
+    rng = Xoshiro256StarStar(777)
+    for trial in range(400):
+        yield f"zoo {trial}", game_zoo(trial, rng)
+    for n in (1, 2, 5, 40, 300):
+        for prio in (0, 1):
+            yield f"chain {n} {prio}", gen_chain(n, prio, 1, 2)
+        yield f"alternating chain {n}", alternating_chain(n)
+    for n in (1, 3, 30, 150):
+        yield f"ladder {n}", priority_ladder(n)
+    yield "torus 200", torus(200, 5)
+    for seed in (1, 2, 3):
+        yield f"random {seed}", gen_random(10_000, 5, 3, seed)
+
+
+@pytest.mark.parametrize(
+    "engine, reference",
+    [(refine_strong, reference_strong), (refine_stuttering, reference_stuttering)],
+    ids=["strong", "stuttering"],
+)
+def test_engine_matches_dict_of_sets_reference(engine, reference):
+    for name, g in oracle_games():
+        part = engine(g)
+        ref = reference(g)
+        assert part == ref, name
+        reduced, vmap = quotient(g, part)
+        ref_reduced, ref_vmap = reference_quotient(g, ref)
+        assert_same_game(reduced, ref_reduced)
+        assert vmap == ref_vmap, name
