@@ -69,24 +69,19 @@ class Game:
             if names.count(None) == n:
                 names = None
         self.names = names
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for v, succs in enumerate(self.successors):
-            for w in succs:
-                if 0 <= w < n:
-                    preds[w].append(v)
-        self.predecessors = tuple(map(tuple, preds))
+        self.predecessors = _predecessors(self.successors)
 
     @classmethod
-    def _relabelled(cls, game: Game, priority: tuple[int, ...], owner: tuple[int, ...]) -> Game:
-        """``game`` with other priorities and owners.  The new game shares
-        ``game``'s normalised successor, predecessor and name tuples, which
-        is safe because games are immutable."""
+    def _from_normalised(cls, priority, owner, successors, predecessors=None, names=None) -> Game:
+        """A game from parts already in the form ``__init__`` leaves them in,
+        neither checked nor copied; predecessors are derived unless given.
+        Parts may be shared with another game, since games are immutable."""
         new = cls.__new__(cls)
         new.priority = priority
         new.owner = owner
-        new.successors = game.successors
-        new.predecessors = game.predecessors
-        new.names = game.names
+        new.successors = successors
+        new.predecessors = _predecessors(successors) if predecessors is None else predecessors
+        new.names = names
         return new
 
     @property
@@ -120,6 +115,17 @@ class Game:
         return f"Game(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
+def _predecessors(successors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Ascending predecessor tuples of a successor table, leaving out dangling edges."""
+    n = len(successors)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v, succs in enumerate(successors):
+        for w in succs:
+            if 0 <= w < n:
+                preds[w].append(v)
+    return tuple(map(tuple, preds))
+
+
 @dataclass(frozen=True)
 class Play:
     """Eventually-periodic infinite path: finite prefix followed by a
@@ -146,10 +152,6 @@ class Strategy:
 
     player: int
     moves: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def domain(self) -> set[int]:
-        return set(self.moves)
 
     def is_valid(self, game: Game) -> bool:
         return all(
@@ -257,7 +259,9 @@ def convert_priorities(game: Game, direction: str = "max_to_min") -> Game:
     """
     if direction not in ("max_to_min", "min_to_max"):
         raise ValueError(f"unknown direction {direction!r}")
-    return Game._relabelled(game, _reflect(game.priority), game.owner)
+    return Game._from_normalised(
+        _reflect(game.priority), game.owner, game.successors, game.predecessors, game.names
+    )
 
 
 def _reflect(priority: Sequence[int]) -> tuple[int, ...]:

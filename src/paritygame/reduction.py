@@ -9,22 +9,26 @@ initial (priority, owner) partition:
   agree on (a) whether an infinite path can stay inside the block and
   (b) which other blocks are reachable after a run of intra-block edges.
 
-One engine serves both, with a signature function per equivalence.
-Its state is flat: the block of every vertex, the size of every block and
-a cached signature per vertex.  Each round re-signs only the dirty
-vertices of non-singleton blocks (those whose signature the previous
-round's splits may have changed) and splits off exactly the members whose
-signature changed.  Member lists exist only in the result: one ascending
-pass over the block map builds them sorted and numbers the blocks by
-their least member.  Both refinements are deterministic, since the
-coarsest stable partition is unique.  The test suite cross-checks both
-on small games against relational greatest-fixpoint oracles of its own,
-and against the earlier engine that kept a set of members per block.
+One engine serves both, with a signature function per equivalence.  Its
+state is flat: the block of every vertex, the size of every block and a
+cached signature per vertex.  Each round re-signs only the dirty vertices
+of non-singleton blocks (those whose signature the previous round's
+splits may have changed) and splits off exactly the members whose
+signature changed.  One ascending pass over the block map then builds the
+sorted member lists and numbers the blocks by their least member; each
+refinement reads the divergence flags off its own result.  Stuttering
+refinement condenses the initial inert graph (the edges inside a
+(priority, owner) class) once: blocks only split and inert cycles never
+do (Groote and Vaandrager, ICALP 1990), so its components, sinks first,
+order the signing in every round.  Both refinements are deterministic,
+since the coarsest stable partition is unique; the test suite checks them
+against relational greatest-fixpoint oracles and earlier engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .game import Game
 from .graphs import strongly_connected_components, vertices_with_infinite_path
@@ -36,10 +40,10 @@ class Partition:
 
     ``blocks`` maps dense block ids to sorted vertex lists, the block
     representative being the least member.  ``divergent`` flags (per block)
-    are meaningful for stuttering partitions: they record whether an
-    infinite path can stay inside the block.  ``kind`` records which
-    refinement produced the partition (``"initial"``, ``"strong"`` or
-    ``"stuttering"``).
+    record whether an infinite path can stay inside the block from the
+    representative, and from every member once the partition is stable.
+    ``kind`` records which refinement produced the partition
+    (``"initial"``, ``"strong"`` or ``"stuttering"``).
     """
 
     block_of: list[int]
@@ -63,10 +67,10 @@ def _initial_blocks(game: Game) -> tuple[list[int], list[int]]:
     return block_of, size
 
 
-def _finalize(game: Game, block_of: list[int], kind: str) -> Partition:
+def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
     """Renumber ``block_of`` in place by least member and collect the
-    sorted member lists, both in one ascending pass; then attach the
-    divergence flags, which must be uniform on stuttering blocks."""
+    sorted member lists, both in one ascending pass; then flag each block
+    by ``diverges(members)``."""
     final = [-1] * (max(block_of, default=-1) + 1)
     blocks: list[list[int]] = []
     for v, b in enumerate(block_of):
@@ -77,41 +81,40 @@ def _finalize(game: Game, block_of: list[int], kind: str) -> Partition:
         else:
             blocks[f].append(v)
         block_of[v] = f
-    part = Partition(block_of=block_of, blocks=blocks, divergent=[], kind=kind)
-    flags = compute_divergent(game, part)
-    part.divergent = [flags[vs[0]] for vs in blocks]
-    if kind == "stuttering":
-        for b, vs in enumerate(blocks):
-            if len(vs) > 1 and any(flags[v] != part.divergent[b] for v in vs):
-                raise RuntimeError(f"divergence not uniform in stable block {b}")
-    return part
+    return Partition(block_of, blocks, list(map(diverges, blocks)), kind)
 
 
 def initial_partition(game: Game) -> Partition:
     """Coarsest partition whose blocks agree on priority and owner."""
-    return _finalize(game, _initial_blocks(game)[0], kind="initial")
+    block_of = _initial_blocks(game)[0]
+    flags = compute_divergent(game, Partition(block_of, [], [], "initial"))
+    return _finalize(block_of, "initial", lambda vs: flags[vs[0]])
 
 
-def compute_divergent(game: Game, partition: Partition) -> list[bool]:
-    """Per-vertex divergence flags with respect to a partition: a vertex
-    diverges iff it can reach, along intra-block edges, an intra-block
-    cycle."""
-    block_of = partition.block_of
-    # a vertex without an intra-block successor cannot diverge, so only
-    # the others enter the peeling
+def _intra_successors(game: Game, block_of: list[int]) -> dict[int, list[int]]:
+    """The successors of every vertex inside its own block, for the
+    vertices that have one (no other vertex can diverge)."""
     intra: dict[int, list[int]] = {}
     for v, succs in enumerate(game.successors):
         b = block_of[v]
         inside = [w for w in succs if block_of[w] == b]
         if inside:
             intra[v] = inside
+    return intra
+
+
+def compute_divergent(game: Game, partition: Partition) -> list[bool]:
+    """Per-vertex divergence flags with respect to a partition: a vertex
+    diverges iff it can reach, along intra-block edges, an intra-block
+    cycle."""
+    intra = _intra_successors(game, partition.block_of)
     alive = vertices_with_infinite_path(intra, intra)
     return [v in alive for v in game.vertices()]
 
 
-def _refine(game: Game, signatures, next_dirty) -> list[int]:
+def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], list]:
     """Dirty-set signature refinement shared by both equivalences; returns
-    the block of every vertex.
+    the block of every vertex and the signature cache.
 
     ``signatures(game, block_of, sig, dirty)`` returns the new signature of
     every vertex in the sorted list ``dirty``; it may read the cached
@@ -158,7 +161,7 @@ def _refine(game: Game, signatures, next_dirty) -> list[int]:
                     block_of[v] = new_id
                 moved.extend(part)
         dirty = sorted(v for v in next_dirty(game, block_of, moved) if size[block_of[v]] > 1)
-    return block_of
+    return block_of, sig
 
 
 def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
@@ -176,68 +179,58 @@ def refine_strong(game: Game) -> Partition:
     a block have identical sets of successor blocks (strong bisimilarity).
 
     A vertex's signature is its set of successor blocks, so only the
-    predecessors of vertices that changed block are re-signed.
+    predecessors of vertices that changed block are re-signed.  Members
+    of a block reach the same blocks, so a block is divergent iff its
+    representative has an intra-block successor.
     """
-    return _finalize(game, _refine(game, _sign_strong, _dirty_strong), kind="strong")
-
-
-def _sign_stuttering(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
-    """Signature (divergence bit, sorted exit-block tuple) of every dirty
-    vertex with respect to its current block.
-
-    Inert (intra-block) successors outside ``dirty`` contribute their
-    cached signatures: the dirty set is closed backwards under inert
-    edges, so those are still exact.  Dirty vertices without a dirty inert
-    successor are signed directly; the rest are signed per strongly
-    connected component of the dirty inert graph, whose exit sets and
-    divergence are constant on a component.
-    """
+    block_of = _refine(game, _sign_strong, _dirty_strong)[0]
     succ = game.successors
-    in_dirty = set(dirty)
-    new: dict[int, tuple[bool, tuple[int, ...]]] = {}
-    local: dict[int, tuple[bool, set[int]]] = {}
-    inert: dict[int, list[int]] = {}
-    for v in dirty:
-        b = block_of[v]
-        div = False
-        exits: set[int] = set()
-        inner: list[int] = []
-        for w in succ[v]:
-            bw = block_of[w]
-            if bw != b:
-                exits.add(bw)
-            elif w in in_dirty:
-                inner.append(w)
-            else:
-                d, e = sig[w]  # type: ignore[misc]
-                div = div or d
-                exits.update(e)
-        if inner:
-            local[v] = (div, exits)
-            inert[v] = inner
-        else:
-            new[v] = (div, tuple(sorted(exits)))
-    # Tarjan emits components before the components that reach them, so
-    # one pass over its output signs every component.
-    for comp in strongly_connected_components(inert, inert):
-        comp_set = set(comp)
+    return _finalize(
+        block_of, "strong", lambda vs: block_of[vs[0]] in map(block_of.__getitem__, succ[vs[0]])
+    )
+
+
+def _inert_components(game: Game) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the initial inert graph, sinks
+    first (vertices without an inert successor, then Tarjan's output over
+    the rest), and the index of every vertex's component."""
+    inert = _intra_successors(game, _initial_blocks(game)[0])
+    comps = [[v] for v in game.vertices() if v not in inert]
+    comps += strongly_connected_components(inert, inert)
+    comp_of = [0] * game.vertex_count
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
+    return comps, comp_of
+
+
+def _sign_stuttering(comps, comp_of, game, block_of, sig, dirty) -> list[tuple]:
+    """Signature (divergence bit, sorted exit-block tuple) of every dirty
+    vertex, one initial inert component at a time, sinks first.  A
+    component never splits and its edges stay inert, so the dirty set is a
+    union of components, whose members share exits and divergence.  An
+    inert successor in another component was signed earlier this round, or
+    is clean and its cached signature still exact."""
+    succ = game.successors
+    new: dict[int, tuple[bool, tuple[int, ...]]] = {}  # by component
+    for c in sorted({comp_of[v] for v in dirty}):
+        comp = comps[c]
+        b = block_of[comp[0]]
         div = len(comp) > 1
-        exits = set()
+        exits: set[int] = set()
         for v in comp:
-            d, e = local[v]
-            div = div or d
-            exits |= e
-            for w in inert[v]:
-                if w in comp_set:
-                    div = div or w == v
-                else:
-                    dw, ew = new[w]
-                    div = div or dw
-                    exits.update(ew)
-        s = (div, tuple(sorted(exits)))
-        for v in comp:
-            new[v] = s
-    return [new[v] for v in dirty]
+            for w in succ[v]:
+                bw = block_of[w]
+                if bw != b:
+                    exits.add(bw)
+                elif comp_of[w] != c:
+                    d, e = new.get(comp_of[w]) or sig[w]  # type: ignore[misc]
+                    div = div or d
+                    exits.update(e)
+                elif w == v:
+                    div = True
+        new[c] = (div, tuple(sorted(exits)))
+    return [new[comp_of[v]] for v in dirty]
 
 
 def _dirty_stuttering(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
@@ -264,42 +257,46 @@ def refine_stuttering(game: Game) -> Partition:
     divergence-sensitive stuttering equivalence.
 
     A vertex's signature is its divergence flag and the set of other
-    blocks it reaches after a run of intra-block edges.  Each round
-    re-signs only the dirty vertices of non-singleton blocks: those that
-    moved, their predecessors, and whatever reaches them by intra-block
-    edges.
+    blocks it reaches after a run of intra-block edges.  Each round signs
+    its dirty vertices (those that moved, their predecessors, and whatever
+    reaches them by intra-block edges) in the order of one condensation of
+    the initial inert graph.  A block of several members takes its flag
+    from a member's final signature; a one-member block diverges iff its
+    vertex has a self-loop.
     """
-    return _finalize(game, _refine(game, _sign_stuttering, _dirty_stuttering), kind="stuttering")
+    sign = partial(_sign_stuttering, *_inert_components(game))
+    block_of, sig = _refine(game, sign, _dirty_stuttering)
+    succ = game.successors
+    return _finalize(
+        block_of, "stuttering", lambda vs: sig[vs[0]][0] if len(vs) > 1 else vs[0] in succ[vs[0]]
+    )
 
 
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     """Quotient game of a stable partition plus the vertex-to-block map.
 
     Block priorities and owners come from the representative (blocks are
-    uniform by construction).  For strong partitions a block keeps a
-    self-loop iff some member has an intra-block edge; for stuttering
-    partitions intra-block edges collapse into a self-loop exactly on
-    divergent blocks.
+    uniform by construction).  A block's successors are the blocks its
+    members reach, itself included exactly when it is divergent, which
+    for a strong partition means that a member has an intra-block edge.
     """
     if partition.kind not in ("strong", "stuttering"):
         raise ValueError(f"cannot quotient a partition of kind {partition.kind!r}")
     block_of = partition.block_of
     reps = [members[0] for members in partition.blocks]
-    priority = list(map(game.priority.__getitem__, reps))
-    owner = list(map(game.owner.__getitem__, reps))
+    priority = tuple(map(game.priority.__getitem__, reps))
+    owner = tuple(map(game.owner.__getitem__, reps))
     succ = game.successors
-    stuttering = partition.kind == "stuttering"
     successors = []
-    for b, members in enumerate(partition.blocks):
+    for b, (members, divergent) in enumerate(zip(partition.blocks, partition.divergent)):
         targets = {block_of[w] for v in members for w in succ[v]}
-        if stuttering:
-            targets.discard(b)
-            if partition.divergent[b]:
-                targets.add(b)
+        targets.discard(b)
+        if divergent:
+            targets.add(b)
         if not targets:
             raise ValueError(f"quotient block {b} has no successor (totality broken)")
-        successors.append(sorted(targets))
-    return Game(priority, owner, successors), list(block_of)
+        successors.append(tuple(sorted(targets)))
+    return Game._from_normalised(priority, owner, tuple(successors)), list(block_of)
 
 
 def write_partition(partition: Partition) -> str:

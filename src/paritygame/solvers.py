@@ -306,13 +306,10 @@ def _spm_even_half(game: Game) -> tuple[ProgressMeasure, list[bool], dict[int, i
     strategy: dict[int, int] = {}
     for v in range(n):
         if even_wins[v] and gmax.owner[v] == EVEN:
+            # prog is monotone: the least successor measure has the least prog
             strategy[v] = min(
                 gmax.successors[v],
-                key=lambda w: (
-                    (1,) if prog(v, value[w]) is TOP else (0, prog(v, value[w])),
-                    (1,) if value[w] is TOP else (0, value[w]),
-                    w,
-                ),
+                key=lambda w: ((1,) if value[w] is TOP else (0, value[w]), w),
             )
     return measure, even_wins, strategy
 
@@ -333,10 +330,12 @@ def solve_spm(game: Game) -> Solution:
     shifted by one), whose even player coincides with the original odd one.
     """
     _, even_wins, even_moves = _spm_even_half(game)
-    dual = Game._relabelled(
-        game,
+    dual = Game._from_normalised(
         tuple([p + 1 for p in game.priority]),
         tuple([1 - o for o in game.owner]),
+        game.successors,
+        game.predecessors,
+        game.names,
     )
     _, odd_wins, odd_moves = _spm_even_half(dual)
     for v in game.vertices():
@@ -434,10 +433,10 @@ def _subgame(game: Game, vertices: list[int]) -> Game:
     """The subgame on the ascending list ``vertices``, renumbered in that
     order, keeping the edges that stay inside it."""
     index = {v: i for i, v in enumerate(vertices)}
-    return Game(
-        [game.priority[v] for v in vertices],
-        [game.owner[v] for v in vertices],
-        [[index[w] for w in game.successors[v] if w in index] for v in vertices],
+    return Game._from_normalised(
+        tuple([game.priority[v] for v in vertices]),
+        tuple([game.owner[v] for v in vertices]),
+        tuple([tuple([index[w] for w in game.successors[v] if w in index]) for v in vertices]),
     )
 
 

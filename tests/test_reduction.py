@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from paritygame import (
     write_partition,
 )
 
-from helpers import small_games
+from helpers import alternating_chain, small_games
 from oracles import (
     divergent_wrt,
     inert_closure,
@@ -339,26 +340,43 @@ def test_write_partition_dump():
     assert dump == "0 0 0\n1 0 0\n2 1 1"
 
 
-def _flip_divergence(vertex):
-    """``compute_divergent`` with the flag of ``vertex`` inverted."""
-
-    def patched(game, partition):
-        flags = compute_divergent(game, partition)
-        flags[vertex] = not flags[vertex]
-        return flags
-
-    return patched
+def _not_called(*args):
+    raise AssertionError("a refinement called compute_divergent")
 
 
-def test_stuttering_divergence_flags_checked_per_block(monkeypatch):
-    g = gen_chain(2, 1, ODD, 0)  # stuttering blocks [[0, 1], [2]], sink divergent
-    assert refine_stuttering(g).divergent == [False, True]
-    # a one-member block takes its flag from compute_divergent as it stands
-    monkeypatch.setattr(paritygame.reduction, "compute_divergent", _flip_divergence(2))
-    part = refine_stuttering(g)
-    assert part.blocks == [[0, 1], [2]]
-    assert part.divergent == [False, False]
-    # two members of one stable block that disagree are an error
-    monkeypatch.setattr(paritygame.reduction, "compute_divergent", _flip_divergence(1))
-    with pytest.raises(RuntimeError, match="divergence not uniform in stable block 0"):
-        refine_stuttering(g)
+def check_divergence_flags(g, name=""):
+    """Both refinements flag a block divergent iff compute_divergent flags
+    each of its members, without calling it, and the quotient keeps a
+    self-loop exactly on the divergent blocks."""
+    for refine in (refine_strong, refine_stuttering):
+        with mock.patch.object(paritygame.reduction, "compute_divergent", _not_called):
+            part = refine(g)
+        flags = compute_divergent(g, part)
+        assert [part.divergent[b] for b in part.block_of] == flags, (name, part.kind)
+        reduced, _ = quotient(g, part)
+        loops = [b in reduced.successors[b] for b in reduced.vertices()]
+        assert loops == part.divergent, (name, part.kind)
+
+
+def test_divergence_flags_come_from_the_refinement():
+    from test_refinement_reference import oracle_games
+
+    for name, g in oracle_games():
+        check_divergence_flags(g, name)
+    # one condensation per call, however many rounds the refinement takes
+    calls = []
+
+    def counted(nodes, succ):
+        calls.append(1)
+        return paritygame.graphs.strongly_connected_components(nodes, succ)
+
+    g = alternating_chain(400)
+    with mock.patch.object(paritygame.reduction, "strongly_connected_components", counted):
+        assert refine_stuttering(g).block_count == 401
+    assert len(calls) == 1
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(small_games(max_vertices=8, max_priority=2, max_successors=3))
+def test_divergence_flags_come_from_the_refinement_on_small_games(g):
+    check_divergence_flags(g)
