@@ -5,8 +5,11 @@ the original and reduced sizes and the wall-clock reduction and solving
 times (best of a configurable number of repetitions, microsecond
 resolution internally, milliseconds in the CSV).  The winner of every
 vertex, carried back through the block map for reduced methods, is
-cross-checked across all methods per game; a mismatch means a soundness
-bug and aborts the run.  The CSV reports the winner of vertex 0.
+cross-checked across all methods per game, and the stuttering
+reduction's solution is lifted to the game and both players' strategies
+verified, outside the timed region; a mismatch or a rejected strategy
+means a soundness bug and aborts the run.  The CSV reports the winner of
+vertex 0.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .game import Game
+from .game import EVEN, ODD, Game
 from .reduction import quotient, refine_strong, refine_stuttering
 from .solvers import solve
+from .strategy import lift_solution, verify_strategy
 
 METHODS = ("direct", "strong+solve", "stuttering+solve")
 CSV_SCHEMA_COMMENT = "# paritygame bench csv, schema v1; times are milliseconds"
@@ -27,7 +31,8 @@ CSV_HEADER = (
 
 
 class WinnerMismatchError(RuntimeError):
-    """Different methods disagree on the winner of some vertex."""
+    """A soundness failure: different methods disagree on the winner of
+    some vertex, or a lifted strategy fails verification."""
 
 
 @dataclass
@@ -72,7 +77,7 @@ def _measure_once(game: Game, method: str, solver: str):
         t0 = time.perf_counter_ns()
         solution = solve(game, solver)
         t1 = time.perf_counter_ns()
-        return 0, (t1 - t0) // 1000, game.vertex_count, game.edge_count, solution.winner
+        return 0, (t1 - t0) // 1000, game.vertex_count, game.edge_count, solution.winner, None
     refine = refine_strong if method == "strong+solve" else refine_stuttering
     t0 = time.perf_counter_ns()
     part = refine(game)
@@ -86,18 +91,19 @@ def _measure_once(game: Game, method: str, solver: str):
         reduced.vertex_count,
         reduced.edge_count,
         [solution.winner[b] for b in vmap],
+        (part, reduced, vmap, solution),
     )
 
 
 def _bench_one(
     game_id: str, game: Game, method: str, solver: str, repetitions: int
-) -> tuple[BenchRecord, list[int]]:
+) -> tuple[BenchRecord, list[int], tuple | None]:
     best = None
     for _ in range(repetitions):
         sample = _measure_once(game, method, solver)
         if best is None or sample[0] + sample[1] < best[0] + best[1]:
             best = sample
-    reduce_us, solve_us, red_v, red_e, winner = best
+    reduce_us, solve_us, red_v, red_e, winner, reduction = best
     record = BenchRecord(
         game_id=game_id,
         method=method,
@@ -111,7 +117,19 @@ def _bench_one(
         winner_v0=winner[0],
         runs=repetitions,
     )
-    return record, winner
+    return record, winner, reduction
+
+
+def _verify_lifted(record: BenchRecord, game: Game, reduction: tuple) -> None:
+    """Lift a reduced solution to ``game`` and verify both strategies."""
+    lifted = lift_solution(game, *reduction)
+    for player in (EVEN, ODD):
+        result = verify_strategy(game, player, lifted.region(player), lifted.strategy(player))
+        if not result:
+            raise WinnerMismatchError(
+                f"game {record.game_id}: {record.method}/{record.solver} lifted strategy "
+                f"of player {player} rejected: {result.reason}"
+            )
 
 
 def run_benchmark(
@@ -121,32 +139,36 @@ def run_benchmark(
     repetitions: int = 3,
 ) -> list[BenchRecord]:
     """One record per (game, method, solver); raises
-    :class:`WinnerMismatchError` when methods disagree on a game."""
+    :class:`WinnerMismatchError` when methods disagree on a game or the
+    lifted ``stuttering+solve`` strategies do not verify."""
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    results = [
-        _bench_one(game_id, game, method, solver, repetitions)
-        for game_id, game in games
-        for method in methods
-        for solver in solvers
-    ]
-
-    first: dict[str, tuple[BenchRecord, list[int]]] = {}
-    for r, winner in results:
-        ref, ref_winner = first.setdefault(r.game_id, (r, winner))
-        if winner != ref_winner:
-            v = next(
-                (v for v, (a, b) in enumerate(zip(ref_winner, winner)) if a != b),
-                min(len(winner), len(ref_winner)),
-            )
-            raise WinnerMismatchError(
-                f"game {r.game_id}: {r.method}/{r.solver} and {ref.method}/{ref.solver} "
-                f"disagree on the winner of vertex {v}"
-            )
-    return [r for r, _ in results]
+    records = []
+    for game_id, game in games:
+        results = [
+            _bench_one(game_id, game, method, solver, repetitions)
+            for method in methods
+            for solver in solvers
+        ]
+        for r, winner, _ in results:
+            ref, ref_winner, _ = results[0]
+            if winner != ref_winner:
+                v = next(
+                    (v for v, (a, b) in enumerate(zip(ref_winner, winner)) if a != b),
+                    min(len(winner), len(ref_winner)),
+                )
+                raise WinnerMismatchError(
+                    f"game {r.game_id}: {r.method}/{r.solver} and {ref.method}/{ref.solver} "
+                    f"disagree on the winner of vertex {v}"
+                )
+        for r, _, reduction in results:
+            if r.method == "stuttering+solve":
+                _verify_lifted(r, game, reduction)
+        records.extend(r for r, _, _ in results)
+    return records
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

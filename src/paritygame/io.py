@@ -152,15 +152,28 @@ def write_pgsolver(game: Game) -> str:
 
 def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: Strategy) -> str:
     """Serialise winners and winning moves; the move column is present
-    exactly at vertices owned by their winner."""
+    exactly at vertices owned by their winner.  Raises :class:`ValueError`
+    naming the vertex when ``winner`` does not cover exactly the game's
+    vertices or a strategy lacks the move of a vertex its owner wins."""
+    n = game.vertex_count
+    if len(winner) != n:
+        raise ValueError(
+            f"winner vector of length {len(winner)} for {n} vertices: "
+            f"vertex {min(len(winner), n)} is unmatched"
+        )
     moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
-    out = [f"solution {game.vertex_count - 1};"]
-    for v, o in enumerate(game.owner):
-        w = winner[v]
-        if o == w:
-            out.append(f"{v} {w} {moves[w][v]};")
-        else:
-            out.append(f"{v} {w};")
+    out = [f"solution {n - 1};"]
+    try:
+        for v, o in enumerate(game.owner):
+            w = winner[v]
+            if o == w:
+                out.append(f"{v} {w} {moves[w][v]};")
+            else:
+                out.append(f"{v} {w};")
+    except KeyError:
+        raise ValueError(
+            f"vertex {v} is won by its owner {w}, whose strategy has no move there"
+        ) from None
     return "\n".join(out)
 
 

@@ -112,8 +112,11 @@ def compute_divergent(game: Game, partition: Partition) -> list[bool]:
     return [v in alive for v in game.vertices()]
 
 
-def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], list]:
-    """Dirty-set signature refinement shared by both equivalences; returns
+def _refine(
+    game: Game, block_of: list[int], size: list[int], signatures, next_dirty
+) -> tuple[list[int], list]:
+    """Dirty-set signature refinement shared by both equivalences, from
+    the initial ``block_of`` and block ``size`` (refined in place); returns
     the block of every vertex and the signature cache.
 
     ``signatures(game, block_of, sig, dirty)`` returns the new signature of
@@ -127,7 +130,6 @@ def _refine(game: Game, signatures, next_dirty) -> tuple[list[int], list]:
     linear.  Members of singleton blocks are never re-signed: a singleton
     cannot split, and no other vertex reads its signature.
     """
-    block_of, size = _initial_blocks(game)
     sig: list[tuple | None] = [None] * game.vertex_count
     dirty = [v for v, b in enumerate(block_of) if size[b] > 1]
     while dirty:
@@ -183,18 +185,19 @@ def refine_strong(game: Game) -> Partition:
     of a block reach the same blocks, so a block is divergent iff its
     representative has an intra-block successor.
     """
-    block_of = _refine(game, _sign_strong, _dirty_strong)[0]
+    block_of = _refine(game, *_initial_blocks(game), _sign_strong, _dirty_strong)[0]
     succ = game.successors
     return _finalize(
         block_of, "strong", lambda vs: block_of[vs[0]] in map(block_of.__getitem__, succ[vs[0]])
     )
 
 
-def _inert_components(game: Game) -> tuple[list[list[int]], list[int]]:
-    """Strongly connected components of the initial inert graph, sinks
-    first (vertices without an inert successor, then Tarjan's output over
-    the rest), and the index of every vertex's component."""
-    inert = _intra_successors(game, _initial_blocks(game)[0])
+def _inert_components(game: Game, block_of: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the inert graph of the initial
+    ``block_of``, sinks first (vertices without an inert successor, then
+    Tarjan's output over the rest), and the index of every vertex's
+    component."""
+    inert = _intra_successors(game, block_of)
     comps = [[v] for v in game.vertices() if v not in inert]
     comps += strongly_connected_components(inert, inert)
     comp_of = [0] * game.vertex_count
@@ -264,8 +267,9 @@ def refine_stuttering(game: Game) -> Partition:
     from a member's final signature; a one-member block diverges iff its
     vertex has a self-loop.
     """
-    sign = partial(_sign_stuttering, *_inert_components(game))
-    block_of, sig = _refine(game, sign, _dirty_stuttering)
+    block_of, size = _initial_blocks(game)
+    sign = partial(_sign_stuttering, *_inert_components(game, block_of))
+    block_of, sig = _refine(game, block_of, size, sign, _dirty_stuttering)
     succ = game.successors
     return _finalize(
         block_of, "stuttering", lambda vs: sig[vs[0]][0] if len(vs) > 1 else vs[0] in succ[vs[0]]

@@ -9,6 +9,8 @@ strategies for both players:
 * :func:`solve_spm` — small progress measures, run on the max-converted
   game (the lattice's standard presentation) and lifted from a predecessor
   worklist, with the second player's strategy obtained from the dual game;
+  a measure is one mixed-radix integer, which :func:`progress_measure`
+  alone decodes into the lattice's tuples;
 * :func:`solve_brute` — strategy enumeration with a one-player cycle
   analysis, usable as an oracle on tiny games.
 
@@ -217,11 +219,12 @@ TOP = None  # sentinel: the measure lattice's top element
 
 @dataclass
 class ProgressMeasure:
-    """Per-vertex measure for the max-parity lifting algorithm.
+    """Per-vertex measure for the max-parity lifting algorithm, as tuples.
 
     ``odd_priorities`` lists the odd priorities of the game in decreasing
     order of significance; a non-top value is a tuple with one component
-    per odd priority, bounded by the number of vertices carrying it.
+    per odd priority, bounded by the number of vertices carrying it, and
+    top is ``TOP``.  The solver works on integers; this is their view.
     """
 
     odd_priorities: list[int]
@@ -236,90 +239,87 @@ class ProgressMeasure:
         return t is TOP or all(0 <= c <= b for c, b in zip(t, self.bounds))
 
 
-def _spm_even_half(game: Game) -> tuple[ProgressMeasure, list[bool], dict[int, int]]:
-    """Even player's winning set and strategy via measure lifting on the
-    max-converted game; also returns the converged measure."""
+def _spm_even_half(game: Game) -> tuple[list[int], int, list[int], dict[int, int]]:
+    """Even player's strategy via measure lifting on the max-converted
+    game; also returns the converged measures, their top and the number of
+    vertices of every priority.
+
+    A measure is one integer in mixed radix: the digit of the j-th odd
+    priority, most significant first, has radix one more than the number
+    of vertices carrying it, and top is the product of all radices.  Tuple
+    order is then integer order.  A vertex of priority ``p`` may carry
+    ``m - m % keep[p] + step[p]`` above a successor measured ``m < top``:
+    ``keep[p]`` is the weight of the least significant digit that ``p``
+    keeps, ``step[p]`` that of ``p``'s own digit when ``p`` is odd, and the
+    addition carries over the digits at their bound, up to top.
+    """
     gmax = convert_priorities(game, "min_to_max")
+    priority, owner, successors = gmax.priority, gmax.owner, gmax.successors
+    count = [0] * (max(priority, default=0) + 1)
+    for p in priority:
+        count[p] += 1
+    keep = [0] * len(count)
+    step = [0] * len(count)
+    top = 1
+    for p, c in enumerate(count):
+        keep[p] = top
+        if p % 2:
+            step[p] = top
+            top *= c + 1
     n = gmax.vertex_count
-    d = max(gmax.priority, default=0)
-    odd_ps = [p for p in range(d, 0, -1) if p % 2 == 1]
-    bounds = [sum(1 for v in range(n) if gmax.priority[v] == p) for p in odd_ps]
-    width = len(odd_ps)
-    # number of significant components for each priority p: those >= p
-    prefix_len = [sum(1 for q in odd_ps if q >= p) for p in range(d + 1)]
-
-    measure = ProgressMeasure(odd_ps, bounds, [(0,) * width] * n)
-    value = measure.value
-
-    def prog(v: int, mw: tuple[int, ...] | None) -> tuple[int, ...] | None:
-        """Least measure that ``v`` may carry above a successor measured
-        ``mw``: equal on the components that ``v``'s priority keeps, and
-        strictly greater there when that priority is odd."""
-        if mw is TOP:
-            return TOP
-        k = prefix_len[gmax.priority[v]]
-        head = list(mw[:k])
-        if gmax.priority[v] % 2 == 1:
-            for j in range(k - 1, -1, -1):
-                if head[j] < bounds[j]:
-                    head[j] += 1
-                    break
-                head[j] = 0
-            else:
-                return TOP
-        return tuple(head) + (0,) * (width - k)
-
-    def less(a, b) -> bool:
-        if b is TOP:
-            return a is not TOP
-        return a is not TOP and a < b
-
+    keep = list(map(keep.__getitem__, priority))
+    step = list(map(step.__getitem__, priority))
+    value = [0] * n
     # Chaotic iteration from the bottom reaches the least fixpoint in any
     # order of lifts, so a FIFO worklist converges to the same measure as a
     # sweep over all vertices: a vertex is revisited only when one of its
-    # successors was lifted.  ``prog`` is monotone in the successor's
-    # measure, so the best option is ``prog`` of the best successor measure.
+    # successors was lifted.  The lift is monotone in the successor's
+    # measure, so the best option is the lift of the best successor measure.
     queue = deque(range(n))
     queued = [True] * n
     while queue:
         v = queue.popleft()
         queued[v] = False
-        succs = gmax.successors[v]
-        pick = value[succs[0]]
-        if gmax.owner[v] == EVEN:
-            for w in succs[1:]:
-                if less(value[w], pick):
-                    pick = value[w]
+        if owner[v] == EVEN:
+            m = min(map(value.__getitem__, successors[v]))
         else:
-            for w in succs[1:]:
-                if less(pick, value[w]):
-                    pick = value[w]
-        best = prog(v, pick)
-        if less(value[v], best):
-            value[v] = best
+            m = max(map(value.__getitem__, successors[v]))
+        m += step[v] - m % keep[v]
+        if m > top:
+            m = top
+        if m > value[v]:
+            value[v] = m
             for p in gmax.predecessors[v]:
                 if not queued[p]:
                     queued[p] = True
                     queue.append(p)
 
-    even_wins = [value[v] is not TOP for v in range(n)]
     strategy: dict[int, int] = {}
     for v in range(n):
-        if even_wins[v] and gmax.owner[v] == EVEN:
-            # prog is monotone: the least successor measure has the least prog
-            strategy[v] = min(
-                gmax.successors[v],
-                key=lambda w: ((1,) if value[w] is TOP else (0, value[w]), w),
-            )
-    return measure, even_wins, strategy
+        if value[v] < top and owner[v] == EVEN:
+            # successors ascend, so ties go to the least one
+            strategy[v] = min(successors[v], key=value.__getitem__)
+    return value, top, count, strategy
 
 
 def progress_measure(game: Game) -> ProgressMeasure:
     """Converged measure of the max-converted game (diagnostic view of the
-    lifting run behind the even half of :func:`solve_spm`): a vertex is
-    top exactly when the odd player wins it."""
-    measure, _, _ = _spm_even_half(game)
-    return measure
+    lifting run behind the even half of :func:`solve_spm`), decoded into
+    tuples: a vertex is top exactly when the odd player wins it."""
+    value, top, count, _ = _spm_even_half(game)
+    odd_ps = [p for p in range(len(count) - 1, 0, -1) if p % 2]
+    bounds = [count[p] for p in odd_ps]
+
+    def digits(m: int) -> tuple[int, ...] | None:
+        if m == top:
+            return TOP
+        out = []
+        for b in reversed(bounds):
+            m, r = divmod(m, b + 1)
+            out.append(r)
+        return tuple(reversed(out))
+
+    return ProgressMeasure(odd_ps, bounds, list(map(digits, value)))
 
 
 def solve_spm(game: Game) -> Solution:
@@ -329,7 +329,7 @@ def solve_spm(game: Game) -> Solution:
     player's side comes from the dual game (owners swapped, priorities
     shifted by one), whose even player coincides with the original odd one.
     """
-    _, even_wins, even_moves = _spm_even_half(game)
+    even_value, even_top, _, even_moves = _spm_even_half(game)
     dual = Game._from_normalised(
         tuple([p + 1 for p in game.priority]),
         tuple([1 - o for o in game.owner]),
@@ -337,11 +337,11 @@ def solve_spm(game: Game) -> Solution:
         game.predecessors,
         game.names,
     )
-    _, odd_wins, odd_moves = _spm_even_half(dual)
+    odd_value, odd_top, _, odd_moves = _spm_even_half(dual)
     for v in game.vertices():
-        if even_wins[v] == odd_wins[v]:
+        if (even_value[v] < even_top) == (odd_value[v] < odd_top):
             raise RuntimeError(f"progress measure halves disagree at vertex {v}")
-    winner = [EVEN if even_wins[v] else ODD for v in game.vertices()]
+    winner = [EVEN if m < even_top else ODD for m in even_value]
     return Solution(
         winner,
         Strategy(EVEN, even_moves),

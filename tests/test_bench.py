@@ -10,6 +10,7 @@ from paritygame.bench import (
     records_to_csv,
     run_benchmark,
 )
+from paritygame.cli import cli_dispatch
 
 
 def small_grid():
@@ -104,6 +105,33 @@ def test_winner_mismatch_beyond_vertex_0_aborts(monkeypatch):
             methods=("direct", "stuttering+solve"),
             repetitions=1,
         )
+
+
+def test_rejected_lifted_strategy_aborts(monkeypatch, tmp_path, capsys):
+    # a lifting that redirects one winning move to a vertex the game lacks
+    real = bench.lift_solution
+
+    def corrupt_one_move(game, *reduction):
+        lifted = real(game, *reduction)
+        moves = lifted.strategy_even.moves
+        moves[min(moves)] = game.vertex_count
+        return lifted
+
+    monkeypatch.setattr(bench, "lift_solution", corrupt_one_move)
+    game = gen_random(30, 3, 3, 7)
+    with pytest.raises(
+        WinnerMismatchError,
+        match=r"game random-30: stuttering\+solve/zielonka lifted strategy of player 0 "
+        r"rejected: strategy move is not a game edge",
+    ):
+        run_benchmark([("random-30", game)], repetitions=1)
+    # the methods that are not lifted still pass
+    run_benchmark([("random-30", game)], ("direct", "strong+solve"), repetitions=1)
+    code = cli_dispatch(
+        ["bench", "--family", "random", "--n", "30", "--seed", "7", "-o", str(tmp_path / "b.csv")]
+    )
+    assert code == 1
+    assert "lifted strategy of player 0 rejected" in capsys.readouterr().err
 
 
 def test_rejects_unknown_method():

@@ -10,6 +10,7 @@ from paritygame import (
     ODD,
     FormatError,
     Game,
+    Strategy,
     convert_priorities,
     gen_chain,
     gen_random,
@@ -182,6 +183,16 @@ def test_solution_move_only_when_winner_owns(g1):
     text = write_solution(g1, sol.winner, sol.strategy_even, sol.strategy_odd)
     # vertex 1 is odd-owned but even-won: no move column
     assert text.splitlines()[2] == "1 0;"
+
+
+def test_write_solution_rejects_inconsistent_input():
+    g = Game([0, 1], [EVEN, ODD], [[1], [0]])
+    with pytest.raises(ValueError, match="vertex 0 is won by its owner 0"):
+        write_solution(g, [EVEN, EVEN], Strategy(EVEN, {}), Strategy(ODD, {}))
+    with pytest.raises(ValueError, match="length 1 for 2 vertices: vertex 1"):
+        write_solution(g, [EVEN], Strategy(EVEN, {0: 1}), Strategy(ODD, {}))
+    with pytest.raises(ValueError, match="length 3 for 2 vertices: vertex 2"):
+        write_solution(g, [EVEN] * 3, Strategy(EVEN, {0: 1}), Strategy(ODD, {}))
 
 
 def test_parse_solution_rejects_garbage():

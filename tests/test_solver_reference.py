@@ -15,6 +15,7 @@ import sys
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
 
 from paritygame import (
     EVEN,
@@ -31,7 +32,7 @@ from paritygame import (
 )
 from paritygame.solvers import TOP, ProgressMeasure
 
-from helpers import alternating_chain, priority_ladder
+from helpers import alternating_chain, priority_ladder, small_games
 
 
 def _attract(
@@ -264,6 +265,29 @@ def _solver_heavy_spm_games():
     return [gen_random(100, 3, 3, 0), gen_random(60, 3, 7, 0)]
 
 
+def _lattice_edge_games():
+    """Games at the edges of the measure lattice."""
+    # every priority 0: no odd digit, so top is 1 and nothing reaches it
+    games = [gen_random(1 + s % 8, 3, 0, s) for s in range(8)]
+    # odd priorities that skip values leave digits of bound 0 between the
+    # occupied ones, which every carry must pass over
+    for i, values in enumerate(([0, 4, 5], [0, 1, 5], [1, 6, 7], [0, 3, 8, 9], [2, 3, 9])):
+        for s in range(12):
+            g = gen_random(2 + s % 9, 3, len(values) - 1, 100 * i + s)
+            games.append(Game([values[p] for p in g.priority], g.owner, g.successors))
+    # an EVEN-owned cycle over 70 odd priorities: top is 2**70, beyond
+    # machine words, and the odd player wins everywhere
+    games.append(
+        Game([2 * i + 1 for i in range(70)], [EVEN] * 70, [[(i + 1) % 70] for i in range(70)])
+    )
+    # an ODD-owned vertex whose lift carries over three digits (two of
+    # them of bound 0) into the most significant one
+    games.append(
+        Game([7, 1, 4, 0, 7], [ODD, ODD, EVEN, EVEN, EVEN], [[0, 2], [2, 4], [1, 3], [2, 3], [1]])
+    )
+    return games
+
+
 ZIELONKA_FAMILIES = {
     "criterion-1": _criterion_1_games,
     "wider-random": _wider_random_games,
@@ -275,7 +299,11 @@ ZIELONKA_FAMILIES = {
 
 # Measure lifting on a priority ladder of n vertices makes about 2^(n/2)
 # lifts, so the ladders stay small here.
-SPM_FAMILIES = {**ZIELONKA_FAMILIES, "ladders": lambda: _ladders(range(1, 13))}
+SPM_FAMILIES = {
+    **ZIELONKA_FAMILIES,
+    "ladders": lambda: _ladders(range(1, 13)),
+    "lattice-edges": _lattice_edge_games,
+}
 
 
 @pytest.mark.parametrize("family", sorted(ZIELONKA_FAMILIES))
@@ -290,3 +318,10 @@ def test_spm_matches_sweep_reference(family):
         assert _as_items(solve_spm(g)) == _as_items(reference_spm(g)), i
         reference_measure, _, _ = reference_spm_even_half(g)
         assert progress_measure(g).value == reference_measure.value, i
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(small_games(max_vertices=9, max_priority=11, max_successors=3))
+def test_spm_matches_sweep_reference_property(g):
+    assert progress_measure(g).value == reference_spm_even_half(g)[0].value
+    assert _as_items(solve_spm(g)) == _as_items(reference_spm(g))
