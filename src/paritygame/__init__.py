@@ -10,11 +10,13 @@ from .game import (
     GameStats,
     Play,
     Strategy,
+    VerifyResult,
     convert_priorities,
     distance,
     play_from,
     stats,
     validate,
+    verify_strategy,
 )
 from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
 from .io import FormatError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
@@ -37,13 +39,7 @@ from .solvers import (
     solve_spm,
     solve_zielonka,
 )
-from .strategy import (
-    LiftContext,
-    VerifyResult,
-    lift_solution,
-    lift_strategy,
-    verify_strategy,
-)
+from .strategy import LiftContext, lift_solution, lift_strategy
 
 __version__ = "0.1.0"
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .game import EVEN, ODD, Game
+from .game import EVEN, ODD, Game, verify_strategy
 from .reduction import quotient, refine_strong, refine_stuttering
 from .solvers import solve
-from .strategy import lift_solution, verify_strategy
+from .strategy import lift_solution
 
 METHODS = ("direct", "strong+solve", "stuttering+solve")
 CSV_SCHEMA_COMMENT = "# paritygame bench csv, schema v1; times are milliseconds"

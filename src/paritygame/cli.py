@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .game import EVEN, ODD, Game, Strategy, convert_priorities, stats
+from .game import EVEN, ODD, Game, Strategy, convert_priorities, stats, verify_strategy
 from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
 from .io import (
     FormatError,
@@ -26,7 +26,6 @@ from .io import (
 )
 from .reduction import quotient, refine_strong, refine_stuttering, write_partition
 from .solvers import solve
-from .strategy import verify_strategy
 
 
 class _UsageError(Exception):

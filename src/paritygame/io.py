@@ -154,13 +154,18 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     """Serialise winners and winning moves; the move column is present
     exactly at vertices owned by their winner.  Raises :class:`ValueError`
     naming the vertex when ``winner`` does not cover exactly the game's
-    vertices or a strategy lacks the move of a vertex its owner wins."""
+    vertices, names a player other than 0 and 1, or a strategy lacks the
+    move of a vertex its owner wins."""
     n = game.vertex_count
     if len(winner) != n:
         raise ValueError(
             f"winner vector of length {len(winner)} for {n} vertices: "
             f"vertex {min(len(winner), n)} is unmatched"
         )
+    if winner.count(EVEN) + winner.count(ODD) != n:
+        for v, w in enumerate(winner):
+            if w not in (EVEN, ODD):
+                raise ValueError(f"vertex {v}: winner {w!r} is not {EVEN} (even) or {ODD} (odd)")
     moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
     out = [f"solution {n - 1};"]
     try:

@@ -8,8 +8,14 @@ strategies for both players:
   subgame-local levels (no Python recursion, no full-width masks);
 * :func:`solve_spm` — small progress measures, run on the max-converted
   game (the lattice's standard presentation) and lifted from a predecessor
-  worklist, with the second player's strategy obtained from the dual game;
-  a measure is one mixed-radix integer, which :func:`progress_measure`
+  worklist, with the second player's strategy obtained from the dual game.
+  The two halves race in slices of one visit per vertex; the first to
+  converge writes the region it wins as top in the other, which is that
+  half's top set at its least fixpoint, so lifting on from there ends at
+  the same measures while skipping the opponent's climb to top.  Each
+  solution is checked twice: every vertex has exactly one winner, and
+  both strategies pass :func:`~paritygame.game.verify_strategy`.  A
+  measure is one mixed-radix integer, which :func:`progress_measure`
   alone decodes into the lattice's tuples;
 * :func:`solve_brute` — strategy enumeration with a one-player cycle
   analysis, usable as an oracle on tiny games.
@@ -29,7 +35,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from .game import EVEN, ODD, Game, Strategy, convert_priorities
+from .game import EVEN, ODD, Game, Strategy, convert_priorities, verify_strategy
 from .graphs import strongly_connected_components
 
 
@@ -239,10 +245,11 @@ class ProgressMeasure:
         return t is TOP or all(0 <= c <= b for c, b in zip(t, self.bounds))
 
 
-def _spm_even_half(game: Game) -> tuple[list[int], int, list[int], dict[int, int]]:
-    """Even player's strategy via measure lifting on the max-converted
-    game; also returns the converged measures, their top and the number of
-    vertices of every priority.
+class _SpmHalf:
+    """The even player's half of small progress measures, as a resumable
+    lifting state on the max-converted game: the measures, a FIFO worklist
+    of the vertices that may lift, and the number of vertices of every
+    priority.
 
     A measure is one integer in mixed radix: the digit of the j-th odd
     priority, most significant first, has radix one more than the number
@@ -252,63 +259,118 @@ def _spm_even_half(game: Game) -> tuple[list[int], int, list[int], dict[int, int
     ``keep[p]`` is the weight of the least significant digit that ``p``
     keeps, ``step[p]`` that of ``p``'s own digit when ``p`` is odd, and the
     addition carries over the digits at their bound, up to top.
-    """
-    gmax = convert_priorities(game, "min_to_max")
-    priority, owner, successors = gmax.priority, gmax.owner, gmax.successors
-    count = [0] * (max(priority, default=0) + 1)
-    for p in priority:
-        count[p] += 1
-    keep = [0] * len(count)
-    step = [0] * len(count)
-    top = 1
-    for p, c in enumerate(count):
-        keep[p] = top
-        if p % 2:
-            step[p] = top
-            top *= c + 1
-    n = gmax.vertex_count
-    keep = list(map(keep.__getitem__, priority))
-    step = list(map(step.__getitem__, priority))
-    value = [0] * n
-    # Chaotic iteration from the bottom reaches the least fixpoint in any
-    # order of lifts, so a FIFO worklist converges to the same measure as a
-    # sweep over all vertices: a vertex is revisited only when one of its
-    # successors was lifted.  The lift is monotone in the successor's
-    # measure, so the best option is the lift of the best successor measure.
-    queue = deque(range(n))
-    queued = [True] * n
-    while queue:
-        v = queue.popleft()
-        queued[v] = False
-        if owner[v] == EVEN:
-            m = min(map(value.__getitem__, successors[v]))
-        else:
-            m = max(map(value.__getitem__, successors[v]))
-        m += step[v] - m % keep[v]
-        if m > top:
-            m = top
-        if m > value[v]:
-            value[v] = m
-            for p in gmax.predecessors[v]:
-                if not queued[p]:
-                    queued[p] = True
-                    queue.append(p)
 
-    strategy: dict[int, int] = {}
-    for v in range(n):
-        if value[v] < top and owner[v] == EVEN:
-            # successors ascend, so ties go to the least one
-            strategy[v] = min(successors[v], key=value.__getitem__)
-    return value, top, count, strategy
+    Chaotic iteration from any measure below the least fixpoint reaches
+    that fixpoint, in any order of lifts (Jurdziński, STACS 2000): every
+    lift stays below it, since the lift is monotone, and a measure that no
+    vertex can lift is at or above it.  So :meth:`run` may stop and resume
+    anywhere, and :meth:`seed` may raise to top any vertex that is top at
+    the least fixpoint.
+    """
+
+    __slots__ = (
+        "owner", "successors", "predecessors", "keep", "step", "top", "count",
+        "value", "queue", "queued",
+    )
+
+    def __init__(self, game: Game):
+        gmax = convert_priorities(game, "min_to_max")
+        priority = gmax.priority
+        count = [0] * (max(priority, default=0) + 1)
+        for p in priority:
+            count[p] += 1
+        keep = [0] * len(count)
+        step = [0] * len(count)
+        top = 1
+        for p, c in enumerate(count):
+            keep[p] = top
+            if p % 2:
+                step[p] = top
+                top *= c + 1
+        n = gmax.vertex_count
+        self.owner, self.successors, self.predecessors = gmax.owner, gmax.successors, gmax.predecessors
+        self.keep = list(map(keep.__getitem__, priority))
+        self.step = list(map(step.__getitem__, priority))
+        self.top = top
+        self.count = count
+        self.value = [0] * n
+        # A vertex is revisited only when one of its successors was lifted,
+        # so the worklist converges to the same measure as a sweep over all
+        # vertices.  The lift is monotone in the successor's measure, so
+        # the best option is the lift of the best successor measure.
+        self.queue = deque(range(n))
+        self.queued = [True] * n
+
+    def run(self, budget: int) -> bool:
+        """Visit at most ``budget`` queued vertices, lifting each as far as
+        its successors allow; returns whether the measure has converged."""
+        owner, successors, predecessors = self.owner, self.successors, self.predecessors
+        keep, step, top, value = self.keep, self.step, self.top, self.value
+        queue, queued = self.queue, self.queued
+        popleft, append = queue.popleft, queue.append
+        for _ in itertools.repeat(None, budget):
+            if not queue:
+                return True
+            v = popleft()
+            queued[v] = False
+            if owner[v] == EVEN:
+                m = min(map(value.__getitem__, successors[v]))
+            else:
+                m = max(map(value.__getitem__, successors[v]))
+            m += step[v] - m % keep[v]
+            if m > top:
+                m = top
+            if m > value[v]:
+                value[v] = m
+                for p in predecessors[v]:
+                    if not queued[p]:
+                        queued[p] = True
+                        append(p)
+        return not queue
+
+    def seed(self, lost) -> None:
+        """Raise every vertex of ``lost`` to top and queue the predecessors
+        of those that were below it."""
+        predecessors, top, value = self.predecessors, self.top, self.value
+        queued, append = self.queued, self.queue.append
+        for v in lost:
+            if value[v] < top:
+                value[v] = top
+                for p in predecessors[v]:
+                    if not queued[p]:
+                        queued[p] = True
+                        append(p)
+
+    def won(self) -> list[int]:
+        """The vertices below top: those the even player wins, once the
+        measure has converged."""
+        top = self.top
+        return [v for v, m in enumerate(self.value) if m < top]
+
+    def strategy(self) -> dict[int, int]:
+        """The even player's moves at the even vertices it wins: to a
+        successor of least measure, the least such one on ties."""
+        value, top, owner, successors = self.value, self.top, self.owner, self.successors
+        return {
+            v: min(successors[v], key=value.__getitem__)
+            for v in range(len(value))
+            if value[v] < top and owner[v] == EVEN
+        }
 
 
 def progress_measure(game: Game) -> ProgressMeasure:
-    """Converged measure of the max-converted game (diagnostic view of the
-    lifting run behind the even half of :func:`solve_spm`), decoded into
-    tuples: a vertex is top exactly when the odd player wins it."""
-    value, top, count, _ = _spm_even_half(game)
-    odd_ps = [p for p in range(len(count) - 1, 0, -1) if p % 2]
-    bounds = [count[p] for p in odd_ps]
+    """Converged measure of the max-converted game, decoded into tuples: a
+    vertex is top exactly when the odd player wins it.
+
+    This is the even half of :func:`solve_spm` run to convergence on its
+    own, unseeded; the race in :func:`solve_spm` ends at the same measure.
+    """
+    half = _SpmHalf(game)
+    while not half.run(game.vertex_count):
+        pass
+    top = half.top
+    odd_ps = [p for p in range(len(half.count) - 1, 0, -1) if p % 2]
+    bounds = [half.count[p] for p in odd_ps]
 
     def digits(m: int) -> tuple[int, ...] | None:
         if m == top:
@@ -319,17 +381,29 @@ def progress_measure(game: Game) -> ProgressMeasure:
             out.append(r)
         return tuple(reversed(out))
 
-    return ProgressMeasure(odd_ps, bounds, list(map(digits, value)))
+    return ProgressMeasure(odd_ps, bounds, list(map(digits, half.value)))
 
 
 def solve_spm(game: Game) -> Solution:
-    """Small progress measures for both players.
+    """Small progress measures for both players, raced against each other.
 
-    The primal run yields the even player's region and strategy; the odd
-    player's side comes from the dual game (owners swapped, priorities
-    shifted by one), whose even player coincides with the original odd one.
+    The primal half lifts the even player's measures on the game; the dual
+    half lifts them on the dual game (owners swapped, priorities shifted by
+    one), whose even player is the original odd one.  The halves take
+    turns of n visits, n being the vertex count.  When one converges, the
+    vertices it wins are exactly the other half's top set at its least
+    fixpoint (after Gazda and Willemse, "Improvement in Small Progress
+    Measures", GandALF 2015): they are written as top there, and the other
+    half runs on to convergence.  Lifting from below the least fixpoint
+    reaches it (see :class:`_SpmHalf`), so the measures, winners and
+    strategies are those of two independent runs; where the opponent wins,
+    the seeded half skips its climb to top one step per lap.
+
+    The seed makes the halves' agreement a weaker check, so two checks
+    guard the result, each raising :class:`RuntimeError`: every vertex is
+    won by exactly one half, and both strategies pass
+    :func:`~paritygame.game.verify_strategy` on the regions they claim.
     """
-    even_value, even_top, _, even_moves = _spm_even_half(game)
     dual = Game._from_normalised(
         tuple([p + 1 for p in game.priority]),
         tuple([1 - o for o in game.owner]),
@@ -337,16 +411,29 @@ def solve_spm(game: Game) -> Solution:
         game.predecessors,
         game.names,
     )
-    odd_value, odd_top, _, odd_moves = _spm_even_half(dual)
-    for v in game.vertices():
-        if (even_value[v] < even_top) == (odd_value[v] < odd_top):
+    halves = (_SpmHalf(game), _SpmHalf(dual))
+    n = game.vertex_count
+    turn = 0
+    while not halves[turn].run(n):
+        turn = 1 - turn
+    rest = halves[1 - turn]
+    rest.seed(halves[turn].won())
+    while not rest.run(n):
+        pass
+    even, odd = halves
+    for v in range(n):
+        if (even.value[v] < even.top) == (odd.value[v] < odd.top):
             raise RuntimeError(f"progress measure halves disagree at vertex {v}")
-    winner = [EVEN if m < even_top else ODD for m in even_value]
-    return Solution(
-        winner,
-        Strategy(EVEN, even_moves),
-        Strategy(ODD, odd_moves),
-    )
+    winner = [EVEN if m < even.top else ODD for m in even.value]
+    solution = Solution(winner, Strategy(EVEN, even.strategy()), Strategy(ODD, odd.strategy()))
+    for player in (EVEN, ODD):
+        verdict = verify_strategy(game, player, solution.region(player), solution.strategy(player))
+        if not verdict:
+            raise RuntimeError(
+                f"progress measure strategy of player {player} rejected: "
+                f"{verdict.reason} {verdict.witness}"
+            )
+    return solution
 
 
 # ---------------------------------------------------------------------------

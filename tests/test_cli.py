@@ -2,7 +2,16 @@
 
 import pytest
 
-from paritygame import ODD, gen_chain, parse_pgsolver, write_pgsolver
+from paritygame import (
+    ODD,
+    Game,
+    gen_chain,
+    gen_random,
+    parse_pgsolver,
+    parse_solution,
+    solve,
+    write_pgsolver,
+)
 from paritygame.cli import cli_dispatch
 
 G1_MIN_TEXT = "parity 1;\n0 0 0 1;\n1 1 1 0;"
@@ -100,6 +109,23 @@ def test_verify_rejects_wrong_solution(tmp_path, capsys):
     assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 1
     err = capsys.readouterr().err
     assert "cycle" in err
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["game", "dual"])
+def test_spm_solution_verifies(tmp_path, capsys, dual):
+    # SPM's remainder of this game is 250 vertices, enough for the two
+    # progress measure halves to race and one to seed the other
+    g = gen_random(400, 3, 3, 3)
+    if dual:
+        g = Game([p + 1 for p in g.priority], [1 - o for o in g.owner], g.successors)
+    f = write_game(tmp_path / "g.gm", write_pgsolver(g))
+    assert cli_dispatch(["--convention", "min", "solve", "--algorithm", "spm", f]) == 0
+    sol_file = tmp_path / "g.sol"
+    sol_file.write_text(capsys.readouterr().out, encoding="ascii")
+    assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 0
+    assert "verified" in capsys.readouterr().out
+    winner, _ = parse_solution(sol_file.read_bytes())
+    assert winner == solve(g, "zielonka").winner
 
 
 def test_bench_family_grid(tmp_path):

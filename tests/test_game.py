@@ -70,14 +70,15 @@ def test_priority_flips_equal_freshly_constructed_games(monkeypatch):
     games = [gen_random(1 + seed % 15, 3, 1 + seed % 6, seed) for seed in range(20)]
     games.append(Game([0, 3, 2], [EVEN, ODD, ODD], [[1], [1, 0], [0]], names=["x", "", None]))
     games.append(Game([4, 1], [ODD, EVEN], [[1, 5], [0]]))  # a dangling edge
-    real_even_half = solvers._spm_even_half
+    # the games solve_spm lifts on are the ones its two halves are built on
+    real_init = solvers._SpmHalf.__init__
     halves = []
 
-    def recording_even_half(game):
+    def recording_init(half, game):
         halves.append(game)
-        return real_even_half(game)
+        real_init(half, game)
 
-    monkeypatch.setattr(solvers, "_spm_even_half", recording_even_half)
+    monkeypatch.setattr(solvers._SpmHalf, "__init__", recording_init)
     for g in games:
         for direction in ("max_to_min", "min_to_max"):
             flipped = convert_priorities(g, direction)

@@ -195,6 +195,18 @@ def test_write_solution_rejects_inconsistent_input():
         write_solution(g, [EVEN] * 3, Strategy(EVEN, {0: 1}), Strategy(ODD, {}))
 
 
+@pytest.mark.parametrize(
+    "winner, vertex",
+    [([2, 0], 0), ([EVEN, -1], 1), ([ODD, None], 1), ([EVEN, "1"], 1)],
+)
+def test_write_solution_rejects_a_winner_that_is_no_player(winner, vertex):
+    # before the check, [2, 0] gave "solution 1;\n0 2;\n1 0;", text that
+    # parse_solution refuses
+    g = Game([0, 1], [EVEN, ODD], [[1], [0]])
+    with pytest.raises(ValueError, match=rf"^vertex {vertex}: winner .* is not 0 \(even\) or 1 \(odd\)$"):
+        write_solution(g, winner, Strategy(EVEN, {}), Strategy(ODD, {}))
+
+
 def test_parse_solution_rejects_garbage():
     with pytest.raises(FormatError):
         parse_solution("solution 0;\n0 2;")

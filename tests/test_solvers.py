@@ -3,6 +3,7 @@ and the preprocessing driver behind ``solve``."""
 
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,12 @@ from paritygame import (
     solve_zielonka,
     verify_strategy,
 )
+import paritygame.solvers as solvers
 from paritygame.generators import Xoshiro256StarStar
 
 from helpers import alternating_chain, priority_ladder, small_games
 from test_refinement_reference import game_zoo
+from test_solver_reference import SPM_FAMILIES
 
 
 def test_attractor_chain_pulls_everything():
@@ -290,3 +293,118 @@ def test_spm_driver_is_linear_on_a_chain_that_preprocessing_leaves_whole():
     t0 = time.perf_counter()
     assert_solves(g, solve(g, "spm"), [ODD] * 20001)
     assert time.perf_counter() - t0 < 10.0
+
+
+# ---------------------------------------------------------------------------
+# The race between solve_spm's two halves.
+
+
+@contextmanager
+def recorded_halves():
+    """Record the lifting states solve_spm builds, and the budget of every
+    slice they run, while the block is active."""
+    halves, budgets = [], []
+    real_init, real_run = solvers._SpmHalf.__init__, solvers._SpmHalf.run
+
+    def init(half, game):
+        real_init(half, game)
+        halves.append(half)
+
+    def run(half, budget):
+        budgets.append(budget)
+        return real_run(half, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._SpmHalf, "__init__", init)
+        mp.setattr(solvers._SpmHalf, "run", run)
+        yield halves, budgets
+
+
+def dual_game(g: Game) -> Game:
+    return Game([p + 1 for p in g.priority], [1 - o for o in g.owner], g.successors)
+
+
+def unseeded_measure(g: Game) -> list[int]:
+    half = solvers._SpmHalf(g)
+    while not half.run(g.vertex_count):
+        pass
+    return half.value
+
+
+def assert_race_ends_at_unseeded_measures(g: Game):
+    with recorded_halves() as (halves, _):
+        solve_spm(g)
+    primal, dual = halves
+    assert primal.value == unseeded_measure(g)
+    assert dual.value == unseeded_measure(dual_game(g))
+
+
+@pytest.mark.parametrize("family", sorted(SPM_FAMILIES))
+def test_raced_halves_end_at_the_unseeded_measures(family):
+    for i, g in enumerate(SPM_FAMILIES[family]()):
+        try:
+            assert_race_ends_at_unseeded_measures(g)
+        except AssertionError as exc:
+            raise AssertionError(f"game {i}") from exc
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(small_games(max_vertices=9, max_priority=11, max_successors=3))
+def test_raced_halves_end_at_the_unseeded_measures_property(g):
+    assert_race_ends_at_unseeded_measures(g)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["game", "dual"])
+@pytest.mark.parametrize("n", [400, 800])
+def test_spm_race_has_no_counting_cliff(n, dual):
+    # Solved by independent halves, these remainders took 355 (n = 400)
+    # and 465 (n = 800) visits per vertex, the opponent's measures climbing
+    # to top one step per lap.  A slice visits at most its budget.
+    g = gen_random(n, 3, 3, 3)
+    if dual:
+        g = dual_game(g)
+    with recorded_halves() as (halves, budgets):
+        sol = solve(g, "spm")
+    remainder = sum(len(half.value) for half in halves) // 2
+    assert remainder > n // 2
+    assert sum(budgets) <= 20 * remainder
+    assert_solves(g, sol, solve_zielonka(g).winner)
+
+
+def test_spm_rejects_a_seed_with_one_extra_vertex():
+    # The extra vertex is top in the half that converged first, and the
+    # seed makes it top in the other: no half wins it.  The seeded measure
+    # is still a progress measure, so its strategy verifies on what it
+    # claims; the check that every vertex has exactly one winner fires.
+    g = gen_random(40, 3, 3, 3)
+    won = solve_zielonka(g).region(EVEN)
+    assert 0 < len(won) < g.vertex_count
+    real_seed = solvers._SpmHalf.seed
+
+    def corrupted(half, lost):
+        lost = list(lost)
+        real_seed(half, lost + [min(set(g.vertices()) - set(lost))])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._SpmHalf, "seed", corrupted)
+        with pytest.raises(RuntimeError, match="progress measure halves disagree at vertex"):
+            solve_spm(g)
+
+
+def test_spm_rejects_a_strategy_that_does_not_verify(g4):
+    # vertex 0 wins by moving to the even self-loop 1; redirected to the
+    # odd self-loop 2, the winners still agree but the strategy loses
+    real_strategy = solvers._SpmHalf.strategy
+
+    def corrupted(half):
+        moves = real_strategy(half)
+        if 0 in moves:
+            moves[0] = 2
+        return moves
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._SpmHalf, "strategy", corrupted)
+        with pytest.raises(
+            RuntimeError, match=r"strategy of player 0 rejected: strategy leaves the region \(0, 2\)"
+        ):
+            solve_spm(g4)

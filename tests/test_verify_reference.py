@@ -36,7 +36,7 @@ from paritygame import (
     verify_strategy,
 )
 from paritygame.generators import Xoshiro256StarStar
-from paritygame.strategy import _find_cycle
+from paritygame.game import _find_cycle
 
 from helpers import alternating_chain, priority_ladder, small_games
 from test_graphs_reference import reference_sccs
