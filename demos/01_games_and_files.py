@@ -11,7 +11,6 @@ from paritygame import (
     Game,
     Strategy,
     convert_priorities,
-    distance,
     parse_pgsolver,
     play_from,
     stats,
@@ -28,10 +27,6 @@ game = Game(
 )
 print("violations:", validate(game))
 print("stats:", stats(game))
-
-# Distances feed the deterministic tie-breaking used everywhere.
-print("distance 0 -> 2:", distance(game, 0, 2))
-print("distance 1 -> 2:", distance(game, 1, 2), "(the self-loop traps us)")
 
 # Fix both players' moves and unfold the unique play from vertex 0.
 even_strategy = Strategy(EVEN, {0: 1, 1: 1})

@@ -4,7 +4,6 @@ of quotient strategies back to the original game."""
 
 from .game import (
     EVEN,
-    INFINITY,
     ODD,
     Game,
     GameStats,
@@ -12,7 +11,6 @@ from .game import (
     Strategy,
     VerifyResult,
     convert_priorities,
-    distance,
     play_from,
     stats,
     validate,
@@ -22,8 +20,6 @@ from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
 from .io import FormatError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
 from .reduction import (
     Partition,
-    compute_divergent,
-    initial_partition,
     quotient,
     refine_strong,
     refine_stuttering,
@@ -46,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EVEN",
     "ODD",
-    "INFINITY",
     "Game",
     "GameStats",
     "Play",
@@ -59,17 +54,14 @@ __all__ = [
     "FormatError",
     "validate",
     "stats",
-    "distance",
     "play_from",
     "convert_priorities",
     "parse_pgsolver",
     "write_pgsolver",
     "parse_solution",
     "write_solution",
-    "initial_partition",
     "refine_strong",
     "refine_stuttering",
-    "compute_divergent",
     "quotient",
     "write_partition",
     "attractor",

@@ -1,6 +1,6 @@
 """Core parity game representation: games, memoryless strategies and
 their verifier (:func:`verify_strategy`), eventually-periodic plays
-(:func:`play_from`), graph distance and priority conversion.
+(:func:`play_from`) and priority conversion.
 
 A parity game is a total directed graph whose vertices carry a natural
 priority and an owning player.  The winner of an infinite play is decided
@@ -14,7 +14,6 @@ for all deterministic tie-breaking is plain ascending index.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
@@ -24,9 +23,6 @@ from .graphs import strongly_connected_components
 
 EVEN = 0
 ODD = 1
-
-#: Distance value for unreachable vertices.
-INFINITY = math.inf
 
 
 class Game:
@@ -54,15 +50,17 @@ class Game:
             raise ValueError("priority, owner and successors must have equal length")
         if names is not None and len(names) != n:
             raise ValueError("names must have one entry per vertex")
+        # ``count`` and ``min`` compare by value, so ``True`` and ``1.0``
+        # would pass them; the type check keeps both scans in C.
         owner = tuple(owner)
-        if owner.count(EVEN) + owner.count(ODD) != n:
+        if not set(map(type, owner)) <= {int} or owner.count(EVEN) + owner.count(ODD) != n:
             for v, p in enumerate(owner):
-                if p not in (EVEN, ODD):
+                if type(p) is not int or p not in (EVEN, ODD):
                     raise ValueError(f"vertex {v}: owner must be {EVEN} (even) or {ODD} (odd)")
         priority = tuple(priority)
-        if min(priority, default=0) < 0:
+        if not set(map(type, priority)) <= {int} or min(priority, default=0) < 0:
             for v, p in enumerate(priority):
-                if p < 0:
+                if type(p) is not int or p < 0:
                     raise ValueError(f"vertex {v}: priority must be a natural number")
         self.priority = priority
         self.owner = owner
@@ -296,24 +294,6 @@ def stats(game: Game) -> GameStats:
         priority_count=len(present),
         priorities_present=present,
     )
-
-
-def distance(game: Game, v: int, u: int) -> int | float:
-    """Least number of edges from ``v`` to ``u``; ``INFINITY`` when ``u`` is
-    unreachable, 0 when ``v == u``."""
-    if v == u:
-        return 0
-    seen = {v}
-    frontier = deque([(v, 0)])
-    while frontier:
-        x, d = frontier.popleft()
-        for w in game.successors[x]:
-            if w == u:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    return INFINITY
 
 
 def play_from(

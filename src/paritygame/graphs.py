@@ -1,13 +1,12 @@
-"""Small graph helpers shared by the refinement engine, the solvers, the
-strategy lifting and the strategy verifier: iterative strongly-connected
-components and the set of vertices admitting an infinite path.
+"""Iterative strongly connected components, shared by the stuttering
+refinement's inert condensation, the solvers and the strategy verifier.
 
-Both take the subgraph's vertices ``nodes`` and a successor table
-``succ``, indexed by vertex: a tuple or list over the whole game, or a
-dict over ``nodes``.  ``succ[v]`` may mention vertices outside ``nodes``;
-those are ignored.  All state lives in dicts keyed by ``nodes``, so a call
-costs time linear in ``nodes`` and the edges leaving them, however large
-the table is.
+:func:`strongly_connected_components` takes the subgraph's vertices
+``nodes`` and a successor table ``succ``, indexed by vertex: a tuple or
+list over the whole game, or a dict over ``nodes``.  ``succ[v]`` may
+mention vertices outside ``nodes``; those are ignored.  All state lives in
+a dict keyed by ``nodes``, so a call costs time linear in ``nodes`` and
+the edges leaving them, however large the table is.
 """
 
 from __future__ import annotations
@@ -77,33 +76,3 @@ def strongly_connected_components(
                     if lv < low[parent]:
                         low[parent] = lv
     return sccs
-
-
-def vertices_with_infinite_path(nodes: Iterable[int], succ: SuccessorTable) -> set[int]:
-    """Vertices from which an infinite path exists inside the subgraph
-    spanned by ``nodes``.
-
-    Computed by repeatedly peeling vertices without remaining successors;
-    whatever survives can reach a cycle.
-    """
-    preds: dict[int, list[int]] = {v: [] for v in nodes}
-    out_deg: dict[int, int] = {}
-    for v in preds:
-        k = 0
-        for w in succ[v]:
-            if w in preds:
-                k += 1
-                preds[w].append(v)
-        out_deg[v] = k
-    queue = [v for v, k in out_deg.items() if k == 0]
-    dead = set(queue)
-    while queue:
-        v = queue.pop()
-        for p in preds[v]:
-            if p in dead:
-                continue
-            out_deg[p] -= 1
-            if out_deg[p] == 0:
-                dead.add(p)
-                queue.append(p)
-    return set(preds) - dead

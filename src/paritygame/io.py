@@ -139,12 +139,16 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
 
 def write_pgsolver(game: Game) -> str:
     """Serialise a game, deterministically: ascending vertex order and
-    sorted successor lists, priorities written verbatim (min-parity)."""
+    sorted successor lists, priorities written verbatim (min-parity).
+    The format has no escapes, so a name holding ``"`` or a newline raises
+    :class:`ValueError` naming its vertex."""
     names = game.names or (None,) * game.vertex_count
     out = [f"parity {game.vertex_count - 1};"]
     for v, (p, o, succs, name) in enumerate(
         zip(game.priority, game.owner, game.successors, names)
     ):
+        if name and ('"' in name or "\n" in name):
+            raise ValueError(f"vertex {v}: name {name!r} holds a double quote or a newline")
         label = f' "{name}"' if name else ""
         out.append(f"{v} {p} {o} {','.join(map(str, succs))}{label};")
     return "\n".join(out)
@@ -162,9 +166,9 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
             f"winner vector of length {len(winner)} for {n} vertices: "
             f"vertex {min(len(winner), n)} is unmatched"
         )
-    if winner.count(EVEN) + winner.count(ODD) != n:
+    if not set(map(type, winner)) <= {int} or winner.count(EVEN) + winner.count(ODD) != n:
         for v, w in enumerate(winner):
-            if w not in (EVEN, ODD):
+            if type(w) is not int or w not in (EVEN, ODD):
                 raise ValueError(f"vertex {v}: winner {w!r} is not {EVEN} (even) or {ODD} (odd)")
     moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
     out = [f"solution {n - 1};"]

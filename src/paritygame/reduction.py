@@ -20,9 +20,12 @@ refinement reads the divergence flags off its own result.  Stuttering
 refinement condenses the initial inert graph (the edges inside a
 (priority, owner) class) once: blocks only split and inert cycles never
 do (Groote and Vaandrager, ICALP 1990), so its components, sinks first,
-order the signing in every round.  Both refinements are deterministic,
-since the coarsest stable partition is unique; the test suite checks them
-against relational greatest-fixpoint oracles and earlier engines.
+order the signing in every round.  That condensation is the library's
+only one of the block-internal graph: lifting needs none, and the
+definition the divergence flags are checked against lives with the
+tests' oracles.  Both refinements are deterministic, since the coarsest stable
+partition is unique; the test suite checks them against relational
+greatest-fixpoint oracles and earlier engines.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .game import Game
-from .graphs import strongly_connected_components, vertices_with_infinite_path
+from .graphs import strongly_connected_components
 
 
 @dataclass
@@ -43,7 +46,7 @@ class Partition:
     record whether an infinite path can stay inside the block from the
     representative, and from every member once the partition is stable.
     ``kind`` records which refinement produced the partition
-    (``"initial"``, ``"strong"`` or ``"stuttering"``).
+    (``"strong"`` or ``"stuttering"``).
     """
 
     block_of: list[int]
@@ -84,13 +87,6 @@ def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
     return Partition(block_of, blocks, list(map(diverges, blocks)), kind)
 
 
-def initial_partition(game: Game) -> Partition:
-    """Coarsest partition whose blocks agree on priority and owner."""
-    block_of = _initial_blocks(game)[0]
-    flags = compute_divergent(game, Partition(block_of, [], [], "initial"))
-    return _finalize(block_of, "initial", lambda vs: flags[vs[0]])
-
-
 def _intra_successors(game: Game, block_of: list[int]) -> dict[int, list[int]]:
     """The successors of every vertex inside its own block, for the
     vertices that have one (no other vertex can diverge)."""
@@ -101,15 +97,6 @@ def _intra_successors(game: Game, block_of: list[int]) -> dict[int, list[int]]:
         if inside:
             intra[v] = inside
     return intra
-
-
-def compute_divergent(game: Game, partition: Partition) -> list[bool]:
-    """Per-vertex divergence flags with respect to a partition: a vertex
-    diverges iff it can reach, along intra-block edges, an intra-block
-    cycle."""
-    intra = _intra_successors(game, partition.block_of)
-    alive = vertices_with_infinite_path(intra, intra)
-    return [v in alive for v in game.vertices()]
 
 
 def _refine(

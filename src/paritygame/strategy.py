@@ -13,9 +13,16 @@ the least such successor on ties.  Where the quotient strategy stays put
 successor and the play stays inside the block.
 
 :func:`lift_strategy` computes these moves in one pass per winning block.
-The path-level mimicking construction, which defines the same moves for
-any play, lives in the tests (``tests/lifting_reference.py``) as the
-reference the per-block pass is compared against.
+A one-member block needs no search: its vertex's least successor in ``t``
+is its target and a direct exit.  A larger block groups its exit edges by
+the vertex of ``t`` they enter and runs one backward breadth-first search
+per such vertex ``x``, least first, over in-block predecessors not yet
+claimed.  The search for ``x`` claims exactly the members whose target is
+``x``, each with its distance to an exit onto ``x``; no condensation of
+the block is needed.  The path-level mimicking construction, which
+defines the same moves for any play, lives in the tests
+(``tests/lifting_reference.py``) as the reference the per-block pass is
+compared against.
 
 :func:`verify_strategy`, the independent check a lifted strategy is held
 to, lives in :mod:`paritygame.game` next to :class:`Strategy`, so that the
@@ -24,12 +31,10 @@ solvers can run it too; it is re-exported here.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .game import EVEN, ODD, Game, Strategy
 from .game import VerifyResult, verify_strategy  # re-exported
-from .graphs import strongly_connected_components
 from .reduction import Partition
 from .solvers import Solution
 
@@ -83,10 +88,11 @@ class LiftContext:
 
 def _lift_block(ctx: LiftContext, b: int, moves: dict[int, int]):
     """Record in ``moves`` the lifted move of every member of winning
-    block ``b``, owned by the lifting player, from one pass over the
-    block: the direct edge to the member's target vertex, else the
-    intra-block successor nearest an exit onto it, or the least
-    intra-block successor when the quotient strategy stays on ``b``."""
+    block ``b``, owned by the lifting player: the direct edge to the
+    member's target vertex, else the intra-block successor nearest an exit
+    onto it, or the least intra-block successor when the quotient strategy
+    stays on ``b``.  Targets and distances come from one ordered backward
+    search per entry vertex (see the module docstring)."""
     game = ctx.game
     succ = game.successors
     vmap = ctx.vmap
@@ -94,76 +100,57 @@ def _lift_block(ctx: LiftContext, b: int, moves: dict[int, int]):
     if b not in ctx.quotient_strategy.moves:
         raise ValueError(f"quotient strategy undefined at winning block {b}")
     t = ctx.quotient_strategy.moves[b]
-    if len(members) == 1:
-        # Most blocks of a barely reducible game are singletons: the only
-        # intra-block move is a self-loop, and the least successor in the
-        # target block is both the target vertex and a direct exit.
-        (v,) = members
-        if t == b:
-            if not ctx.partition.divergent[b]:
-                raise ValueError(f"quotient strategy stays at non-divergent block {b}")
-            if v not in succ[v]:
+    if t == b:
+        if not ctx.partition.divergent[b]:
+            raise ValueError(f"quotient strategy stays at non-divergent block {b}")
+        for v in members:
+            stay = next((w for w in succ[v] if vmap[w] == b), None)
+            if stay is None:
                 raise ValueError(f"divergent block member {v} has no intra-block move")
-            moves[v] = v
-            return
+            moves[v] = stay
+        return
+    if len(members) == 1:
+        # Most blocks of a barely reducible game are singletons: the least
+        # successor in t is both the target vertex and a direct exit.
+        (v,) = members
         for w in succ[v]:
             if vmap[w] == t:
                 moves[v] = w
                 return
         raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
-    intra = {v: [w for w in succ[v] if vmap[w] == b] for v in members}
-    if t == b:
-        if not ctx.partition.divergent[b]:
-            raise ValueError(f"quotient strategy stays at non-divergent block {b}")
-        for v in members:
-            if not intra[v]:
-                raise ValueError(f"divergent block member {v} has no intra-block move")
-            moves[v] = intra[v][0]
-        return
-    # target(v): least class-t vertex reachable by an intra-block run from
-    # v and one exit edge.  It is constant on intra-block SCCs, so one
-    # sweep over them in reverse topological order finds it: members
-    # without an intra-block move first, then the rest in Tarjan's order.
-    sccs = [[v] for v in members if not intra[v]]
-    inner = [v for v in members if intra[v]]
-    if inner:
-        sccs += strongly_connected_components(inner, intra)
+    entries: dict[int, list[int]] = {}  # members by the vertex of t they exit onto
+    for v in members:
+        for w in succ[v]:
+            if vmap[w] == t:
+                entries.setdefault(w, []).append(v)
+    # Every vertex on an in-block route from v to its target vertex shares
+    # it, so the search for x claims exactly the members whose target is x,
+    # each at its shortest distance from an exit onto x.
     target: dict[int, int] = {}
-    for comp in sccs:
-        best = None
-        for v in comp:
-            for w in succ[v]:
-                cand = w if vmap[w] == t else target.get(w)
-                if cand is not None and (best is None or cand < best):
-                    best = cand
-        if best is None:
-            raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
-        for v in comp:
-            target[v] = best
-    # Every vertex on a shortest route from v to an exit onto target(v)
-    # shares v's target, so a backward search confined to v's target group
-    # gives the same distances as one over the whole block.
     dist: dict[int, int] = {}
-    frontier = deque()
-    for v in members:
-        if target[v] in succ[v]:
+    pred = game.predecessors
+    for x in sorted(entries):
+        frontier = [v for v in entries[x] if v not in dist]
+        for v in frontier:
+            target[v] = x
             dist[v] = 1
-            frontier.append(v)
-    while frontier:
-        w = frontier.popleft()
-        for q in game.predecessors[w]:
-            if q not in dist and target.get(q) == target[w]:
-                dist[q] = dist[w] + 1
-                frontier.append(q)
+        for w in frontier:  # grows while it is read: a FIFO queue
+            d = dist[w] + 1
+            for q in pred[w]:
+                if vmap[q] == b and q not in dist:
+                    target[q] = x
+                    dist[q] = d
+                    frontier.append(q)
+    if len(dist) != len(members):
+        raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
     for v in members:
-        tv = target[v]
-        if dist[v] == 1:
-            moves[v] = tv
+        x = target[v]
+        d = dist[v] - 1
+        if d == 0:
+            moves[v] = x
         else:
-            moves[v] = min(
-                (u for u in intra[v] if target[u] == tv and u in dist),
-                key=lambda u: (dist[u], u),
-            )
+            # the least in-block successor one step nearer the same target
+            moves[v] = next(u for u in succ[v] if dist.get(u) == d and target[u] == x)
 
 
 def lift_strategy(ctx: LiftContext) -> Strategy:

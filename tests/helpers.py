@@ -11,13 +11,12 @@ from paritygame import (
     ODD,
     Game,
     LiftContext,
-    distance,
     quotient,
     refine_stuttering,
     solve_zielonka,
 )
 
-from lifting_reference import Path, mimick_next
+from lifting_reference import Path, distance, mimick_next
 
 
 def assert_same_game(a: Game, b: Game):

@@ -13,11 +13,34 @@ final vertex of the play.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from paritygame import Game, LiftContext, Strategy
+
+
+#: Distance value for unreachable vertices.
+INFINITY = math.inf
+
+
+def distance(game: Game, v: int, u: int) -> int | float:
+    """Least number of edges from ``v`` to ``u``; ``INFINITY`` when ``u`` is
+    unreachable, 0 when ``v == u``."""
+    if v == u:
+        return 0
+    seen = {v}
+    frontier = deque([(v, 0)])
+    while frontier:
+        x, d = frontier.popleft()
+        for w in game.successors[x]:
+            if w == u:
+                return d + 1
+            if w not in seen:
+                seen.add(w)
+                frontier.append((w, d + 1))
+    return INFINITY
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Relational greatest-fixpoint oracles for strong bisimilarity and
-divergence-sensitive stuttering equivalence.
+divergence-sensitive stuttering equivalence, and the divergence flags they
+and the refinements are held to.
 
 Test equipment for small games: each oracle starts from all
 priority/owner-equal pairs and deletes violating pairs until a fixpoint,
@@ -8,9 +9,56 @@ independently of the signature-refinement engine it cross-checks.
 
 from __future__ import annotations
 
-from paritygame import Game
+from typing import Callable, Iterable, Sequence
 
-from test_graphs_reference import reference_infinite_path
+from paritygame import Game, Partition
+
+
+def reference_infinite_path(
+    nodes: Iterable[int], succ: Callable[[int], Sequence[int]]
+) -> set[int]:
+    """Vertices from which an infinite path exists inside the subgraph
+    spanned by ``nodes``.
+
+    Computed by repeatedly peeling vertices without remaining successors;
+    whatever survives can reach a cycle.
+    """
+    nodes = list(nodes)
+    node_set = set(nodes)
+    out_deg = {}
+    preds: dict[int, list[int]] = {v: [] for v in nodes}
+    for v in nodes:
+        k = 0
+        for w in succ(v):
+            if w in node_set:
+                k += 1
+                preds[w].append(v)
+        out_deg[v] = k
+    queue = [v for v in nodes if out_deg[v] == 0]
+    dead = set(queue)
+    while queue:
+        v = queue.pop()
+        for p in preds[v]:
+            if p in dead:
+                continue
+            out_deg[p] -= 1
+            if out_deg[p] == 0:
+                dead.add(p)
+                queue.append(p)
+    return node_set - dead
+
+
+def compute_divergent(game: Game, partition: Partition) -> list[bool]:
+    """Per-vertex divergence flags with respect to a partition: a vertex
+    diverges iff it can reach, along intra-block edges, an intra-block
+    cycle.  The definition the refinements' own flags are checked against."""
+    block_of = partition.block_of
+
+    def intra(v: int) -> list[int]:
+        return [w for w in game.successors[v] if block_of[w] == block_of[v]]
+
+    alive = reference_infinite_path(game.vertices(), intra)
+    return [v in alive for v in game.vertices()]
 
 
 def divergent_wrt(game: Game, rel: set[tuple[int, int]], v: int) -> bool:

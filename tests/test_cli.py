@@ -30,6 +30,18 @@ def test_info(tmp_path, capsys):
     assert "[0, 1]" in out
 
 
+def test_an_unwritable_name_exits_1(monkeypatch, capsys):
+    import paritygame.cli
+
+    monkeypatch.setattr(
+        paritygame.cli, "gen_branch", lambda: Game([0], [0], [[0]], names=['a"b'])
+    )
+    assert cli_dispatch(["generate", "--family", "branch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex 0: name 'a\"b'" in captured.err
+
+
 def test_generate_then_solve(tmp_path, capsys):
     out_file = tmp_path / "chain.gm"
     code = cli_dispatch(

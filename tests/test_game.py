@@ -4,12 +4,10 @@ import pytest
 
 from paritygame import (
     EVEN,
-    INFINITY,
     ODD,
     Game,
     Strategy,
     convert_priorities,
-    distance,
     gen_chain,
     gen_random,
     play_from,
@@ -17,10 +15,11 @@ from paritygame import (
     solve_zielonka,
     stats,
     validate,
+    write_pgsolver,
 )
 
 from helpers import assert_same_game, cmp_proximity, min_vertex
-from lifting_reference import Path, consistent
+from lifting_reference import INFINITY, Path, consistent, distance
 
 
 def test_validate_clean_game(g1):
@@ -56,12 +55,24 @@ def test_successor_lists_normalised():
         # the owner check runs before the priority check
         (([-1, 0], [EVEN, 2], [[0], [1]]), "vertex 1: owner must be 0 (even) or 1 (odd)"),
         (([1, 2, -3], [ODD, ODD, ODD], [[0], [1], [2]]), "vertex 2: priority must be a natural number"),
+        # True == 1 and 1.0 == 1, so checks by value alone let these through
+        (([0, 1], [EVEN, 1.0], [[1], [0]]), "vertex 1: owner must be 0 (even) or 1 (odd)"),
+        (([0, True], [0, 1], [[1], [0]]), "vertex 1: priority must be a natural number"),
+        (([0, 2.0], [0, 1], [[1], [0]]), "vertex 1: priority must be a natural number"),
     ],
 )
 def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, message):
     with pytest.raises(ValueError) as exc:
         Game(*fields)
     assert str(exc.value) == message
+
+
+def test_non_int_fields_never_reach_the_writer():
+    # write_pgsolver(Game([0.5, True], ...)) used to write "0.5" and "True"
+    with pytest.raises(ValueError, match="^vertex 0: priority must be a natural number$"):
+        write_pgsolver(Game([0.5, True], [0, 1], [[1], [0]]))
+    with pytest.raises(ValueError, match=r"^vertex 0: owner must be 0 \(even\) or 1 \(odd\)$"):
+        write_pgsolver(Game([0, 1], [True, 1.0], [[1], [0]]))
 
 
 def test_priority_flips_equal_freshly_constructed_games(monkeypatch):

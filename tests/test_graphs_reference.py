@@ -1,12 +1,12 @@
-"""Differential check of the successor-table graph primitives.
+"""Differential check of the successor-table Tarjan primitive.
 
-The production primitives in :mod:`paritygame.graphs` index a successor
-table and keep their state in dicts keyed by the given nodes.  The
-references below are the earlier callback forms, kept here as the
-exactness oracle: Tarjan driven by ``succ(v)`` with a node set, and the
-peeling of vertices without an infinite path.  The table forms must emit
-the same components, in the same order, with their members in the same
-order, on every node subset and every order of the nodes.
+:func:`paritygame.graphs.strongly_connected_components` indexes a
+successor table and keeps its state in a dict keyed by the given nodes.
+The reference below is the earlier callback form, kept here as the
+exactness oracle: Tarjan driven by ``succ(v)`` with a node set.  The table
+form must emit the same components, in the same order, with their
+members in the same order, on every node subset and every order of the
+nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from paritygame import EVEN, ODD, gen_chain, gen_random
 from paritygame.generators import Xoshiro256StarStar
-from paritygame.graphs import strongly_connected_components, vertices_with_infinite_path
+from paritygame.graphs import strongly_connected_components
 
 from helpers import alternating_chain, priority_ladder
 from test_refinement_reference import game_zoo
@@ -83,40 +83,6 @@ def reference_sccs(
     return sccs
 
 
-def reference_infinite_path(
-    nodes: Iterable[int], succ: Callable[[int], Sequence[int]]
-) -> set[int]:
-    """Vertices from which an infinite path exists inside the subgraph
-    spanned by ``nodes``.
-
-    Computed by repeatedly peeling vertices without remaining successors;
-    whatever survives can reach a cycle.
-    """
-    nodes = list(nodes)
-    node_set = set(nodes)
-    out_deg = {}
-    preds: dict[int, list[int]] = {v: [] for v in nodes}
-    for v in nodes:
-        k = 0
-        for w in succ(v):
-            if w in node_set:
-                k += 1
-                preds[w].append(v)
-        out_deg[v] = k
-    queue = [v for v in nodes if out_deg[v] == 0]
-    dead = set(queue)
-    while queue:
-        v = queue.pop()
-        for p in preds[v]:
-            if p in dead:
-                continue
-            out_deg[p] -= 1
-            if out_deg[p] == 0:
-                dead.add(p)
-                queue.append(p)
-    return node_set - dead
-
-
 # ---------------------------------------------------------------------------
 # Graphs and node subsets.
 
@@ -166,16 +132,6 @@ def test_components_match_the_callback_reference():
             assert strongly_connected_components(nodes, local) == expected, name
 
 
-def test_infinite_paths_match_the_callback_reference():
-    rng = Xoshiro256StarStar(2113)
-    for name, table in _graphs():
-        for nodes in _subsets(table, rng):
-            expected = reference_infinite_path(nodes, table.__getitem__)
-            assert vertices_with_infinite_path(nodes, table) == expected, name
-            local = {v: table[v] for v in nodes}
-            assert vertices_with_infinite_path(nodes, local) == expected, name
-
-
 class _Probe:
     """A successor table that records which vertices were looked up and
     offers nothing else: no length, no iteration."""
@@ -189,9 +145,7 @@ class _Probe:
         return self.table[v]
 
 
-@pytest.mark.parametrize(
-    "primitive", [strongly_connected_components, vertices_with_infinite_path]
-)
+@pytest.mark.parametrize("primitive", [strongly_connected_components])
 def test_primitives_read_only_the_given_nodes(primitive):
     # a call on a few nodes of a huge game must cost nothing per game vertex
     table = [(v + 1,) for v in range(200_000)]

@@ -109,6 +109,15 @@ def test_names_round_trip_and_empty_names_omitted():
     assert parse_pgsolver(write_pgsolver(unnamed)) == unnamed
 
 
+@pytest.mark.parametrize("name", ['a"b', "a\nb", '"', "\n"])
+def test_writer_rejects_a_name_the_parser_cannot_read(name):
+    # the format has no escape: 'a"b' used to be written and then refused
+    # by parse_pgsolver with "line 2: cannot parse vertex line"
+    g = Game([0, 1], [EVEN, ODD], [[1], [0]], names=["ok", name])
+    with pytest.raises(ValueError, match="^vertex 1: name .* double quote or a newline$"):
+        write_pgsolver(g)
+
+
 def test_round_trip_on_random_games():
     for seed in range(50):
         g = gen_random(1 + seed % 15, 3, 3, seed)
@@ -197,10 +206,11 @@ def test_write_solution_rejects_inconsistent_input():
 
 @pytest.mark.parametrize(
     "winner, vertex",
-    [([2, 0], 0), ([EVEN, -1], 1), ([ODD, None], 1), ([EVEN, "1"], 1)],
+    [([2, 0], 0), ([EVEN, -1], 1), ([ODD, None], 1), ([EVEN, "1"], 1), ([True, 0], 0), ([ODD, 0.0], 1)],
 )
 def test_write_solution_rejects_a_winner_that_is_no_player(winner, vertex):
-    # before the check, [2, 0] gave "solution 1;\n0 2;\n1 0;", text that
+    # before the check, [2, 0] gave "solution 1;\n0 2;\n1 0;" and, since
+    # True == 1, [True, 0] gave "solution 1;\n0 True;\n1 0;": text that
     # parse_solution refuses
     g = Game([0, 1], [EVEN, ODD], [[1], [0]])
     with pytest.raises(ValueError, match=rf"^vertex {vertex}: winner .* is not 0 \(even\) or 1 \(odd\)$"):

@@ -21,12 +21,11 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    compute_divergent,
+    Partition,
     gen_branch,
     gen_chain,
     gen_divergent_pair,
     gen_random,
-    initial_partition,
     quotient,
     refine_strong,
     refine_stuttering,
@@ -36,25 +35,13 @@ from paritygame import (
 
 from helpers import alternating_chain, small_games
 from oracles import (
+    compute_divergent,
     divergent_wrt,
     inert_closure,
     oracle_strong_pairs,
     oracle_stuttering_pairs,
     partition_from_relation,
 )
-
-
-def test_initial_partition_g1(g1):
-    assert initial_partition(g1).blocks == [[0], [1]]
-
-
-def test_initial_partition_branch():
-    assert initial_partition(gen_branch()).blocks == [[0, 1, 2], [3]]
-
-
-def test_initial_partition_uniform_game():
-    g = Game(priority=[2] * 4, owner=[ODD] * 4, successors=[[1], [2], [3], [0]])
-    assert initial_partition(g).blocks == [[0, 1, 2, 3]]
 
 
 def test_refine_strong_branch():
@@ -87,7 +74,7 @@ def test_compute_divergent_chain():
 
 
 def test_compute_divergent_singleton_without_self_loop(g1):
-    assert compute_divergent(g1, initial_partition(g1)) == [False, False]
+    assert compute_divergent(g1, refine_stuttering(g1)) == [False, False]
 
 
 def test_refine_stuttering_branch():
@@ -134,8 +121,10 @@ def test_quotient_under_all_singletons_is_identity():
 
 
 def test_quotient_rejects_initial_partition(g1):
-    with pytest.raises(ValueError):
-        quotient(g1, initial_partition(g1))
+    # a partition of any kind but strong or stuttering, stable or not
+    initial = Partition([0, 1], [[0], [1]], [False, False], "initial")
+    with pytest.raises(ValueError, match="'initial'"):
+        quotient(g1, initial)
 
 
 def test_quotient_rejects_a_non_total_game():
@@ -340,17 +329,12 @@ def test_write_partition_dump():
     assert dump == "0 0 0\n1 0 0\n2 1 1"
 
 
-def _not_called(*args):
-    raise AssertionError("a refinement called compute_divergent")
-
-
 def check_divergence_flags(g, name=""):
-    """Both refinements flag a block divergent iff compute_divergent flags
-    each of its members, without calling it, and the quotient keeps a
+    """Both refinements flag a block divergent iff the oracle's
+    compute_divergent flags each of its members, and the quotient keeps a
     self-loop exactly on the divergent blocks."""
     for refine in (refine_strong, refine_stuttering):
-        with mock.patch.object(paritygame.reduction, "compute_divergent", _not_called):
-            part = refine(g)
+        part = refine(g)
         flags = compute_divergent(g, part)
         assert [part.divergent[b] for b in part.block_of] == flags, (name, part.kind)
         reduced, _ = quotient(g, part)

@@ -20,7 +20,6 @@ import pytest
 from paritygame import (
     Game,
     Partition,
-    compute_divergent,
     gen_chain,
     gen_random,
     quotient,
@@ -28,9 +27,10 @@ from paritygame import (
     refine_stuttering,
 )
 from paritygame.generators import Xoshiro256StarStar
-from paritygame.graphs import strongly_connected_components, vertices_with_infinite_path
+from paritygame.graphs import strongly_connected_components
 
 from helpers import alternating_chain, assert_same_game, priority_ladder
+from oracles import compute_divergent, reference_infinite_path
 
 
 def _stuttering_signatures(
@@ -41,7 +41,7 @@ def _stuttering_signatures(
     member_set = set(members)
     intra = {v: [w for w in game.successors[v] if w in member_set] for v in members}
 
-    divergent = vertices_with_infinite_path(members, intra)
+    divergent = reference_infinite_path(members, intra.__getitem__)
 
     # Exit sets are constant on intra-block SCCs; Tarjan emits components
     # before the components that reach them, so one pass suffices.
