@@ -137,11 +137,18 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     return Game(priority, owner, successors, names)
 
 
+def _check_not_empty(game: Game) -> None:
+    if not game.vertex_count:
+        raise ValueError("a game with no vertices has no PGSolver text")
+
+
 def write_pgsolver(game: Game) -> str:
     """Serialise a game, deterministically: ascending vertex order and
     sorted successor lists, priorities written verbatim (min-parity).
     The format has no escapes, so a name holding ``"`` or a newline raises
-    :class:`ValueError` naming its vertex."""
+    :class:`ValueError` naming its vertex; so does a game with no vertices,
+    whose header ``parity -1;`` no reader accepts."""
+    _check_not_empty(game)
     names = game.names or (None,) * game.vertex_count
     out = [f"parity {game.vertex_count - 1};"]
     for v, (p, o, succs, name) in enumerate(
@@ -159,7 +166,8 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     exactly at vertices owned by their winner.  Raises :class:`ValueError`
     naming the vertex when ``winner`` does not cover exactly the game's
     vertices, names a player other than 0 and 1, or a strategy lacks the
-    move of a vertex its owner wins."""
+    move of a vertex its owner wins, and for a game with no vertices."""
+    _check_not_empty(game)
     n = game.vertex_count
     if len(winner) != n:
         raise ValueError(

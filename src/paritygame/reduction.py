@@ -14,17 +14,18 @@ state is flat: the block of every vertex, the size of every block and a
 cached signature per vertex.  Each round re-signs only the dirty vertices
 of non-singleton blocks (those whose signature the previous round's
 splits may have changed) and splits off exactly the members whose
-signature changed.  One ascending pass over the block map then builds the
-sorted member lists and numbers the blocks by their least member; each
-refinement reads the divergence flags off its own result.  Stuttering
-refinement condenses the initial inert graph (the edges inside a
-(priority, owner) class) once: blocks only split and inert cycles never
-do (Groote and Vaandrager, ICALP 1990), so its components, sinks first,
-order the signing in every round.  That condensation is the library's
-only one of the block-internal graph: lifting needs none, and the
-definition the divergence flags are checked against lives with the
-tests' oracles.  Both refinements are deterministic, since the coarsest stable
-partition is unique; the test suite checks them against relational
+signature changed, so a round's bookkeeping grows with what changed in
+it, not with the game.  One ascending pass over the block map then
+builds the sorted member lists and numbers the blocks by their least
+member; each refinement reads the divergence flags off its own result.
+Stuttering refinement condenses the initial inert graph (the edges
+inside a (priority, owner) class) once: blocks only split and inert
+cycles never do (Groote and Vaandrager, ICALP 1990), so its components,
+sinks first, order the signing in every round.  That condensation is the
+library's only one of the block-internal graph: lifting needs none, and
+the definition the divergence flags are checked against lives with the
+tests' oracles.  Both refinements are deterministic, since the coarsest
+stable partition is unique; the test suite checks them against relational
 greatest-fixpoint oracles and earlier engines.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterable
 
 from .game import Game
 from .graphs import strongly_connected_components
@@ -109,28 +111,43 @@ def _refine(
     ``signatures(game, block_of, sig, dirty)`` returns the new signature of
     every vertex in the sorted list ``dirty``; it may read the cached
     ``sig`` of vertices outside ``dirty``.  ``next_dirty(game, block_of,
-    moved)`` returns the vertices whose signature a round's moves may have
-    changed.  The state is ``block_of`` and the size of every block, no
-    member sets.  Blocks stay signature-uniform between rounds, so a round
-    splits off exactly the members whose signature changed, never
-    rescanning the remainder; long split cascades (chains) therefore stay
-    linear.  Members of singleton blocks are never re-signed: a singleton
+    moved)`` returns, as any iterable without duplicates, the vertices
+    whose signature a round's moves may have changed.  The state is
+    ``block_of`` and the size of every block, no member sets.  Blocks stay
+    signature-uniform between rounds, so a round splits off exactly the
+    members whose signature changed, never rescanning the remainder; long
+    split cascades (chains) therefore stay linear.  A round costs what
+    changed in it: a block with one changed member splits that member off
+    directly, and the changed blocks are sorted only when there are
+    several.  Members of singleton blocks are never re-signed: a singleton
     cannot split, and no other vertex reads its signature.
     """
-    sig: list[tuple | None] = [None] * game.vertex_count
+    sig: list = [None] * game.vertex_count
     dirty = [v for v, b in enumerate(block_of) if size[b] > 1]
     while dirty:
         changed: dict[int, list[int]] = {}
         for v, s in zip(dirty, signatures(game, block_of, sig, dirty)):
             if s != sig[v]:
                 sig[v] = s
-                changed.setdefault(block_of[v], []).append(v)
+                b = block_of[v]
+                if b in changed:
+                    changed[b].append(v)
+                else:
+                    changed[b] = [v]
         moved: list[int] = []
-        for b in sorted(changed):
+        for b in sorted(changed) if len(changed) > 1 else changed:
             touched = changed[b]
-            groups: dict[tuple, list[int]] = {}
+            if len(touched) == 1:
+                # a lone changed member leaves a block of several
+                v = touched[0]
+                size[b] -= 1
+                block_of[v] = len(size)
+                size.append(1)
+                moved.append(v)
+                continue
+            groups: dict[object, list[int]] = {}
             for v in touched:
-                groups.setdefault(sig[v], []).append(v)  # type: ignore[arg-type]
+                groups.setdefault(sig[v], []).append(v)
             parts = list(groups.values())
             if len(parts) > 1:
                 parts.sort(key=lambda g: (-len(g), g[0]))
@@ -149,17 +166,23 @@ def _refine(
                 for v in part:
                     block_of[v] = new_id
                 moved.extend(part)
-        dirty = sorted(v for v in next_dirty(game, block_of, moved) if size[block_of[v]] > 1)
+        dirty = [v for v in next_dirty(game, block_of, moved) if size[block_of[v]] > 1]
+        dirty.sort()
     return block_of, sig
 
 
-def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[tuple]:
+def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[frozenset]:
     succ = game.successors
-    return [tuple(sorted({block_of[w] for w in succ[v]})) for v in dirty]
+    block = block_of.__getitem__
+    return [frozenset(map(block, succ[v])) for v in dirty]
 
 
-def _dirty_strong(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
+def _dirty_strong(game: Game, block_of: list[int], moved: list[int]) -> Iterable[int]:
+    """The predecessors of the moved vertices: a lone moved vertex's own
+    predecessor tuple as it is, otherwise their set."""
     pred = game.predecessors
+    if len(moved) == 1:
+        return pred[moved[0]]
     return {p for u in moved for p in pred[u]}
 
 
@@ -170,12 +193,17 @@ def refine_strong(game: Game) -> Partition:
     A vertex's signature is its set of successor blocks, so only the
     predecessors of vertices that changed block are re-signed.  Members
     of a block reach the same blocks, so a block is divergent iff its
-    representative has an intra-block successor.
+    representative has an intra-block successor: for a one-member block,
+    a self-loop.
     """
     block_of = _refine(game, *_initial_blocks(game), _sign_strong, _dirty_strong)[0]
     succ = game.successors
     return _finalize(
-        block_of, "strong", lambda vs: block_of[vs[0]] in map(block_of.__getitem__, succ[vs[0]])
+        block_of,
+        "strong",
+        lambda vs: block_of[vs[0]] in map(block_of.__getitem__, succ[vs[0]])
+        if len(vs) > 1
+        else vs[0] in succ[vs[0]],
     )
 
 
@@ -229,9 +257,14 @@ def _dirty_stuttering(game: Game, block_of: list[int], moved: list[int]) -> set[
     sets or divergence may have changed."""
     pred = game.predecessors
     dirty = set(moved)
+    stack: list[int] = []
     for u in moved:
-        dirty.update(pred[u])
-    stack = list(dirty)
+        for p in pred[u]:
+            if p not in dirty:
+                dirty.add(p)
+                stack.append(p)
+    # every predecessor of a moved vertex is already in; close the added
+    # ones backwards over inert edges
     while stack:
         x = stack.pop()
         b = block_of[x]

@@ -1,6 +1,7 @@
 """Helpers shared between the test modules: game families, lifting
 contexts, and reference definitions that only the tests use."""
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,6 +55,22 @@ def priority_ladder(n: int) -> Game:
     vertex only loops."""
     successors = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
     return Game(list(range(n)), [i % 2 for i in range(n)], successors)
+
+
+def relabelled(game: Game, seed: int) -> Game:
+    """The same game with vertex ids renamed by the permutation ``seed``
+    draws, as the benchmark's ``chains`` workload renames its chains: a
+    chain's one-vertex splits then run in no particular id order."""
+    n = game.vertex_count
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    priority, owner = [0] * n, [0] * n
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        priority[new[v]] = game.priority[v]
+        owner[new[v]] = game.owner[v]
+        successors[new[v]] = [new[w] for w in game.successors[v]]
+    return Game(priority, owner, successors)
 
 
 def make_context(game: Game, player: int) -> LiftContext:

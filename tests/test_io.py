@@ -118,6 +118,16 @@ def test_writer_rejects_a_name_the_parser_cannot_read(name):
         write_pgsolver(g)
 
 
+def test_writers_reject_a_game_with_no_vertices():
+    # Game([], [], []) validates, but its texts 'parity -1;' and
+    # 'solution -1;' are refused by parse_pgsolver and parse_solution
+    empty = Game([], [], [])
+    with pytest.raises(ValueError, match="^a game with no vertices has no PGSolver text$"):
+        write_pgsolver(empty)
+    with pytest.raises(ValueError, match="^a game with no vertices has no PGSolver text$"):
+        write_solution(empty, [], Strategy(0), Strategy(1))
+
+
 def test_round_trip_on_random_games():
     for seed in range(50):
         g = gen_random(1 + seed % 15, 3, 3, seed)

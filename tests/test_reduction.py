@@ -33,7 +33,7 @@ from paritygame import (
     write_partition,
 )
 
-from helpers import alternating_chain, small_games
+from helpers import alternating_chain, relabelled, small_games
 from oracles import (
     compute_divergent,
     divergent_wrt,
@@ -54,6 +54,15 @@ def test_refine_strong_chain_counts_steps():
         part = refine_strong(gen_chain(n, 1, ODD, 0))
         assert part.block_count == n + 1
         assert all(len(b) == 1 for b in part.blocks)
+    # permuted ids: the cascade splits one vertex per round, out of order,
+    # and the singletons are still numbered by their vertex
+    g = relabelled(gen_chain(300, 1, ODD, 0), 5)
+    part = refine_strong(g)
+    assert part.blocks == [[v] for v in range(301)]
+    assert part.block_of == list(range(301))
+    # only the sink diverges, by its self-loop
+    assert part.divergent == [v in g.successors[v] for v in range(301)]
+    assert part.divergent.count(True) == 1
 
 
 def test_refine_strong_priority_distinct_all_singletons():

@@ -18,6 +18,7 @@ quotient games.
 import pytest
 
 from paritygame import (
+    EVEN,
     Game,
     Partition,
     gen_chain,
@@ -29,7 +30,7 @@ from paritygame import (
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.graphs import strongly_connected_components
 
-from helpers import alternating_chain, assert_same_game, priority_ladder
+from helpers import alternating_chain, assert_same_game, priority_ladder, relabelled
 from oracles import compute_divergent, reference_infinite_path
 
 
@@ -383,6 +384,11 @@ def oracle_games():
         for prio in (0, 1):
             yield f"chain {n} {prio}", gen_chain(n, prio, 1, 2)
         yield f"alternating chain {n}", alternating_chain(n)
+    # the chains workload's shapes, ids permuted: strong refinement (and
+    # stuttering on the alternating chain) splits one vertex per round off
+    # a large block, in no particular id order
+    yield "permuted chain 800", relabelled(gen_chain(800, 1, EVEN, 0), 331)
+    yield "permuted alternating chain 400", relabelled(alternating_chain(400), 332)
     for n in (1, 3, 30, 150):
         yield f"ladder {n}", priority_ladder(n)
     yield "torus 200", torus(200, 5)
