@@ -10,9 +10,8 @@ then certifies the result, so nothing rests on the construction alone.
 from paritygame import (
     EVEN,
     ODD,
-    LiftContext,
     gen_random,
-    lift_strategy,
+    lift_solution,
     quotient,
     refine_stuttering,
     solve_brute,
@@ -32,17 +31,16 @@ direct = solve_zielonka(game)
 print("even strategy:", direct.strategy_even.moves)
 print("odd strategy: ", direct.strategy_odd.moves)
 
-# Reduce, solve the quotient, lift both strategies, verify them.
+# Reduce, solve the quotient, lift both strategies in one call, verify them.
 part = refine_stuttering(game)
 reduced, vmap = quotient(game, part)
 print(f"\nreduced {game.vertex_count} vertices to {reduced.vertex_count}")
-reduced_solution = solve_zielonka(reduced)
+lifted = lift_solution(game, part, reduced, vmap, solve_zielonka(reduced))
 
 for player in (EVEN, ODD):
-    ctx = LiftContext.from_solution(game, part, reduced, vmap, reduced_solution, player)
-    lifted = lift_strategy(ctx)
-    region = ctx.won_region()
-    result = verify_strategy(game, player, region, lifted)
-    print(f"player {player}: wins {region}, lifted moves {lifted.moves}, "
+    region = lifted.region(player)
+    strategy = lifted.strategy(player)
+    result = verify_strategy(game, player, region, strategy)
+    print(f"player {player}: wins {region}, lifted moves {strategy.moves}, "
           f"verified: {result.ok}")
     assert region == direct.region(player)

@@ -26,16 +26,14 @@ from .reduction import (
     write_partition,
 )
 from .solvers import (
-    ProgressMeasure,
     Solution,
     attractor,
-    progress_measure,
     solve,
     solve_brute,
     solve_spm,
     solve_zielonka,
 )
-from .strategy import LiftContext, lift_solution, lift_strategy
+from .strategy import lift_solution
 
 __version__ = "0.1.0"
 
@@ -48,8 +46,6 @@ __all__ = [
     "Strategy",
     "Partition",
     "Solution",
-    "ProgressMeasure",
-    "LiftContext",
     "VerifyResult",
     "FormatError",
     "validate",
@@ -69,8 +65,6 @@ __all__ = [
     "solve_zielonka",
     "solve_spm",
     "solve_brute",
-    "progress_measure",
-    "lift_strategy",
     "lift_solution",
     "verify_strategy",
     "gen_random",

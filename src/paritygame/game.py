@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .graphs import strongly_connected_components
@@ -50,8 +50,8 @@ class Game:
             raise ValueError("priority, owner and successors must have equal length")
         if names is not None and len(names) != n:
             raise ValueError("names must have one entry per vertex")
-        # ``count`` and ``min`` compare by value, so ``True`` and ``1.0``
-        # would pass them; the type check keeps both scans in C.
+        # ``count``, ``min`` and range checks compare by value, so ``True``
+        # and ``1.0`` would pass them; the type checks keep every scan in C.
         owner = tuple(owner)
         if not set(map(type, owner)) <= {int} or owner.count(EVEN) + owner.count(ODD) != n:
             for v, p in enumerate(owner):
@@ -62,9 +62,15 @@ class Game:
             for v, p in enumerate(priority):
                 if type(p) is not int or p < 0:
                     raise ValueError(f"vertex {v}: priority must be a natural number")
+        successors = tuple(map(tuple, map(sorted, map(set, successors))))
+        if not set(map(type, chain.from_iterable(successors))) <= {int}:
+            for v, succs in enumerate(successors):
+                for w in succs:
+                    if type(w) is not int:
+                        raise ValueError(f"vertex {v}: successor {w!r} is not a vertex id")
         self.priority = priority
         self.owner = owner
-        self.successors = tuple(map(tuple, map(sorted, map(set, successors))))
+        self.successors = successors
         if names is not None:
             names = tuple([nm or None for nm in names])
             if names.count(None) == n:

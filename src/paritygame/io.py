@@ -46,6 +46,26 @@ _VERTEX_RE = re.compile(
 )
 
 
+def _header_max(header_re: re.Pattern, first_line: str) -> int | None:
+    """The max id that ``first_line`` declares, or None when it is no
+    header."""
+    m = header_re.match(first_line)
+    if m is None:
+        return None
+    try:
+        return int(m.group(1))
+    except ValueError:
+        raise FormatError(1, "header max id has too many digits") from None
+
+
+def _check_header_max(header_max: int | None, n: int) -> None:
+    """An optional header must declare the max id of the ``n`` vertices
+    read, so that a truncated file whose ids happen to be contiguous does
+    not parse."""
+    if header_max is not None and header_max != n - 1:
+        raise FormatError(1, f"header declares max id {header_max}, but the max id is {n - 1}")
+
+
 def _decode_utf8(data: bytes) -> str:
     """``data`` decoded as UTF-8; a bad byte raises :class:`FormatError`
     naming its line."""
@@ -77,9 +97,8 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     # which rules out duplicates without a set lookup per line.
     seen: set[int] | None = None
     lines = text.split("\n")
-    start = 0
-    if lines and _HEADER_RE.match(lines[0]):
-        start = 1
+    header_max = _header_max(_HEADER_RE, lines[0])
+    start = 0 if header_max is None else 1
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         m = _VERTEX_RE.match(raw)
         if m is None:
@@ -127,6 +146,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         owner = [owner[i] for i in order]
         successors = [successors[i] for i in order]
         names = [names[i] for i in order]
+    _check_header_max(header_max, n)
     if max(map(max, successors)) >= n:
         for v, succs in enumerate(successors):
             for w in succs:
@@ -206,9 +226,8 @@ def parse_solution(text: str | bytes) -> tuple[list[int], dict[int, int]]:
     winners: dict[int, int] = {}
     moves: dict[int, int] = {}
     lines = text.split("\n")
-    start = 0
-    if lines and _SOLUTION_HEADER_RE.match(lines[0]):
-        start = 1
+    header_max = _header_max(_SOLUTION_HEADER_RE, lines[0])
+    start = 0 if header_max is None else 1
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
             continue
@@ -231,4 +250,5 @@ def parse_solution(text: str | bytes) -> tuple[list[int], dict[int, int]]:
     for vid in range(n):
         if vid not in winners:
             raise FormatError(1, f"vertex ids are not contiguous: {vid} is missing")
+    _check_header_max(header_max, n)
     return [winners[v] for v in range(n)], moves

@@ -15,8 +15,8 @@ strategies for both players:
   the same measures while skipping the opponent's climb to top.  Each
   solution is checked twice: every vertex has exactly one winner, and
   both strategies pass :func:`~paritygame.game.verify_strategy`.  A
-  measure is one mixed-radix integer, which :func:`progress_measure`
-  alone decodes into the lattice's tuples;
+  measure is one mixed-radix integer, one digit per odd priority (the
+  tests decode it into the lattice's tuples);
 * :func:`solve_brute` — strategy enumeration with a one-player cycle
   analysis, usable as an oracle on tiny games.
 
@@ -220,30 +220,6 @@ def solve_zielonka(game: Game) -> Solution:
 # ---------------------------------------------------------------------------
 # Small progress measures.
 
-TOP = None  # sentinel: the measure lattice's top element
-
-
-@dataclass
-class ProgressMeasure:
-    """Per-vertex measure for the max-parity lifting algorithm, as tuples.
-
-    ``odd_priorities`` lists the odd priorities of the game in decreasing
-    order of significance; a non-top value is a tuple with one component
-    per odd priority, bounded by the number of vertices carrying it, and
-    top is ``TOP``.  The solver works on integers; this is their view.
-    """
-
-    odd_priorities: list[int]
-    bounds: list[int]
-    value: list[tuple[int, ...] | None]
-
-    def is_top(self, v: int) -> bool:
-        return self.value[v] is TOP
-
-    def in_bounds(self, v: int) -> bool:
-        t = self.value[v]
-        return t is TOP or all(0 <= c <= b for c, b in zip(t, self.bounds))
-
 
 class _SpmHalf:
     """The even player's half of small progress measures, as a resumable
@@ -356,32 +332,6 @@ class _SpmHalf:
             for v in range(len(value))
             if value[v] < top and owner[v] == EVEN
         }
-
-
-def progress_measure(game: Game) -> ProgressMeasure:
-    """Converged measure of the max-converted game, decoded into tuples: a
-    vertex is top exactly when the odd player wins it.
-
-    This is the even half of :func:`solve_spm` run to convergence on its
-    own, unseeded; the race in :func:`solve_spm` ends at the same measure.
-    """
-    half = _SpmHalf(game)
-    while not half.run(game.vertex_count):
-        pass
-    top = half.top
-    odd_ps = [p for p in range(len(half.count) - 1, 0, -1) if p % 2]
-    bounds = [half.count[p] for p in odd_ps]
-
-    def digits(m: int) -> tuple[int, ...] | None:
-        if m == top:
-            return TOP
-        out = []
-        for b in reversed(bounds):
-            m, r = divmod(m, b + 1)
-            out.append(r)
-        return tuple(reversed(out))
-
-    return ProgressMeasure(odd_ps, bounds, list(map(digits, half.value)))
 
 
 def solve_spm(game: Game) -> Solution:

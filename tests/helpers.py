@@ -1,5 +1,5 @@
 """Helpers shared between the test modules: game families, lifting
-contexts, and reference definitions that only the tests use."""
+records, and reference definitions that only the tests use."""
 
 import random
 from dataclasses import dataclass
@@ -11,13 +11,12 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    LiftContext,
     quotient,
     refine_stuttering,
     solve_zielonka,
 )
 
-from lifting_reference import Path, distance, mimick_next
+from lifting_reference import Lifting, Path, distance, mimick_next
 
 
 def assert_same_game(a: Game, b: Game):
@@ -73,11 +72,10 @@ def relabelled(game: Game, seed: int) -> Game:
     return Game(priority, owner, successors)
 
 
-def make_context(game: Game, player: int) -> LiftContext:
+def make_context(game: Game, player: int) -> Lifting:
     part = refine_stuttering(game)
     reduced, vmap = quotient(game, part)
-    qsol = solve_zielonka(reduced)
-    return LiftContext.from_solution(game, part, reduced, vmap, qsol, player)
+    return Lifting(game, part, reduced, vmap, solve_zielonka(reduced), player)
 
 
 def random_consistent_walk(game, ctx, rng, start, max_len=10):
@@ -95,9 +93,7 @@ def random_consistent_walk(game, ctx, rng, start, max_len=10):
                 if ctx.vmap[w] == c or ctx.vmap[w] == tgt
             ]
         else:
-            allowed = [
-                w for w in game.successors[v] if ctx.vmap[w] in ctx.winning_blocks
-            ]
+            allowed = [w for w in game.successors[v] if ctx.wins(ctx.vmap[w])]
         if not allowed:
             break
         walk.append(allowed[rng.below(len(allowed))])
@@ -132,7 +128,7 @@ class PathStrategyOracle:
     """Path-dependent strategy interface over the lifting construction:
     feed it any play ending at an owned vertex, get the next vertex."""
 
-    context: LiftContext
+    context: Lifting
 
     def next_move(self, p: Path | Sequence[int]) -> int:
         return mimick_next(self.context, p)

@@ -5,10 +5,11 @@ proof, stated for an arbitrary play.  :func:`entry_set` gives the
 vertices of new blocks a strategy-consistent continuation may enter,
 :func:`target_class` and :func:`target_vertex` pick where the lifted
 strategy steers, and :func:`mimick_next` is the move it makes.  The
-library's :func:`paritygame.lift_strategy` computes the same moves in one
+library's :func:`paritygame.lift_solution` computes the same moves in one
 pass per block; the tests compare the two on every owned vertex and check
 that with a memoryless quotient strategy the selectors depend only on the
-final vertex of the play.
+final vertex of the play.  They read one player's side of a solved
+stuttering quotient from a :class:`Lifting` record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from paritygame import Game, LiftContext, Strategy
+from paritygame import Game, Partition, Solution, Strategy, lift_solution
 
 
 #: Distance value for unreachable vertices.
@@ -41,6 +42,30 @@ def distance(game: Game, v: int, u: int) -> int | float:
                 seen.add(w)
                 frontier.append((w, d + 1))
     return INFINITY
+
+
+@dataclass
+class Lifting:
+    """The inputs of :func:`paritygame.lift_solution` (``solution`` solves
+    ``quotient``) and the player whose lifted moves the selectors
+    compute."""
+
+    game: Game
+    partition: Partition
+    quotient: Game
+    vmap: list[int]
+    solution: Solution
+    player: int
+
+    @property
+    def quotient_strategy(self) -> Strategy:
+        return self.solution.strategy(self.player)
+
+    def wins(self, block: int) -> bool:
+        return self.solution.winner[block] == self.player
+
+    def lift(self) -> Solution:
+        return lift_solution(self.game, self.partition, self.quotient, self.vmap, self.solution)
 
 
 @dataclass(frozen=True)
@@ -77,15 +102,15 @@ def _path_vertices(p: Path | Sequence[int]) -> tuple[int, ...]:
     return p.vertices if isinstance(p, Path) else tuple(p)
 
 
-def _check_in_won_blocks(ctx: LiftContext, vs: tuple[int, ...]):
+def _check_in_won_blocks(ctx: Lifting, vs: tuple[int, ...]):
     if not Path(vs).is_valid(ctx.game):
         raise ValueError("sequence is not a path of the game")
     for v in vs:
-        if ctx.vmap[v] not in ctx.winning_blocks:
+        if not ctx.wins(ctx.vmap[v]):
             raise ValueError(f"path vertex {v} lies outside the winning blocks")
 
 
-def entry_set(ctx: LiftContext, p: Path | Sequence[int]) -> list[int]:
+def entry_set(ctx: Lifting, p: Path | Sequence[int]) -> list[int]:
     """Vertices of new blocks that strategy-consistent continuations of the
     play may enter next.
 
@@ -111,7 +136,7 @@ def entry_set(ctx: LiftContext, p: Path | Sequence[int]) -> list[int]:
     return sorted(out)
 
 
-def target_class(ctx: LiftContext, p: Path | Sequence[int]) -> int:
+def target_class(ctx: Lifting, p: Path | Sequence[int]) -> int:
     """Block of the least entry vertex: the unique block the lifted
     strategy will steer the play into."""
     entries = entry_set(ctx, p)
@@ -120,7 +145,7 @@ def target_class(ctx: LiftContext, p: Path | Sequence[int]) -> int:
     return ctx.vmap[min(entries)]
 
 
-def target_vertex(ctx: LiftContext, p: Path | Sequence[int]) -> int:
+def target_vertex(ctx: Lifting, p: Path | Sequence[int]) -> int:
     """Least target-class vertex reachable by an intra-block run from the
     end of the play followed by a single exit edge."""
     tclass = target_class(ctx, p)
@@ -145,7 +170,7 @@ def target_vertex(ctx: LiftContext, p: Path | Sequence[int]) -> int:
     return min(candidates)
 
 
-def _exit_distances(ctx: LiftContext, block: int, t: int) -> dict[int, int]:
+def _exit_distances(ctx: Lifting, block: int, t: int) -> dict[int, int]:
     """Shortest number of steps from each block member to the target vertex
     ``t`` using intra-block edges and one final exit edge."""
     game = ctx.game
@@ -162,7 +187,7 @@ def _exit_distances(ctx: LiftContext, block: int, t: int) -> dict[int, int]:
     return dist
 
 
-def mimick_next(ctx: LiftContext, p: Path | Sequence[int]) -> int:
+def mimick_next(ctx: Lifting, p: Path | Sequence[int]) -> int:
     """Next move of the lifted strategy after play ``p`` (whose final
     vertex the lifting player owns).
 

@@ -12,12 +12,11 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    LiftContext,
     gen_branch,
     gen_chain,
     gen_divergent_pair,
     gen_random,
-    lift_strategy,
+    lift_solution,
     parse_pgsolver,
     quotient,
     refine_strong,
@@ -32,7 +31,7 @@ from paritygame.bench import CSV_HEADER, records_to_csv, run_benchmark
 from paritygame.generators import Xoshiro256StarStar
 
 from helpers import random_consistent_walk
-from lifting_reference import mimick_next
+from lifting_reference import Lifting, mimick_next
 from oracles import oracle_strong_pairs, oracle_stuttering_pairs, partition_from_relation
 
 
@@ -132,13 +131,11 @@ def test_criterion_6_strategy_lifting():
             g = gen_random(n, 3, 3, seed + 10_000)
             part = refine_stuttering(g)
             reduced, vmap = quotient(g, part)
-            reduced_solution = solve_zielonka(reduced)
+            lifted = lift_solution(g, part, reduced, vmap, solve_zielonka(reduced))
             for player in (EVEN, ODD):
-                ctx = LiftContext.from_solution(
-                    g, part, reduced, vmap, reduced_solution, player
+                result = verify_strategy(
+                    g, player, lifted.region(player), lifted.strategy(player)
                 )
-                psi = lift_strategy(ctx)
-                result = verify_strategy(g, player, ctx.won_region(), psi)
                 assert result.ok, (seed, player, result)
 
 
@@ -151,12 +148,11 @@ def test_criterion_7_memoryless_collapse():
             part = refine_stuttering(g)
             reduced, vmap = quotient(g, part)
             reduced_solution = solve_zielonka(reduced)
+            lifted = lift_solution(g, part, reduced, vmap, reduced_solution)
             for player in (EVEN, ODD):
-                ctx = LiftContext.from_solution(
-                    g, part, reduced, vmap, reduced_solution, player
-                )
+                ctx = Lifting(g, part, reduced, vmap, reduced_solution, player)
                 own_won = [
-                    v for v in ctx.won_region() if g.owner[v] == player
+                    v for v in lifted.region(player) if g.owner[v] == player
                 ]
                 if not own_won:
                     continue

@@ -10,7 +10,7 @@ PIPELINE = r"""
 from paritygame import (
     Game, gen_chain, gen_random, refine_strong, refine_stuttering, quotient,
     solve, solve_zielonka, solve_spm, write_pgsolver, write_partition,
-    write_solution, LiftContext, lift_strategy, EVEN, ODD,
+    write_solution, lift_solution, EVEN, ODD,
 )
 
 chunks = []
@@ -23,9 +23,9 @@ for seed in (1, 2, 3):
     chunks += [str(vmap), str(sol.winner)]
     chunks += [str(sorted(sol.strategy_even.moves.items()))]
     chunks += [str(sorted(sol.strategy_odd.moves.items()))]
+    lifted = lift_solution(g, part, reduced, vmap, sol)
     for player in (EVEN, ODD):
-        ctx = LiftContext.from_solution(g, part, reduced, vmap, sol, player)
-        chunks.append(str(sorted(lift_strategy(ctx).moves.items())))
+        chunks.append(str(sorted(lifted.strategy(player).moves.items())))
     for game in (g, reduced):
         for algorithm in ("zielonka", "spm"):
             s = solve(game, algorithm)

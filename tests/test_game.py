@@ -59,6 +59,10 @@ def test_successor_lists_normalised():
         (([0, 1], [EVEN, 1.0], [[1], [0]]), "vertex 1: owner must be 0 (even) or 1 (odd)"),
         (([0, True], [0, 1], [[1], [0]]), "vertex 1: priority must be a natural number"),
         (([0, 2.0], [0, 1], [[1], [0]]), "vertex 1: priority must be a natural number"),
+        # a bool successor reached the writer as "0 0 0 True;", and a float
+        # one raised a bare TypeError while deriving predecessors
+        (([0, 0], [0, 0], [[True], [0]]), "vertex 0: successor True is not a vertex id"),
+        (([0, 0], [0, 0], [[1.0], [0]]), "vertex 0: successor 1.0 is not a vertex id"),
     ],
 )
 def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, message):

@@ -64,6 +64,31 @@ def test_parse_gap_in_ids_rejected():
         parse_pgsolver("0 0 0 0;\n2 1 1 2;")
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_pgsolver, "parity 7;\n0 1 0 1;\n1 0 1 0;"),
+        (parse_solution, "solution 9;\n0 0 1;\n1 0;"),
+    ],
+    ids=["game", "solution"],
+)
+def test_header_max_id_must_match_the_vertices(parse, text):
+    # a truncated file whose ids happen to be contiguous
+    with pytest.raises(FormatError, match="^line 1: header declares max id"):
+        parse(text)
+    # without the header the same lines parse: it stays optional
+    parse(text.split("\n", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "parse, keyword", [(parse_pgsolver, "parity"), (parse_solution, "solution")],
+    ids=["game", "solution"],
+)
+def test_header_max_id_too_long_for_int_raises_format_error(parse, keyword):
+    with pytest.raises(FormatError, match="^line 1: header max id has too many digits$"):
+        parse(f"{keyword} {'1' * 5000};\n0 0 0 0;")
+
+
 def test_parse_syntax_error_carries_line():
     with pytest.raises(FormatError, match="line 2"):
         parse_pgsolver("0 0 0 0;\nnot a vertex;")

@@ -8,11 +8,15 @@ here as the exactness oracle: Zielonka recursing over full-width
 membership masks (with the attractor it was written against), and measure
 lifting that sweeps every vertex until nothing changes.  Both production
 solvers must return the same solutions, down to the order in which the
-strategy dicts list their moves, and the same converged measure.
+strategy dicts list their moves, and the same converged measure.  That
+measure is compared as tuples: :func:`progress_measure` decodes the
+solver's mixed-radix integers into the :class:`ProgressMeasure` view the
+sweep reference computes.
 """
 
 import sys
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +30,10 @@ from paritygame import (
     convert_priorities,
     gen_chain,
     gen_random,
-    progress_measure,
     solve_spm,
     solve_zielonka,
 )
-from paritygame.solvers import TOP, ProgressMeasure
+from paritygame.solvers import _SpmHalf
 
 from helpers import alternating_chain, priority_ladder, small_games
 
@@ -118,6 +121,59 @@ def reference_zielonka(game: Game) -> Solution:
             },
         )
     return Solution(winner, strategies[EVEN], strategies[ODD])
+
+
+TOP = None  # sentinel: the measure lattice's top element
+
+
+@dataclass
+class ProgressMeasure:
+    """Per-vertex measure for the max-parity lifting algorithm, as tuples.
+
+    ``odd_priorities`` lists the odd priorities of the game in decreasing
+    order of significance; a non-top value is a tuple with one component
+    per odd priority, bounded by the number of vertices carrying it, and
+    top is ``TOP``.
+    """
+
+    odd_priorities: list[int]
+    bounds: list[int]
+    value: list[tuple[int, ...] | None]
+
+    def is_top(self, v: int) -> bool:
+        return self.value[v] is TOP
+
+    def in_bounds(self, v: int) -> bool:
+        t = self.value[v]
+        return t is TOP or all(0 <= c <= b for c, b in zip(t, self.bounds))
+
+
+def progress_measure(game: Game) -> ProgressMeasure:
+    """Converged measure of the max-converted game, decoded into tuples: a
+    vertex is top exactly when the odd player wins it.
+
+    This is the even half of :func:`paritygame.solve_spm` run to
+    convergence on its own, unseeded; the race in ``solve_spm`` ends at the
+    same measure.  The solver works on mixed-radix integers, and only this
+    decoding turns them back into tuples.
+    """
+    half = _SpmHalf(game)
+    while not half.run(game.vertex_count):
+        pass
+    top = half.top
+    odd_ps = [p for p in range(len(half.count) - 1, 0, -1) if p % 2]
+    bounds = [half.count[p] for p in odd_ps]
+
+    def digits(m: int) -> tuple[int, ...] | None:
+        if m == top:
+            return TOP
+        out = []
+        for b in reversed(bounds):
+            m, r = divmod(m, b + 1)
+            out.append(r)
+        return tuple(reversed(out))
+
+    return ProgressMeasure(odd_ps, bounds, list(map(digits, half.value)))
 
 
 def reference_spm_even_half(game: Game) -> tuple[ProgressMeasure, list[bool], dict[int, int]]:

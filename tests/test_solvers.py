@@ -28,7 +28,7 @@ from paritygame.generators import Xoshiro256StarStar
 
 from helpers import alternating_chain, priority_ladder, small_games
 from test_refinement_reference import game_zoo
-from test_solver_reference import SPM_FAMILIES
+from test_solver_reference import SPM_FAMILIES, progress_measure
 
 
 def test_attractor_chain_pulls_everything():
@@ -148,8 +148,6 @@ def test_solver_dispatch(g1):
 
 
 def test_progress_measure_lattice_invariants():
-    from paritygame import progress_measure
-
     for seed in range(40):
         g = gen_random(1 + seed % 10, 3, 3, seed)
         measure = progress_measure(g)

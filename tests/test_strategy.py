@@ -1,5 +1,6 @@
 """Strategy lifting (entry sets, targets, mimicking) and verification."""
 
+import dataclasses
 import time
 
 import pytest
@@ -8,15 +9,15 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    LiftContext,
     Partition,
+    Solution,
     Strategy,
     gen_chain,
     gen_divergent_pair,
     gen_random,
     lift_solution,
-    lift_strategy,
     quotient,
+    refine_strong,
     refine_stuttering,
     solve_zielonka,
     verify_strategy,
@@ -29,7 +30,14 @@ from helpers import (
     make_context,
     random_consistent_walk,
 )
-from lifting_reference import consistent, entry_set, mimick_next, target_class, target_vertex
+from lifting_reference import (
+    Lifting,
+    consistent,
+    entry_set,
+    mimick_next,
+    target_class,
+    target_vertex,
+)
 
 
 def even_chain(n: int = 3) -> Game:
@@ -118,23 +126,20 @@ def test_mimick_next_requires_owned_endpoint():
 
 
 def test_lift_strategy_even_chain():
-    ctx = make_context(even_chain(3), EVEN)
-    psi = lift_strategy(ctx)
+    psi = make_context(even_chain(3), EVEN).lift().strategy_even
     assert {v: psi.moves[v] for v in (0, 1, 2)} == {0: 1, 1: 2, 2: 3}
     assert psi.moves[3] == 3
 
 
 def test_lift_strategy_choice_vertex(g4):
-    ctx = make_context(g4, EVEN)
-    assert lift_strategy(ctx).moves == {0: 1, 1: 1}
+    assert make_context(g4, EVEN).lift().strategy_even.moves == {0: 1, 1: 1}
 
 
 def test_lift_strategy_undefined_on_lost_blocks(g4):
-    ctx = make_context(g4, ODD)
+    lifted = make_context(g4, ODD).lift()
     # odd owns only b, which odd wins; nothing else enters the domain
-    assert lift_strategy(ctx).moves == {2: 2}
-    ctx_even = make_context(g4, EVEN)
-    assert 2 not in lift_strategy(ctx_even).moves
+    assert lifted.strategy_odd.moves == {2: 2}
+    assert 2 not in lifted.strategy_even.moves
 
 
 def test_verify_strategy_forced_cycle(g1):
@@ -188,9 +193,9 @@ def test_lifting_ignores_routes_that_leave_the_block():
     )
     ctx = make_context(g, EVEN)
     assert ctx.partition.blocks[0] == [0, 1, 2, 3]
-    psi = lift_strategy(ctx)
-    assert psi.moves[0] == 2
-    res = verify_strategy(g, EVEN, ctx.won_region(), psi)
+    lifted = ctx.lift()
+    assert lifted.strategy_even.moves[0] == 2
+    res = verify_strategy(g, EVEN, lifted.region(EVEN), lifted.strategy_even)
     assert res.ok, res
 
 
@@ -199,11 +204,9 @@ def test_lifted_strategies_win_on_random_games():
         g = gen_random(1 + seed % 40, 3, 3, seed)
         part = refine_stuttering(g)
         reduced, vmap = quotient(g, part)
-        qsol = solve_zielonka(reduced)
+        lifted = lift_solution(g, part, reduced, vmap, solve_zielonka(reduced))
         for player in (EVEN, ODD):
-            ctx = LiftContext.from_solution(g, part, reduced, vmap, qsol, player)
-            psi = lift_strategy(ctx)
-            res = verify_strategy(g, player, ctx.won_region(), psi)
+            res = verify_strategy(g, player, lifted.region(player), lifted.strategy(player))
             assert res.ok, (seed, player, res)
 
 
@@ -217,14 +220,13 @@ def test_lifting_on_big_block_games():
         g = gen_random(n, 1 + seed % 4, seed % 2, seed + 500_000)
         part = refine_stuttering(g)
         reduced, vmap = quotient(g, part)
-        qsol = solve_zielonka(reduced)
+        lifted = lift_solution(g, part, reduced, vmap, solve_zielonka(reduced))
         for player in (EVEN, ODD):
-            ctx = LiftContext.from_solution(g, part, reduced, vmap, qsol, player)
-            psi = lift_strategy(ctx)
+            psi = lifted.strategy(player)
             for v, w in psi.moves.items():
                 if vmap[v] == vmap[w] and len(part.blocks[vmap[v]]) > 1:
                     routing_moves += 1
-            res = verify_strategy(g, player, ctx.won_region(), psi)
+            res = verify_strategy(g, player, lifted.region(player), psi)
             assert res.ok, (seed, player, res)
     assert routing_moves > 500
 
@@ -248,9 +250,10 @@ def test_mimick_next_is_memoryless():
         part = refine_stuttering(g)
         reduced, vmap = quotient(g, part)
         qsol = solve_zielonka(reduced)
+        lifted = lift_solution(g, part, reduced, vmap, qsol)
         for player in (EVEN, ODD):
-            ctx = LiftContext.from_solution(g, part, reduced, vmap, qsol, player)
-            region = [v for v in ctx.won_region() if g.owner[v] == player]
+            ctx = Lifting(g, part, reduced, vmap, qsol, player)
+            region = [v for v in lifted.region(player) if g.owner[v] == player]
             if not region:
                 continue
             by_endpoint = {}
@@ -282,11 +285,10 @@ def test_lifted_strategies_beat_every_memoryless_opponent():
         g = gen_random(n, 1 + rng.below(3), rng.below(3), seed + 7_000_000)
         part = refine_stuttering(g)
         reduced, vmap = quotient(g, part)
-        qsol = solve_zielonka(reduced)
+        lifted = lift_solution(g, part, reduced, vmap, solve_zielonka(reduced))
         for player in (EVEN, ODD):
-            ctx = LiftContext.from_solution(g, part, reduced, vmap, qsol, player)
-            psi = lift_strategy(ctx)
-            region = ctx.won_region()
+            psi = lifted.strategy(player)
+            region = lifted.region(player)
             if not region:
                 continue
             opponent = 1 - player
@@ -315,16 +317,8 @@ def test_path_strategy_oracle_returns_successors():
         assert nxt in ctx.game.successors[path[-1]]
         path.append(nxt)
     # the induced play is consistent with the lifted strategy
-    assert consistent(ctx.game, tuple(path), lift_strategy(ctx))
+    assert consistent(ctx.game, tuple(path), ctx.lift().strategy_even)
     assert path[:5] == [0, 1, 2, 3, 4]
-
-
-def _lifting_contexts(game):
-    part = refine_stuttering(game)
-    reduced, vmap = quotient(game, part)
-    qsol = solve_zielonka(reduced)
-    for player in (EVEN, ODD):
-        yield LiftContext.from_solution(game, part, reduced, vmap, qsol, player)
 
 
 def test_lift_strategy_matches_path_level_selector():
@@ -342,30 +336,89 @@ def test_lift_strategy_matches_path_level_selector():
         for q in (0, 1)
     ]
     games += [alternating_chain(n) for n in (1, 2, 5, 40)]
-    contexts = 0
+    compared = 0
     for i, g in enumerate(games):
-        for ctx in _lifting_contexts(g):
+        part = refine_stuttering(g)
+        reduced, vmap = quotient(g, part)
+        qsol = solve_zielonka(reduced)
+        lifted = lift_solution(g, part, reduced, vmap, qsol)
+        for player in (EVEN, ODD):
+            ctx = Lifting(g, part, reduced, vmap, qsol, player)
             expected = {
                 v: mimick_next(ctx, (v,))
-                for v in ctx.won_region()
-                if g.owner[v] == ctx.player
+                for v in lifted.region(player)
+                if g.owner[v] == player
             }
-            assert lift_strategy(ctx).moves == expected, (i, ctx.player)
-            contexts += 1
-    assert contexts == 2 * len(games)
+            assert lifted.strategy(player).moves == expected, (i, player)
+            compared += 1
+    assert compared == 2 * len(games)
 
 
 def test_lifting_rejects_an_unstable_partition():
     # block {0, 1} is not stable: 0 exits to the sink, 1 only loops
     g = Game(priority=[1, 1, 0], owner=[EVEN] * 3, successors=[[2], [1], [2]])
     part = Partition(block_of=[0, 0, 1], blocks=[[0, 1], [2]],
-                     divergent=[False, False], kind="stuttering")
+                     divergent=[False, True], kind="stuttering")
     reduced = Game(priority=[1, 0], owner=[EVEN, EVEN], successors=[[1], [1]])
-    ctx = LiftContext(g, part, reduced, [0, 0, 1], Strategy(EVEN, {0: 1, 1: 1}), EVEN, {0, 1})
+    qsol = Solution([EVEN, EVEN], Strategy(EVEN, {0: 1, 1: 1}), Strategy(ODD, {}))
     with pytest.raises(ValueError, match="unstable"):
-        lift_strategy(ctx)
+        lift_solution(g, part, reduced, [0, 0, 1], qsol)
     with pytest.raises(ValueError, match="unstable"):
-        mimick_next(ctx, (1,))
+        mimick_next(Lifting(g, part, reduced, [0, 0, 1], qsol, EVEN), (1,))
+
+
+def _g4_quotient(g4):
+    """g4's stuttering partition and quotient, which is g4 itself: blocks
+    0 and 1 are won by EVEN and owned by it, block 2 by ODD."""
+    part = refine_stuttering(g4)
+    reduced, vmap = quotient(g4, part)
+    return part, reduced, vmap
+
+
+def test_lifting_rejects_a_strong_partition(g4):
+    part = refine_strong(g4)
+    reduced, vmap = quotient(g4, part)
+    with pytest.raises(ValueError, match="requires a stuttering partition"):
+        lift_solution(g4, part, reduced, vmap, solve_zielonka(reduced))
+
+
+def test_lifting_rejects_a_vmap_other_than_the_block_map(g4):
+    part, reduced, _ = _g4_quotient(g4)
+    with pytest.raises(ValueError, match="vmap does not match the partition"):
+        lift_solution(g4, part, reduced, [0, 2, 1], solve_zielonka(reduced))
+
+
+def test_lifting_rejects_a_quotient_move_that_is_no_edge(g4):
+    part, reduced, vmap = _g4_quotient(g4)
+    qsol = Solution([EVEN, EVEN, ODD], Strategy(EVEN, {0: 1, 1: 2}), Strategy(ODD, {2: 2}))
+    with pytest.raises(ValueError, match="move 1->2 is not an edge"):
+        lift_solution(g4, part, reduced, vmap, qsol)
+
+
+def test_lifting_rejects_a_missing_move_at_an_owned_won_block(g4):
+    part, reduced, vmap = _g4_quotient(g4)
+    qsol = Solution([EVEN, EVEN, ODD], Strategy(EVEN, {0: 1}), Strategy(ODD, {2: 2}))
+    with pytest.raises(ValueError, match="undefined at winning block 1"):
+        lift_solution(g4, part, reduced, vmap, qsol)
+
+
+def test_lifting_rejects_a_stay_on_a_non_divergent_block():
+    # the divergent pair's block {0, 1} keeps its quotient self-loop, but
+    # is marked non-divergent here, so ODD may not stay on it
+    g = gen_divergent_pair()
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    part = dataclasses.replace(part, divergent=[False, True])
+    qsol = Solution([ODD, EVEN], Strategy(EVEN, {1: 1}), Strategy(ODD, {0: 0}))
+    with pytest.raises(ValueError, match="stays at non-divergent block 0"):
+        lift_solution(g, part, reduced, vmap, qsol)
+
+
+def test_lifting_rejects_a_strategy_of_the_wrong_player(g4):
+    part, reduced, vmap = _g4_quotient(g4)
+    qsol = Solution([EVEN, EVEN, ODD], Strategy(ODD, {0: 1, 1: 1}), Strategy(ODD, {2: 2}))
+    with pytest.raises(ValueError, match="belongs to the other player"):
+        lift_solution(g4, part, reduced, vmap, qsol)
 
 
 @pytest.mark.parametrize(
