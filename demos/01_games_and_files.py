@@ -14,7 +14,6 @@ from paritygame import (
     parse_pgsolver,
     play_from,
     stats,
-    validate,
     write_pgsolver,
 )
 
@@ -25,8 +24,14 @@ game = Game(
     owner=[EVEN, EVEN, ODD],
     successors=[[1, 2], [1], [2]],
 )
-print("violations:", validate(game))
 print("stats:", stats(game))
+
+# Every Game is a parity game: a vertex without a successor, or an edge to
+# a vertex that does not exist, is refused when the game is built.
+try:
+    Game(priority=[0, 1], owner=[EVEN, ODD], successors=[[1], [7]])
+except ValueError as exc:
+    print("rejected:", exc)
 
 # Fix both players' moves and unfold the unique play from vertex 0.
 even_strategy = Strategy(EVEN, {0: 1, 1: 1})

@@ -13,7 +13,6 @@ from .game import (
     convert_priorities,
     play_from,
     stats,
-    validate,
     verify_strategy,
 )
 from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
@@ -48,7 +47,6 @@ __all__ = [
     "Solution",
     "VerifyResult",
     "FormatError",
-    "validate",
     "stats",
     "play_from",
     "convert_priorities",

@@ -14,6 +14,8 @@ vertex 0.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass
 
@@ -53,23 +55,21 @@ class BenchRecord:
     def total_us(self) -> int:
         return self.reduce_us + self.solve_us
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.game_id,
-                self.method,
-                self.solver,
-                str(self.orig_v),
-                str(self.orig_e),
-                str(self.red_v),
-                str(self.red_e),
-                f"{self.reduce_us / 1000:.3f}",
-                f"{self.solve_us / 1000:.3f}",
-                f"{self.total_us / 1000:.3f}",
-                str(self.winner_v0),
-                str(self.runs),
-            ]
-        )
+    def csv_fields(self) -> list[str]:
+        return [
+            self.game_id,
+            self.method,
+            self.solver,
+            str(self.orig_v),
+            str(self.orig_e),
+            str(self.red_v),
+            str(self.red_e),
+            f"{self.reduce_us / 1000:.3f}",
+            f"{self.solve_us / 1000:.3f}",
+            f"{self.total_us / 1000:.3f}",
+            str(self.winner_v0),
+            str(self.runs),
+        ]
 
 
 def _measure_once(game: Game, method: str, solver: str):
@@ -172,6 +172,9 @@ def run_benchmark(
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    lines = [CSV_SCHEMA_COMMENT, CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
-    return "\n".join(lines)
+    """The CSV text, without a final newline.  Fields are quoted as RFC
+    4180 asks, so a game id holding a comma or a quote stays one field."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(r.csv_fields() for r in records)
+    # every row ends in the ``runs`` count, so only the last terminator goes
+    return f"{CSV_SCHEMA_COMMENT}\n{CSV_HEADER}\n{out.getvalue()}".rstrip("\n")

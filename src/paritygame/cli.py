@@ -46,7 +46,7 @@ def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         print(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import strongly_connected_components
@@ -28,12 +29,16 @@ ODD = 1
 class Game:
     """Immutable parity game on dense vertex indices.
 
+    Construction accepts exactly the parity games: every vertex needs an
+    owner of 0 or 1, a natural priority and at least one successor, and
+    every successor must be an ``int`` vertex id in ``0..n-1``.  Anything
+    else raises :class:`ValueError` naming the first bad vertex, so every
+    ``Game`` is total and its edges stay inside the vertex set.
+
     Successor lists are normalised to duplicate-free ascending order and
     predecessor lists are derived from them.  Empty names read as ``None``,
     and a game without any name has ``names is None``, as a parsed file
-    without names does.  Construction does not insist
-    on the game invariants (so broken games can be inspected); run
-    :func:`validate` to obtain the list of violations.
+    without names does.
     """
 
     __slots__ = ("priority", "owner", "successors", "predecessors", "names")
@@ -62,12 +67,18 @@ class Game:
             for v, p in enumerate(priority):
                 if type(p) is not int or p < 0:
                     raise ValueError(f"vertex {v}: priority must be a natural number")
-        successors = tuple(map(tuple, map(sorted, map(set, successors))))
-        if not set(map(type, chain.from_iterable(successors))) <= {int}:
-            for v, succs in enumerate(successors):
-                for w in succs:
-                    if type(w) is not int:
-                        raise ValueError(f"vertex {v}: successor {w!r} is not a vertex id")
+        try:
+            successors = tuple(map(tuple, map(sorted, map(set, successors))))
+        except TypeError:
+            # ``sorted`` cannot order an int against a str; name the vertex
+            _check_successors(successors, n)
+            raise
+        if not set(map(type, chain.from_iterable(successors))) <= {int} or n and (
+            0 in map(len, successors)
+            or min(map(itemgetter(0), successors)) < 0
+            or max(map(itemgetter(-1), successors)) >= n
+        ):
+            _check_successors(successors, n)
         self.priority = priority
         self.owner = owner
         self.successors = successors
@@ -122,14 +133,26 @@ class Game:
         return f"Game(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
+def _check_successors(successors: Sequence[Iterable[int]], n: int) -> None:
+    """Raise naming the first vertex without a successor or with one that
+    is not an ``int`` id in ``0..n-1``."""
+    for v, succs in enumerate(successors):
+        if not succs:
+            raise ValueError(f"vertex {v} has no successor")
+        for w in succs:
+            if type(w) is not int:
+                raise ValueError(f"vertex {v}: successor {w!r} is not a vertex id")
+            if not 0 <= w < n:
+                raise ValueError(f"dangling successor id {w} at vertex {v}")
+
+
 def _predecessors(successors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Ascending predecessor tuples of a successor table, leaving out dangling edges."""
-    n = len(successors)
-    preds: list[list[int]] = [[] for _ in range(n)]
+    """Ascending predecessor tuples of a successor table whose ids all
+    lie in ``0..n-1``."""
+    preds: list[list[int]] = [[] for _ in successors]
     for v, succs in enumerate(successors):
         for w in succs:
-            if 0 <= w < n:
-                preds[w].append(v)
+            preds[w].append(v)
     return tuple(map(tuple, preds))
 
 
@@ -267,29 +290,6 @@ class GameStats:
     edge_count: int
     priority_count: int
     priorities_present: tuple[int, ...]
-
-
-def validate(game: Game) -> list[str]:
-    """Check the game invariants; returns a list of human-readable
-    violations (empty iff the game is well formed)."""
-    n = game.vertex_count
-    violations = []
-    for v in game.vertices():
-        succs = game.successors[v]
-        if not succs:
-            violations.append(f"totality(v{v}): vertex has no successor")
-        for w in succs:
-            if not (0 <= w < n):
-                violations.append(f"dangling_edge(v{v}->v{w}): successor does not exist")
-        if list(succs) != sorted(set(succs)):
-            violations.append(f"successors(v{v}): list not sorted and duplicate-free")
-    # Predecessors are derived in the constructor; re-check they invert the
-    # successor relation in case a game object was mutated.
-    for v in game.vertices():
-        for w in game.successors[v]:
-            if 0 <= w < n and v not in game.predecessors[w]:
-                violations.append(f"predecessors(v{w}): missing inverse of v{v}->v{w}")
-    return violations
 
 
 def stats(game: Game) -> GameStats:

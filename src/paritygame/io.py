@@ -77,7 +77,7 @@ def _decode_utf8(data: bytes) -> str:
 
 
 def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
-    """Parse PGSolver text into a validated game.
+    """Parse PGSolver text into a game.
 
     ``convention`` states how priorities in the file are to be read:
     ``"min"`` takes them verbatim, ``"max"`` reflects them so that internal
@@ -147,14 +147,12 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         successors = [successors[i] for i in order]
         names = [names[i] for i in order]
     _check_header_max(header_max, n)
-    if max(map(max, successors)) >= n:
-        for v, succs in enumerate(successors):
-            for w in succs:
-                if w >= n:
-                    raise FormatError(1, f"dangling successor id {w} at vertex {v}")
     if convention == "max":
         priority = _reflect(priority)
-    return Game(priority, owner, successors, names)
+    try:
+        return Game(priority, owner, successors, names)
+    except ValueError as exc:  # a dangling successor id
+        raise FormatError(1, str(exc)) from None
 
 
 def _check_not_empty(game: Game) -> None:

@@ -110,7 +110,9 @@ def lift_solution(
     player's vertices of every block the player owns and wins.
 
     Raises ``ValueError`` unless ``partition`` is a stuttering partition
-    whose block map is ``vmap`` and each quotient strategy belongs to its
+    of ``game``'s vertices whose block map is ``vmap``, the quotient winner
+    vector covers exactly the quotient's vertices, and each quotient
+    strategy belongs to its
     player, moves along quotient edges, is defined at every won block its
     player owns and stays only on divergent blocks; and when a block it
     lifts has a member with no in-block route onto the quotient move (an
@@ -118,9 +120,18 @@ def lift_solution(
     """
     if partition.kind != "stuttering":
         raise ValueError("strategy lifting requires a stuttering partition")
+    if len(partition.block_of) != game.vertex_count:
+        raise ValueError(
+            f"partition of {len(partition.block_of)} vertices for a game of {game.vertex_count}"
+        )
     if vmap != partition.block_of:
         raise ValueError("vmap does not match the partition")
     qwinner, qowner = quotient_solution.winner, quotient_game.owner
+    if len(qwinner) != quotient_game.vertex_count:
+        raise ValueError(
+            f"quotient winner vector of length {len(qwinner)} "
+            f"for {quotient_game.vertex_count} blocks"
+        )
     lifted = []
     for player in (EVEN, ODD):
         strategy = quotient_solution.strategy(player)

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: subcommands, conventions, exit codes."""
 
+import csv
+
 import pytest
 
 from paritygame import (
@@ -12,6 +14,7 @@ from paritygame import (
     solve,
     write_pgsolver,
 )
+from paritygame.bench import CSV_HEADER
 from paritygame.cli import cli_dispatch
 
 G1_MIN_TEXT = "parity 1;\n0 0 0 1;\n1 1 1 0;"
@@ -227,6 +230,23 @@ def test_bench_on_game_files(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2 + 2 * 3
     assert lines[2].startswith(f1)
+
+
+@pytest.mark.parametrize("name", ["a,b.gm", "jeu-\u00e9.gm"], ids=["comma", "non-ascii"])
+def test_bench_csv_reads_back_one_field_per_column(tmp_path, name):
+    # "a,b.gm" gave a row of 13 columns under 12 headers, and a non-ASCII
+    # game id failed to write
+    f = write_game(tmp_path / name, write_pgsolver(gen_chain(5, 1, ODD, 0)))
+    out = tmp_path / "bench.csv"
+    code = cli_dispatch(
+        ["--convention", "min", "bench", f, "--repetitions", "1", "-o", str(out)]
+    )
+    assert code == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        comment, header, *rows = csv.reader(fh)
+    assert header == CSV_HEADER.split(",")
+    assert len(rows) == 3
+    assert all(len(row) == len(header) and row[0] == f for row in rows)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -19,6 +19,7 @@ from paritygame import (
     quotient,
     refine_strong,
     refine_stuttering,
+    solve,
     solve_zielonka,
     verify_strategy,
 )
@@ -419,6 +420,40 @@ def test_lifting_rejects_a_strategy_of_the_wrong_player(g4):
     qsol = Solution([EVEN, EVEN, ODD], Strategy(ODD, {0: 1, 1: 1}), Strategy(ODD, {2: 2}))
     with pytest.raises(ValueError, match="belongs to the other player"):
         lift_solution(g4, part, reduced, vmap, qsol)
+
+
+def _chain5_solution():
+    """``gen_chain(5, 1, ODD, 0)`` with its stuttering partition, quotient,
+    block map and quotient solution."""
+    g5 = gen_chain(5, 1, ODD, 0)
+    p5 = refine_stuttering(g5)
+    r5, v5 = quotient(g5, p5)
+    return g5, p5, r5, v5, solve(r5)
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        (gen_chain(7, 1, ODD, 0), "partition of 6 vertices for a game of 8"),
+        (gen_chain(3, 1, EVEN, 0), "partition of 6 vertices for a game of 4"),
+    ],
+    ids=["larger-game", "smaller-game"],
+)
+def test_lifting_rejects_a_partition_of_another_game(other, message):
+    # both used to raise a bare IndexError
+    _, p5, r5, v5, s5 = _chain5_solution()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lift_solution(other, p5, r5, v5, s5)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+def test_lifting_rejects_a_quotient_winner_vector_of_another_length(extra):
+    # a shorter vector raised a bare IndexError, a longer one was accepted
+    g5, p5, r5, v5, s5 = _chain5_solution()
+    winner = s5.winner[:extra] if extra < 0 else s5.winner + [EVEN] * extra
+    qsol = Solution(winner, s5.strategy_even, s5.strategy_odd)
+    with pytest.raises(ValueError, match=f"^quotient winner vector of length {2 + extra} for 2 blocks$"):
+        lift_solution(g5, p5, r5, v5, qsol)
 
 
 @pytest.mark.parametrize(
