@@ -1,5 +1,6 @@
 """Iterative strongly connected components, shared by the stuttering
-refinement's inert condensation, the solvers and the strategy verifier.
+refinement (on the inert vertices that reach an inert cycle), the solvers
+and the strategy verifier.
 
 :func:`strongly_connected_components` takes the subgraph's vertices
 ``nodes`` and a successor table ``succ``, indexed by vertex: a tuple or

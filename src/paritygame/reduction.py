@@ -18,22 +18,27 @@ signature changed, so a round's bookkeeping grows with what changed in
 it, not with the game.  One ascending pass over the block map then
 builds the sorted member lists and numbers the blocks by their least
 member; each refinement reads the divergence flags off its own result.
-Stuttering refinement condenses the initial inert graph (the edges
-inside a (priority, owner) class) once: blocks only split and inert
-cycles never do (Groote and Vaandrager, ICALP 1990), so its components,
-sinks first, order the signing in every round.  That condensation is the
-library's only one of the block-internal graph: lifting needs none, and
-the definition the divergence flags are checked against lives with the
-tests' oracles.  Both refinements are deterministic, since the coarsest
-stable partition is unique; the test suite checks them against relational
-greatest-fixpoint oracles and earlier engines.
+Stuttering refinement orders the initial inert graph (the edges inside a
+(priority, owner) class) once, sinks first: blocks only split and inert
+cycles never do (Groote and Vaandrager, ICALP 1990), so that order of its
+strongly connected components serves every round.  Peeling, which takes
+a vertex once its other inert successors are taken, orders everything
+that reaches no inert cycle; Tarjan runs only on the rest, which is the
+library's only condensation of the block-internal graph (lifting needs
+none, and the definition the divergence flags are checked against lives
+with the tests' oracles).  A stuttering signature is an ``int`` interned
+per call: a component whose inert successors all carry one signature,
+and that adds neither exits nor divergence to it, reuses its id, so only
+where successors disagree is an exit set built.  Both refinements are
+deterministic, since the coarsest stable partition is unique; the test
+suite checks them against relational greatest-fixpoint oracles and
+earlier engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .game import Game
 from .graphs import strongly_connected_components
@@ -87,18 +92,6 @@ def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
             blocks[f].append(v)
         block_of[v] = f
     return Partition(block_of, blocks, list(map(diverges, blocks)), kind)
-
-
-def _intra_successors(game: Game, block_of: list[int]) -> dict[int, list[int]]:
-    """The successors of every vertex inside its own block, for the
-    vertices that have one (no other vertex can diverge)."""
-    intra: dict[int, list[int]] = {}
-    for v, succs in enumerate(game.successors):
-        b = block_of[v]
-        inside = [w for w in succs if block_of[w] == b]
-        if inside:
-            intra[v] = inside
-    return intra
 
 
 def _refine(
@@ -209,46 +202,105 @@ def refine_strong(game: Game) -> Partition:
 
 def _inert_components(game: Game, block_of: list[int]) -> tuple[list[list[int]], list[int]]:
     """Strongly connected components of the inert graph of the initial
-    ``block_of``, sinks first (vertices without an inert successor, then
-    Tarjan's output over the rest), and the index of every vertex's
-    component."""
-    inert = _intra_successors(game, block_of)
-    comps = [[v] for v in game.vertices() if v not in inert]
-    comps += strongly_connected_components(inert, inert)
+    ``block_of`` (the edges inside a block), sinks first, and the index of
+    every vertex's component.
+
+    The order is built by peeling: a vertex becomes a component of its own
+    once every inert successor other than itself is peeled.  What is left
+    reaches an inert cycle, and only those vertices go through Tarjan,
+    whose output follows the peeled singletons.
+    """
+    succ, pred = game.successors, game.predecessors
+    waiting: list[int] = []  # inert successors other than the vertex, unpeeled
+    for v, ws in enumerate(succ):
+        b = block_of[v]
+        k = 0
+        for w in ws:
+            if block_of[w] == b and w != v:
+                k += 1
+        waiting.append(k)
+    order = [v for v, k in enumerate(waiting) if not k]
     comp_of = [0] * game.vertex_count
-    for c, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = c
+    for c, v in enumerate(order):
+        comp_of[v] = c
+        b = block_of[v]
+        for p in pred[v]:
+            if block_of[p] == b and p != v:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    order.append(p)
+    comps = [[v] for v in order]
+    if len(order) < game.vertex_count:
+        left = [v for v, k in enumerate(waiting) if k]
+        inert = {v: [w for w in succ[v] if block_of[w] == block_of[v]] for v in left}
+        for c, comp in enumerate(strongly_connected_components(left, inert), len(comps)):
+            comps.append(comp)
+            for v in comp:
+                comp_of[v] = c
     return comps, comp_of
 
 
-def _sign_stuttering(comps, comp_of, game, block_of, sig, dirty) -> list[tuple]:
-    """Signature (divergence bit, sorted exit-block tuple) of every dirty
-    vertex, one initial inert component at a time, sinks first.  A
-    component never splits and its edges stay inert, so the dirty set is a
-    union of components, whose members share exits and divergence.  An
-    inert successor in another component was signed earlier this round, or
-    is clean and its cached signature still exact."""
+# never a block id: the member of a signature's set that marks divergence
+_DIVERGES = -1
+
+
+def _stuttering_signer(
+    game: Game, block_of: list[int]
+) -> tuple[Callable[..., list[int]], list[frozenset[int]]]:
+    """Signature function for ``_refine`` over the inert components of the
+    initial ``block_of``, and its table of exit sets by signature id.
+
+    A signature is an ``int`` id, interned per call, of the frozenset of
+    blocks a component exits to after inert steps, plus ``_DIVERGES`` when
+    an infinite inert path starts there.  Components are signed sinks
+    first.  A component never splits and its edges stay inert, so the
+    dirty set is a union of components, whose members share the signature
+    ``current[c]``; an inert successor in another component was signed
+    earlier this round, or is clean and its id still exact.  A component
+    whose inert successors outside it all carry one id, whose direct exits
+    lie in that id's set and that adds no divergence takes that id without
+    building a set; only one whose successors disagree pays for a union.
+    """
+    comps, comp_of = _inert_components(game, block_of)
     succ = game.successors
-    new: dict[int, tuple[bool, tuple[int, ...]]] = {}  # by component
-    for c in sorted({comp_of[v] for v in dirty}):
-        comp = comps[c]
-        b = block_of[comp[0]]
-        div = len(comp) > 1
-        exits: set[int] = set()
-        for v in comp:
-            for w in succ[v]:
-                bw = block_of[w]
-                if bw != b:
-                    exits.add(bw)
-                elif comp_of[w] != c:
-                    d, e = new.get(comp_of[w]) or sig[w]  # type: ignore[misc]
-                    div = div or d
-                    exits.update(e)
-                elif w == v:
-                    div = True
-        new[c] = (div, tuple(sorted(exits)))
-    return [new[comp_of[v]] for v in dirty]
+    ids: dict[frozenset[int], int] = {}
+    sets: list[frozenset[int]] = []
+    current = [0] * len(comps)
+
+    def sign(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[int]:
+        for c in sorted({comp_of[v] for v in dirty}):
+            comp = comps[c]
+            b = block_of[comp[0]]
+            div = len(comp) > 1
+            exits: set[int] = set()
+            inner: set[int] = set()  # ids of inert successors outside comp
+            for v in comp:
+                for w in succ[v]:
+                    bw = block_of[w]
+                    if bw != b:
+                        exits.add(bw)
+                    elif comp_of[w] != c:
+                        inner.add(current[comp_of[w]])
+                    elif w == v:
+                        div = True
+            if len(inner) == 1:
+                (i,) = inner
+                key = sets[i]
+                if (not div or _DIVERGES in key) and key.issuperset(exits):
+                    current[c] = i
+                    continue
+            if div:
+                exits.add(_DIVERGES)
+            for i in inner:
+                exits |= sets[i]
+            key = frozenset(exits)
+            i = ids.setdefault(key, len(sets))
+            if i == len(sets):
+                sets.append(key)
+            current[c] = i
+        return [current[comp_of[v]] for v in dirty]
+
+    return sign, sets
 
 
 def _dirty_stuttering(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
@@ -280,19 +332,22 @@ def refine_stuttering(game: Game) -> Partition:
     divergence-sensitive stuttering equivalence.
 
     A vertex's signature is its divergence flag and the set of other
-    blocks it reaches after a run of intra-block edges.  Each round signs
-    its dirty vertices (those that moved, their predecessors, and whatever
-    reaches them by intra-block edges) in the order of one condensation of
-    the initial inert graph.  A block of several members takes its flag
-    from a member's final signature; a one-member block diverges iff its
-    vertex has a self-loop.
+    blocks it reaches after a run of intra-block edges, interned as one
+    ``int`` per distinct signature.  Each round signs its dirty vertices
+    (those that moved, their predecessors, and whatever reaches them by
+    intra-block edges) in one sinks-first order of the initial inert
+    graph's components, built by peeling before any Tarjan call.  A block
+    of several members takes its flag from a member's final signature; a
+    one-member block diverges iff its vertex has a self-loop.
     """
     block_of, size = _initial_blocks(game)
-    sign = partial(_sign_stuttering, *_inert_components(game, block_of))
+    sign, sets = _stuttering_signer(game, block_of)
     block_of, sig = _refine(game, block_of, size, sign, _dirty_stuttering)
     succ = game.successors
     return _finalize(
-        block_of, "stuttering", lambda vs: sig[vs[0]][0] if len(vs) > 1 else vs[0] in succ[vs[0]]
+        block_of,
+        "stuttering",
+        lambda vs: _DIVERGES in sets[sig[vs[0]]] if len(vs) > 1 else vs[0] in succ[vs[0]],
     )
 
 
@@ -307,6 +362,10 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     if partition.kind not in ("strong", "stuttering"):
         raise ValueError(f"cannot quotient a partition of kind {partition.kind!r}")
     block_of = partition.block_of
+    if len(block_of) != game.vertex_count:
+        raise ValueError(
+            f"partition of {len(block_of)} vertices for a game of {game.vertex_count}"
+        )
     reps = [members[0] for members in partition.blocks]
     priority = tuple(map(game.priority.__getitem__, reps))
     owner = tuple(map(game.owner.__getitem__, reps))

@@ -15,6 +15,7 @@ from paritygame import (
     refine_stuttering,
     solve_zielonka,
 )
+from paritygame.generators import Xoshiro256StarStar
 
 from lifting_reference import Lifting, Path, distance, mimick_next
 
@@ -54,6 +55,48 @@ def priority_ladder(n: int) -> Game:
     vertex only loops."""
     successors = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
     return Game(list(range(n)), [i % 2 for i in range(n)], successors)
+
+
+def random_lts(states: int, seed: int) -> list[list[tuple[int, int]]]:
+    """Seeded labelled transition system: each state draws ``1 +
+    below(3)`` distinct (label ``below(3)``, target ``below(states)``)
+    pairs, rejection-sampled until distinct, states in order."""
+    rng = Xoshiro256StarStar(seed)
+    lts = []
+    for _ in range(states):
+        k = 1 + rng.below(3)
+        moves: list[tuple[int, int]] = []
+        while len(moves) < k:
+            move = (rng.below(3), rng.below(states))
+            if move not in moves:
+                moves.append(move)
+        lts.append(moves)
+    return lts
+
+
+def nested_game(states: int, seed: int = 1) -> Game:
+    """Product of ``random_lts(states, seed)`` with the formula
+    ``νX.μY.((⟨a⟩X ∧ [b]Y) ∨ ⟨b,c⟩Y)``, labels a, b, c = 0, 1, 2.
+
+    Vertex (s, j) is ``7s + j`` for the subformulas in preorder: j = 0
+    νX (priority 0), 1 μY (priority 1), then the ∨, the ∧, ⟨a⟩X, [b]Y
+    and ⟨b,c⟩Y, which take μY's priority 1.  Fixpoints, ∨ and ⟨L⟩ are
+    EVEN's, ∧ and [L] ODD's.  A modality steps to the L-successors' νX or
+    μY vertex; an empty ⟨L⟩ goes to the false sink (priority 1), an empty
+    [L] to the true sink (priority 0), the last two vertices, both EVEN's
+    and each with a self-loop.
+    """
+    true, false = 7 * states, 7 * states + 1
+    priority = [0, 1, 1, 1, 1, 1, 1] * states + [0, 1]
+    owner = [EVEN, EVEN, EVEN, ODD, EVEN, ODD, EVEN] * states + [EVEN, EVEN]
+    successors: list[list[int]] = []
+    for s, moves in enumerate(random_lts(states, seed)):
+        v = 7 * s
+        a = [7 * t for label, t in moves if label == 0] or [false]
+        b = [7 * t + 1 for label, t in moves if label == 1] or [true]
+        bc = [7 * t + 1 for label, t in moves if label != 0] or [false]
+        successors += [[v + 1], [v + 2], [v + 3, v + 6], [v + 4, v + 5], a, b, bc]
+    return Game(priority, owner, successors + [[true], [false]])
 
 
 def relabelled(game: Game, seed: int) -> Game:

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import time
 from unittest import mock
 
 import pytest
@@ -33,7 +34,7 @@ from paritygame import (
     write_partition,
 )
 
-from helpers import alternating_chain, assert_same_game, relabelled, small_games
+from helpers import alternating_chain, assert_same_game, nested_game, relabelled, small_games
 from oracles import (
     compute_divergent,
     divergent_wrt,
@@ -144,6 +145,13 @@ def test_quotient_rejects_a_non_total_game():
     part = Partition([0, 0], [[0, 1]], [False], "stuttering")
     with pytest.raises(ValueError, match="^quotient block 0 has no successor"):
         quotient(g, part)
+
+
+@pytest.mark.parametrize("n, o_chain", [(7, ODD), (3, EVEN)], ids=["longer", "shorter"])
+def test_quotient_rejects_a_partition_of_another_game(n, o_chain):
+    part = refine_stuttering(gen_chain(5, 1, ODD, 0))
+    with pytest.raises(ValueError, match=f"^partition of 6 vertices for a game of {n + 1}$"):
+        quotient(gen_chain(n, 1, o_chain, 0), part)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +272,15 @@ def test_oracle_equivalence_random_games():
         assert partition_from_relation(g, oracle_strong_pairs(g)) == strong, seed
 
 
+@pytest.mark.parametrize("states", [3, 6, 10, 20])
+def test_oracle_equivalence_nested_games(states):
+    # verification-shaped games: long inert paths fanning into many exits
+    g = nested_game(states)
+    stut = refine_stuttering(g)
+    assert partition_from_relation(g, oracle_stuttering_pairs(g)) == stut.blocks
+    assert [stut.divergent[b] for b in stut.block_of] == compute_divergent(g, stut)
+
+
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(small_games(max_vertices=8, max_priority=2, max_successors=3))
 def test_refinement_equals_oracle_property(g):
@@ -271,6 +288,15 @@ def test_refinement_equals_oracle_property(g):
     assert partition_from_relation(g, oracle_stuttering_pairs(g)) == stut
     strong = refine_strong(g).blocks
     assert partition_from_relation(g, oracle_strong_pairs(g)) == strong
+
+
+def test_stuttering_has_no_cliff_on_long_fanning_inert_paths():
+    # inert paths here fan into hundreds of exit blocks, so copying every
+    # component's exit set in every round is quadratic
+    g = nested_game(12_000)
+    t0 = time.perf_counter()
+    assert refine_stuttering(g).block_count == 26_129
+    assert time.perf_counter() - t0 < 10.0
 
 
 def relation_satisfies_stuttering_conditions(game, rel):
@@ -359,16 +385,19 @@ def test_divergence_flags_come_from_the_refinement():
 
     for name, g in oracle_games():
         check_divergence_flags(g, name)
-    # one condensation per call, however many rounds the refinement takes
+    # peeling orders an acyclic inert graph without Tarjan; a game with an
+    # inert cycle gets exactly one call
     calls = []
 
     def counted(nodes, succ):
         calls.append(1)
         return paritygame.graphs.strongly_connected_components(nodes, succ)
 
-    g = alternating_chain(400)
     with mock.patch.object(paritygame.reduction, "strongly_connected_components", counted):
-        assert refine_stuttering(g).block_count == 401
+        assert refine_stuttering(alternating_chain(400)).block_count == 401
+        assert refine_stuttering(relabelled(gen_chain(800, 1, EVEN, 0), 331)).block_count == 2
+        assert calls == []
+        assert refine_stuttering(gen_divergent_pair()).divergent == [True, True]
     assert len(calls) == 1
 
 

@@ -30,7 +30,13 @@ from paritygame import (
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.graphs import strongly_connected_components
 
-from helpers import alternating_chain, assert_same_game, priority_ladder, relabelled
+from helpers import (
+    alternating_chain,
+    assert_same_game,
+    nested_game,
+    priority_ladder,
+    relabelled,
+)
 from oracles import compute_divergent, reference_infinite_path
 
 
@@ -392,6 +398,7 @@ def oracle_games():
     for n in (1, 3, 30, 150):
         yield f"ladder {n}", priority_ladder(n)
     yield "torus 200", torus(200, 5)
+    yield "nested 300", nested_game(300)
     for seed in (1, 2, 3):
         yield f"random {seed}", gen_random(10_000, 5, 3, seed)
 
