@@ -36,12 +36,14 @@ class Game:
     ``Game`` is total and its edges stay inside the vertex set.
 
     Successor lists are normalised to duplicate-free ascending order and
-    predecessor lists are derived from them.  Empty names read as ``None``,
-    and a game without any name has ``names is None``, as a parsed file
-    without names does.
+    the constructor derives the predecessor lists from them; a game made
+    by :meth:`_from_normalised` (a quotient, a subgame) derives them on the
+    first read of :attr:`predecessors` instead, since minimisation never
+    reads them.  Empty names read as ``None``, and a game without any name
+    has ``names is None``, as a parsed file without names does.
     """
 
-    __slots__ = ("priority", "owner", "successors", "predecessors", "names")
+    __slots__ = ("priority", "owner", "successors", "_pred", "names")
 
     def __init__(
         self,
@@ -87,20 +89,29 @@ class Game:
             if names.count(None) == n:
                 names = None
         self.names = names
-        self.predecessors = _predecessors(self.successors)
+        self._pred = _predecessors(successors)
 
     @classmethod
     def _from_normalised(cls, priority, owner, successors, predecessors=None, names=None) -> Game:
         """A game from parts already in the form ``__init__`` leaves them in,
-        neither checked nor copied; predecessors are derived unless given.
-        Parts may be shared with another game, since games are immutable."""
+        neither checked nor copied.  Parts may be shared with another game,
+        since games are immutable; predecessors left as ``None`` are
+        derived on their first read."""
         new = cls.__new__(cls)
         new.priority = priority
         new.owner = owner
         new.successors = successors
-        new.predecessors = _predecessors(successors) if predecessors is None else predecessors
+        new._pred = predecessors
         new.names = names
         return new
+
+    @property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending predecessor tuple of every vertex."""
+        pred = self._pred
+        if pred is None:
+            pred = self._pred = _predecessors(self.successors)
+        return pred
 
     @property
     def vertex_count(self) -> int:
@@ -337,13 +348,14 @@ def convert_priorities(game: Game, direction: str = "max_to_min") -> Game:
     Every priority becomes ``d - priority`` where ``d`` is the maximum
     priority rounded up to an even number; this preserves the winner of
     every vertex.  Both directions use the same reflection.  The result
-    shares ``game``'s successor, predecessor and name tuples; only the
-    priorities are new.
+    shares ``game``'s successor and name tuples, and its predecessor table
+    if that is built (an unbuilt one stays unbuilt); only the priorities
+    are new.
     """
     if direction not in ("max_to_min", "min_to_max"):
         raise ValueError(f"unknown direction {direction!r}")
     return Game._from_normalised(
-        _reflect(game.priority), game.owner, game.successors, game.predecessors, game.names
+        _reflect(game.priority), game.owner, game.successors, game._pred, game.names
     )
 
 

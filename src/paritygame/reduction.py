@@ -9,24 +9,28 @@ initial (priority, owner) partition:
   agree on (a) whether an infinite path can stay inside the block and
   (b) which other blocks are reachable after a run of intra-block edges.
 
-One engine serves both, with a signature function per equivalence.  Its
-state is flat: the block of every vertex, the size of every block and a
-cached signature per vertex.  Each round re-signs only the dirty vertices
-of non-singleton blocks (those whose signature the previous round's
-splits may have changed) and splits off exactly the members whose
-signature changed, so a round's bookkeeping grows with what changed in
-it, not with the game.  One ascending pass over the block map then
-builds the sorted member lists and numbers the blocks by their least
-member; each refinement reads the divergence flags off its own result.
+One engine serves both, with a signature function per equivalence, for a
+batch of vertices and for a lone one.  Its state is flat: the block of
+every vertex, the size of every block and a cached signature per vertex.
+Each round re-signs only the dirty vertices of non-singleton blocks (those
+whose signature the previous round's splits may have changed) and splits
+off exactly the members whose signature changed, so a round's
+bookkeeping grows with what changed in it, not with the game.  A lone
+dirty vertex skips the round: it is signed and split off on its own, so
+a cascade of one-vertex splits (a chain) costs its splits, not a round
+each.  One ascending pass over the block map then builds the sorted
+member lists and numbers the blocks by their least member; each
+refinement reads the divergence flags off its own result.
 Stuttering refinement orders the initial inert graph (the edges inside a
 (priority, owner) class) once, sinks first: blocks only split and inert
 cycles never do (Groote and Vaandrager, ICALP 1990), so that order of its
-strongly connected components serves every round.  Peeling, which takes
-a vertex once its other inert successors are taken, orders everything
-that reaches no inert cycle; Tarjan runs only on the rest, which is the
-library's only condensation of the block-internal graph (lifting needs
-none, and the definition the divergence flags are checked against lives
-with the tests' oracles).  A stuttering signature is an ``int`` interned
+strongly connected components serves every round, and a lone dirty
+vertex is a one-member component.  Peeling, which takes a vertex once its
+other inert successors are taken, orders everything that reaches no
+inert cycle; Tarjan runs only on the rest, which is the library's only
+condensation of the block-internal graph (lifting needs none, and the
+definition the divergence flags are checked against lives with the
+tests' oracles).  A stuttering signature is an ``int`` interned
 per call: a component whose inert successors all carry one signature,
 and that adds neither exits nor divergence to it, reuses its id, so only
 where successors disagree is an exit set built.  Both refinements are
@@ -38,6 +42,7 @@ earlier engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from .game import Game
@@ -95,31 +100,48 @@ def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
 
 
 def _refine(
-    game: Game, block_of: list[int], size: list[int], signatures, next_dirty
-) -> tuple[list[int], list]:
+    block_of: list[int], size: list[int], sign, next_dirty, sign_one, dirty_one
+) -> list:
     """Dirty-set signature refinement shared by both equivalences, from
     the initial ``block_of`` and block ``size`` (refined in place); returns
-    the block of every vertex and the signature cache.
+    the signature cache.
 
-    ``signatures(game, block_of, sig, dirty)`` returns the new signature of
-    every vertex in the sorted list ``dirty``; it may read the cached
-    ``sig`` of vertices outside ``dirty``.  ``next_dirty(game, block_of,
-    moved)`` returns, as any iterable without duplicates, the vertices
-    whose signature a round's moves may have changed.  The state is
-    ``block_of`` and the size of every block, no member sets.  Blocks stay
-    signature-uniform between rounds, so a round splits off exactly the
-    members whose signature changed, never rescanning the remainder; long
-    split cascades (chains) therefore stay linear.  A round costs what
-    changed in it: a block with one changed member splits that member off
-    directly, and the changed blocks are sorted only when there are
-    several.  Members of singleton blocks are never re-signed: a singleton
+    ``sign(dirty)`` returns the new signature of every vertex in the
+    sorted list ``dirty``, and ``next_dirty(moved)``, as any iterable
+    without duplicates, the vertices whose signature a round's moves may
+    have changed.  ``sign_one(v)`` and ``dirty_one(v)`` are the same for a
+    lone vertex ``v``.  The state is ``block_of`` and the size of every
+    block, no member sets.  Blocks stay signature-uniform between rounds,
+    so a round splits off exactly the members whose signature changed,
+    never rescanning the remainder.  A round costs what changed in it: a
+    block with one changed member splits that member off directly, and
+    the changed blocks are sorted only when there are several.
+
+    A round with one dirty vertex skips the round machinery: the vertex is
+    signed alone and, if its signature changed, split off, and the dirty
+    set it leaves is followed the same way for as long as it holds one
+    vertex.  A split cascade (a chain) thus costs its splits, not a round
+    each.  Members of singleton blocks are never re-signed: a singleton
     cannot split, and no other vertex reads its signature.
     """
-    sig: list = [None] * game.vertex_count
+    sig: list = [None] * len(block_of)
     dirty = [v for v, b in enumerate(block_of) if size[b] > 1]
     while dirty:
+        if len(dirty) == 1:
+            v = dirty[0]
+            if sign_one(v) == sig[v]:
+                break
+            # the lone dirty vertex leaves a block of several; as a
+            # singleton it needs no cached signature
+            size[block_of[v]] -= 1
+            block_of[v] = len(size)
+            size.append(1)
+            dirty = [u for u in dirty_one(v) if size[block_of[u]] > 1]
+            if len(dirty) > 1:
+                dirty.sort()
+            continue
         changed: dict[int, list[int]] = {}
-        for v, s in zip(dirty, signatures(game, block_of, sig, dirty)):
+        for v, s in zip(dirty, sign(dirty)):
             if s != sig[v]:
                 sig[v] = s
                 b = block_of[v]
@@ -159,42 +181,42 @@ def _refine(
                 for v in part:
                     block_of[v] = new_id
                 moved.extend(part)
-        dirty = [v for v in next_dirty(game, block_of, moved) if size[block_of[v]] > 1]
+        dirty = [v for v in next_dirty(moved) if size[block_of[v]] > 1]
         dirty.sort()
-    return block_of, sig
-
-
-def _sign_strong(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[frozenset]:
-    succ = game.successors
-    block = block_of.__getitem__
-    return [frozenset(map(block, succ[v])) for v in dirty]
-
-
-def _dirty_strong(game: Game, block_of: list[int], moved: list[int]) -> Iterable[int]:
-    """The predecessors of the moved vertices: a lone moved vertex's own
-    predecessor tuple as it is, otherwise their set."""
-    pred = game.predecessors
-    if len(moved) == 1:
-        return pred[moved[0]]
-    return {p for u in moved for p in pred[u]}
+    return sig
 
 
 def refine_strong(game: Game) -> Partition:
     """Coarsest refinement of the initial partition in which all members of
     a block have identical sets of successor blocks (strong bisimilarity).
 
-    A vertex's signature is its set of successor blocks, so only the
-    predecessors of vertices that changed block are re-signed.  Members
-    of a block reach the same blocks, so a block is divergent iff its
-    representative has an intra-block successor: for a one-member block,
-    a self-loop.
+    A vertex's signature is the frozenset of its successor blocks, so only
+    the predecessors of vertices that changed block are re-signed.
+    Members of a block reach the same blocks, so a block is divergent iff
+    its representative has an intra-block successor: for a one-member
+    block, a self-loop.
     """
-    block_of = _refine(game, *_initial_blocks(game), _sign_strong, _dirty_strong)[0]
-    succ = game.successors
+    block_of, size = _initial_blocks(game)
+    succ, pred = game.successors, game.predecessors
+    block = block_of.__getitem__
+
+    def sign_one(v: int) -> frozenset[int]:
+        return frozenset(map(block, succ[v]))
+
+    def sign(dirty: list[int]) -> list[frozenset[int]]:
+        return [frozenset(map(block, succ[v])) for v in dirty]
+
+    def next_dirty(moved: list[int]) -> Iterable[int]:
+        # a lone moved vertex's own predecessor tuple as it is
+        if len(moved) == 1:
+            return pred[moved[0]]
+        return {p for u in moved for p in pred[u]}
+
+    _refine(block_of, size, sign, next_dirty, sign_one, pred.__getitem__)
     return _finalize(
         block_of,
         "strong",
-        lambda vs: block_of[vs[0]] in map(block_of.__getitem__, succ[vs[0]])
+        lambda vs: block_of[vs[0]] in map(block, succ[vs[0]])
         if len(vs) > 1
         else vs[0] in succ[vs[0]],
     )
@@ -246,9 +268,10 @@ _DIVERGES = -1
 
 def _stuttering_signer(
     game: Game, block_of: list[int]
-) -> tuple[Callable[..., list[int]], list[frozenset[int]]]:
-    """Signature function for ``_refine`` over the inert components of the
-    initial ``block_of``, and its table of exit sets by signature id.
+) -> tuple[Callable[[list[int]], list[int]], Callable[[int], int], list[frozenset[int]]]:
+    """Signature functions for ``_refine`` over the inert components of the
+    initial ``block_of`` (which ``_refine`` refines in place), for a batch
+    and for a lone vertex, and their table of exit sets by signature id.
 
     A signature is an ``int`` id, interned per call, of the frozenset of
     blocks a component exits to after inert steps, plus ``_DIVERGES`` when
@@ -256,10 +279,12 @@ def _stuttering_signer(
     first.  A component never splits and its edges stay inert, so the
     dirty set is a union of components, whose members share the signature
     ``current[c]``; an inert successor in another component was signed
-    earlier this round, or is clean and its id still exact.  A component
-    whose inert successors outside it all carry one id, whose direct exits
-    lie in that id's set and that adds no divergence takes that id without
-    building a set; only one whose successors disagree pays for a union.
+    earlier this round, or is clean and its id still exact.  A lone dirty
+    vertex is therefore a one-member component, and one body signs it and
+    every component of a batch.  A component whose inert successors
+    outside it all carry one id, whose direct exits lie in that id's set
+    and that adds no divergence takes that id without building a set; only
+    one whose successors disagree pays for a union.
     """
     comps, comp_of = _inert_components(game, block_of)
     succ = game.successors
@@ -267,8 +292,9 @@ def _stuttering_signer(
     sets: list[frozenset[int]] = []
     current = [0] * len(comps)
 
-    def sign(game: Game, block_of: list[int], sig: list, dirty: list[int]) -> list[int]:
-        for c in sorted({comp_of[v] for v in dirty}):
+    def sign_components(cs: Iterable[int]) -> None:
+        """Sign the components ``cs``, in that order, into ``current``."""
+        for c in cs:
             comp = comps[c]
             b = block_of[comp[0]]
             div = len(comp) > 1
@@ -298,12 +324,20 @@ def _stuttering_signer(
             if i == len(sets):
                 sets.append(key)
             current[c] = i
+
+    def sign(dirty: list[int]) -> list[int]:
+        sign_components(sorted({comp_of[v] for v in dirty}))
         return [current[comp_of[v]] for v in dirty]
 
-    return sign, sets
+    def sign_one(v: int) -> int:
+        c = comp_of[v]
+        sign_components((c,))
+        return current[c]
+
+    return sign, sign_one, sets
 
 
-def _dirty_stuttering(game: Game, block_of: list[int], moved: list[int]) -> set[int]:
+def _dirty_stuttering(game: Game, block_of: list[int], moved: Iterable[int]) -> set[int]:
     """Moved vertices and their predecessors, closed backwards under edges
     that are inert in the new partition: exactly the vertices whose exit
     sets or divergence may have changed."""
@@ -341,8 +375,9 @@ def refine_stuttering(game: Game) -> Partition:
     one-member block diverges iff its vertex has a self-loop.
     """
     block_of, size = _initial_blocks(game)
-    sign, sets = _stuttering_signer(game, block_of)
-    block_of, sig = _refine(game, block_of, size, sign, _dirty_stuttering)
+    sign, sign_one, sets = _stuttering_signer(game, block_of)
+    next_dirty = partial(_dirty_stuttering, game, block_of)
+    sig = _refine(block_of, size, sign, next_dirty, sign_one, lambda v: next_dirty((v,)))
     succ = game.successors
     return _finalize(
         block_of,

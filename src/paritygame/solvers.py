@@ -139,18 +139,25 @@ def _zielonka(
     whole game, and a claimed region grows from the sub-level's region.
     One membership array marks the current subgame; a level clears the
     vertices it removes before its sub-level runs and restores them after,
-    so no level copies it.  Deep games need no Python recursion.
+    so no level copies it.  A re-run whose trap misses the level's
+    attractor takes that attractor over instead of computing it again.
+    Deep games need no Python recursion.
     """
     priority, owner, successors = game.priority, game.owner, game.successors
     moves: dict[int, dict[int, int]] = {EVEN: {}, ODD: {}}
     stack: list[_Level] = []
+    reuse = None  # a re-run level's bucket, attractor and witnesses
     while True:
         # descend: open a level per subgame until the subgame is empty
         while vertices:
             m = priority[vertices[0]]
             side = m % 2
-            lowest = vertices[: bisect_right(vertices, m, key=priority.__getitem__)]
-            attr, witness = _attract(game, side, lowest, alive)
+            if reuse:
+                lowest, attr, witness = reuse
+                reuse = None
+            else:
+                lowest = vertices[: bisect_right(vertices, m, key=priority.__getitem__)]
+                attr, witness = _attract(game, side, lowest, alive)
             for v in attr:
                 alive[v] = False
             stack.append(_Level(vertices, side, lowest, attr, witness))
@@ -182,6 +189,13 @@ def _zielonka(
                 moves[opp].update(trap_witness)
                 for v in trap:
                     alive[v] = False
+                if trap.isdisjoint(level.removed):
+                    # the re-run would find this level's bucket, attractor
+                    # and witnesses again: a vertex of ``opp`` outside the
+                    # trap has no successor in it, or it would be in it,
+                    # so no vertex left gains or loses a way into the
+                    # attractor
+                    reuse = level.lowest, level.removed, level.witness
                 level.removed, level.rerun = trap, True
                 vertices = [v for v in level.vertices if alive[v]]
                 break
@@ -354,6 +368,8 @@ def solve_spm(game: Game) -> Solution:
     won by exactly one half, and both strategies pass
     :func:`~paritygame.game.verify_strategy` on the regions they claim.
     """
+    # the dual reads ``game.predecessors`` first, so both halves share one
+    # table even when ``game`` (a subgame) was made without it
     dual = Game._from_normalised(
         tuple([p + 1 for p in game.priority]),
         tuple([1 - o for o in game.owner]),

@@ -50,6 +50,37 @@ def alternating_chain(n: int) -> Game:
     return Game([1] * n + [0], owner, [[i + 1] for i in range(n)] + [[n]])
 
 
+def comb(spine: int, every: int, depth: int, tooth_priority: int, stretch: int = 1) -> Game:
+    """A chain of ``spine`` priority-1 vertices into a priority-0
+    self-looping sink (vertex 0), with a tooth hanging off every
+    ``every``-th spine vertex from the sink's neighbour on: a complete
+    binary in-tree of ``depth`` levels below its root, all of priority
+    ``tooth_priority``, whose root moves to that spine vertex.  A vertex's
+    owner flips every ``stretch`` steps of distance to the sink, so with
+    ``stretch`` 1 no edge is inert.
+
+    Both refinements split such a game in a cascade out from the sink: a
+    stretch of spine one vertex at a time, then, where a tooth hangs, the
+    spine vertex and the tooth's root in one round."""
+    priority, distance, successors = [0], [0], [[0]]
+    for i in range(spine):
+        priority.append(1)
+        distance.append(i + 1)
+        successors.append([i])
+    for s in range(1, spine + 1, every):
+        level = [s]
+        for d in range(depth + 1):
+            below = []
+            for p in level:
+                for _ in range(1 if d == 0 else 2):
+                    below.append(len(priority))
+                    priority.append(tooth_priority)
+                    distance.append(distance[p] + 1)
+                    successors.append([p])
+            level = below
+    return Game(priority, [x // stretch % 2 for x in distance], successors)
+
+
 def priority_ladder(n: int) -> Game:
     """Vertex i has priority i, owner i mod 2 and edges {i, i+1}; the last
     vertex only loops."""

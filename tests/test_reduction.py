@@ -23,6 +23,7 @@ from paritygame import (
     ODD,
     Game,
     Partition,
+    convert_priorities,
     gen_branch,
     gen_chain,
     gen_divergent_pair,
@@ -194,14 +195,33 @@ def test_monotone_shrinking():
         assert qt.edge_count <= qs.edge_count <= g.edge_count
 
 
+def _inverse(successors) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(v for v, ws in enumerate(successors) if w in ws) for w in range(len(successors))
+    )
+
+
 def test_quotients_are_valid_total_games():
     # quotients skip the constructor's checks; rebuilding one through it
-    # checks totality, id range, sorted successors and predecessors
+    # checks totality, id range, sorted successors and predecessors.
+    # Derived games build their predecessor table on its first read, and a
+    # priority conversion of a quotient whose table was never read builds
+    # its own.
     for seed in range(40):
         g = gen_random(1 + seed % 20, 3, 3, seed + 777)
         for refine in (refine_strong, refine_stuttering):
             reduced, _ = quotient(g, refine(g))
+            assert reduced._pred is None
+            converted = convert_priorities(reduced)
+            assert converted.predecessors == _inverse(converted.successors)
+            assert reduced._pred is None
+            assert reduced.predecessors == _inverse(reduced.successors)
             assert_same_game(reduced, Game(reduced.priority, reduced.owner, reduced.successors))
+            # a table once built is shared, not rebuilt
+            assert convert_priorities(reduced).predecessors is reduced.predecessors
+        sub = paritygame.solvers._subgame(g, list(range(0, g.vertex_count, 2)))
+        assert sub._pred is None
+        assert sub.predecessors == _inverse(sub.successors)
 
 
 def test_quotient_idempotence():

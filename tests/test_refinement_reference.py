@@ -27,17 +27,25 @@ from paritygame import (
     refine_strong,
     refine_stuttering,
 )
+import paritygame.reduction as reduction
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.graphs import strongly_connected_components
 
 from helpers import (
     alternating_chain,
     assert_same_game,
+    comb,
     nested_game,
     priority_ladder,
     relabelled,
 )
-from oracles import compute_divergent, reference_infinite_path
+from oracles import (
+    compute_divergent,
+    oracle_strong_pairs,
+    oracle_stuttering_pairs,
+    partition_from_relation,
+    reference_infinite_path,
+)
 
 
 def _stuttering_signatures(
@@ -417,3 +425,73 @@ def test_engine_matches_dict_of_sets_reference(engine, reference):
         ref_reduced, ref_vmap = reference_quotient(g, ref)
         assert_same_game(reduced, ref_reduced)
         assert vmap == ref_vmap, name
+
+
+# The engine signs a lone dirty vertex outside its rounds and follows the
+# dirty set it leaves for as long as that holds one vertex.  On these
+# families a cascade of such one-vertex splits runs along the spine, meets
+# a tooth (one vertex of its own priority, or a binary in-tree), leaves the
+# lane for a round or a few, and comes back; with owners that flip every
+# two steps, stuttering merges stretches of spine instead.
+LANE_FAMILIES = {
+    "comb": lambda spine, stretch: comb(spine, 3, 0, 2, stretch),
+    "binary in-trees": lambda spine, stretch: comb(spine, 6, 2, 1, stretch),
+}
+
+
+def _signing_trace(monkeypatch) -> list[str]:
+    """A list that every later refinement appends ``"B"`` to for each
+    batched signing and ``"L"`` for each lone-vertex one."""
+    trace: list[str] = []
+    refine = reduction._refine
+
+    def traced(block_of, size, sign, next_dirty, sign_one, dirty_one):
+        def sign_batch(dirty):
+            trace.append("B")
+            return sign(dirty)
+
+        def sign_lone(v):
+            trace.append("L")
+            return sign_one(v)
+
+        return refine(block_of, size, sign_batch, next_dirty, sign_lone, dirty_one)
+
+    monkeypatch.setattr(reduction, "_refine", traced)
+    return trace
+
+
+@pytest.mark.parametrize("family", sorted(LANE_FAMILIES))
+def test_lane_cascades_match_the_relational_oracles(family):
+    for spine in (1, 2, 7, 16, 30):
+        for stretch in (1, 2):
+            g = relabelled(LANE_FAMILIES[family](spine, stretch), spine)
+            assert refine_strong(g).blocks == partition_from_relation(
+                g, oracle_strong_pairs(g)
+            ), (spine, stretch)
+            assert refine_stuttering(g).blocks == partition_from_relation(
+                g, oracle_stuttering_pairs(g)
+            ), (spine, stretch)
+
+
+@pytest.mark.parametrize("family", sorted(LANE_FAMILIES))
+def test_lane_cascades_match_the_dict_of_sets_reference(family, monkeypatch):
+    trace = _signing_trace(monkeypatch)
+    for spine in (60, 500):
+        for stretch in (1, 2):
+            g = relabelled(LANE_FAMILIES[family](spine, stretch), spine)
+            for engine, reference in (
+                (refine_strong, reference_strong),
+                (refine_stuttering, reference_stuttering),
+            ):
+                trace.clear()
+                part = engine(g)
+                signings = "".join(trace)
+                ref = reference(g)
+                assert part == ref, (spine, stretch)
+                reduced, vmap = quotient(g, part)
+                ref_reduced, ref_vmap = reference_quotient(g, ref)
+                assert_same_game(reduced, ref_reduced)
+                assert vmap == ref_vmap
+                if stretch == 1:
+                    # the lane was left for a round, and entered after one
+                    assert "LB" in signings and "BL" in signings, signings

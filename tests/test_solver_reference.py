@@ -30,9 +30,14 @@ from paritygame import (
     convert_priorities,
     gen_chain,
     gen_random,
+    quotient,
+    refine_stuttering,
+    solve,
     solve_spm,
     solve_zielonka,
+    verify_strategy,
 )
+import paritygame.solvers as solvers
 from paritygame.solvers import _SpmHalf
 
 from helpers import alternating_chain, priority_ladder, small_games
@@ -381,3 +386,29 @@ def test_spm_matches_sweep_reference(family):
 def test_spm_matches_sweep_reference_property(g):
     assert progress_measure(g).value == reference_spm_even_half(g)[0].value
     assert _as_items(solve_spm(g)) == _as_items(reference_spm(g))
+
+
+def test_zielonka_rerun_reuses_an_attractor_its_trap_misses(monkeypatch):
+    # a level that re-runs after removing a trap disjoint from its
+    # attractor would find the same bucket, attractor and witnesses again;
+    # here that repeat would be a sixth attractor, of 5,062 vertices
+    g = gen_random(10_000, 5, 3, 1)
+    attract = solvers._attract
+    sizes = []
+
+    def counting(game, player, targets, alive):
+        attr, witness = attract(game, player, targets, alive)
+        sizes.append(len(attr))
+        return attr, witness
+
+    monkeypatch.setattr(solvers, "_attract", counting)
+    solution = solve(g)
+    assert sizes == [1, 4928, 5062, 9, 9]
+    monkeypatch.undo()
+    for player in (EVEN, ODD):
+        assert verify_strategy(g, player, solution.region(player), solution.strategy(player))
+    reduced, _ = quotient(g, refine_stuttering(g))
+    for h in (g, reduced):
+        reference = _recursive_zielonka(h)
+        assert _as_items(solve_zielonka(h)) == _as_items(reference)
+        assert solve(h).winner == reference.winner
