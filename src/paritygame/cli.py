@@ -32,6 +32,9 @@ class _UsageError(Exception):
     pass
 
 
+_ALGORITHMS = ("zielonka", "spm", "brute")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -72,7 +75,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve a game, print the solution")
     p_solve.add_argument("file")
     p_solve.add_argument(
-        "--algorithm", choices=("zielonka", "spm", "brute"), default="zielonka"
+        "--algorithm", choices=_ALGORITHMS, default="zielonka"
     )
 
     p_reduce = sub.add_parser("reduce", help="minimise a game")
@@ -188,34 +191,33 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    aliases = {"strong": "strong+solve", "stuttering": "stuttering+solve"}
+    methods = tuple(aliases.get(tok, tok) for tok in args.methods.split(",") if tok)
+    if methods == ("all",):
+        methods = bench_mod.METHODS
+    solvers = tuple(tok for tok in args.solvers.split(",") if tok)
+    if not methods or not set(methods) <= set(bench_mod.METHODS):
+        raise _UsageError("--methods takes a comma list of direct, strong and stuttering, or all")
+    if not solvers or not set(solvers) <= set(_ALGORITHMS):
+        raise _UsageError(f"--solvers takes a comma list of {', '.join(_ALGORITHMS)}")
+    if args.repetitions < 1:
+        raise _UsageError("--repetitions must be at least 1")
+    tokens = args.n.split(",") if args.family else []
+    sizes = [int(t) if t.strip().isdecimal() else 0 for t in tokens if t]
+    if args.family and (not sizes or min(sizes) < 1):
+        raise _UsageError(f"--family needs --n with positive sizes, not {args.n!r}")
     games: list[tuple[str, Game]] = []
     for path in args.files:
         games.append((path, _read_game(path, args.convention)))
-    if args.family:
-        sizes = [int(tok) for tok in args.n.split(",") if tok]
-        if not sizes:
-            raise _UsageError("--family needs --n with at least one size")
-        for n in sizes:
-            if args.family == "chain":
-                games.append((f"chain-{n}", gen_chain(n, 1, ODD, 0)))
-            else:
-                for i in range(args.count):
-                    seed = args.seed + i
-                    games.append(
-                        (
-                            f"random-{n}-s{seed}",
-                            gen_random(n, args.degree, args.pmax, seed),
-                        )
-                    )
+    for n in sizes:
+        if args.family == "chain":
+            games.append((f"chain-{n}", gen_chain(n, 1, ODD, 0)))
+        else:
+            for i in range(args.count):
+                seed = args.seed + i
+                games.append((f"random-{n}-s{seed}", gen_random(n, args.degree, args.pmax, seed)))
     if not games:
         raise _UsageError("nothing to benchmark: pass game files or --family")
-    aliases = {"strong": "strong+solve", "stuttering": "stuttering+solve"}
-    methods = (
-        bench_mod.METHODS
-        if args.methods == "all"
-        else tuple(aliases.get(tok, tok) for tok in args.methods.split(",") if tok)
-    )
-    solvers = tuple(tok for tok in args.solvers.split(",") if tok)
     records = bench_mod.run_benchmark(
         games,
         methods=methods,

@@ -6,17 +6,16 @@ strategies for both players:
 * :func:`solve_zielonka` — the attractor decomposition, phrased directly
   for the min-parity winner convention, on an explicit stack of
   subgame-local levels (no Python recursion, no full-width masks);
-* :func:`solve_spm` — small progress measures, run on the max-converted
-  game (the lattice's standard presentation) and lifted from a predecessor
-  worklist, with the second player's strategy obtained from the dual game.
-  The two halves race in slices of one visit per vertex; the first to
-  converge writes the region it wins as top in the other, which is that
-  half's top set at its least fixpoint, so lifting on from there ends at
-  the same measures while skipping the opponent's climb to top.  Each
-  solution is checked twice: every vertex has exactly one winner, and
-  both strategies pass :func:`~paritygame.game.verify_strategy`.  A
-  measure is one mixed-radix integer, one digit per odd priority (the
-  tests decode it into the lattice's tuples);
+* :func:`solve_spm` — small progress measures: each player's measures on
+  the game, lifted from a predecessor worklist.  The two halves race in
+  slices of one visit per vertex; the first to converge writes the region
+  it wins as top in the other, which is that half's top set at its least
+  fixpoint, so lifting on from there ends at the same measures while
+  skipping the opponent's climb to top.  Each solution is checked twice:
+  every vertex has exactly one winner, and both strategies pass
+  :func:`~paritygame.game.verify_strategy`.  A measure is one mixed-radix
+  integer, one digit per priority of the opponent's parity (the tests
+  decode it into the lattice's tuples);
 * :func:`solve_brute` — strategy enumeration with a one-player cycle
   analysis, usable as an oracle on tiny games.
 
@@ -35,7 +34,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from .game import EVEN, ODD, Game, Strategy, convert_priorities, verify_strategy
+from .game import EVEN, ODD, Game, Strategy, verify_strategy
 from .graphs import strongly_connected_components
 
 
@@ -96,9 +95,14 @@ def _attract(
 def attractor(game: Game, player: int, targets) -> list[int]:
     """Least set containing ``targets`` that ``player`` can force plays
     into: player vertices with a successor inside, opponent vertices with
-    all successors inside.  Returned in ascending vertex order."""
-    alive = [True] * game.vertex_count
-    attr, _ = _attract(game, player, sorted(set(targets)), alive)
+    all successors inside.  Returned in ascending vertex order.  A target
+    the game does not have raises :class:`ValueError`."""
+    n = game.vertex_count
+    targets = sorted(set(targets))
+    for v in targets:
+        if not 0 <= v < n:
+            raise ValueError(f"target {v} is not a vertex of the game")
+    attr, _ = _attract(game, player, targets, [True] * n)
     return sorted(attr)
 
 
@@ -236,18 +240,18 @@ def solve_zielonka(game: Game) -> Solution:
 
 
 class _SpmHalf:
-    """The even player's half of small progress measures, as a resumable
-    lifting state on the max-converted game: the measures, a FIFO worklist
-    of the vertices that may lift, and the number of vertices of every
-    priority.
+    """One player's half of small progress measures on the game, as a
+    resumable lifting state: the measures and a FIFO worklist of the
+    vertices that may lift.
 
-    A measure is one integer in mixed radix: the digit of the j-th odd
-    priority, most significant first, has radix one more than the number
-    of vertices carrying it, and top is the product of all radices.  Tuple
-    order is then integer order.  A vertex of priority ``p`` may carry
-    ``m - m % keep[p] + step[p]`` above a successor measured ``m < top``:
-    ``keep[p]`` is the weight of the least significant digit that ``p``
-    keeps, ``step[p]`` that of ``p``'s own digit when ``p`` is odd, and the
+    A measure is one integer in mixed radix, one digit per priority of the
+    opponent's parity, the lowest most significant: a digit's radix is one
+    more than the number of vertices carrying its priority, and top is the
+    product of all radices.  Tuple order is then integer order.  A vertex
+    of priority ``p`` may carry ``m - m % keep[p] + step[p]`` above a
+    successor measured ``m < top``: ``keep[p]`` is the weight of the least
+    significant digit that ``p`` keeps, which is ``p``'s own when ``p`` has
+    the opponent's parity; ``step[p]`` is then that weight, else 0, and the
     addition carries over the digits at their bound, up to top.
 
     Chaotic iteration from any measure below the least fixpoint reaches
@@ -259,30 +263,27 @@ class _SpmHalf:
     """
 
     __slots__ = (
-        "owner", "successors", "predecessors", "keep", "step", "top", "count",
+        "player", "owner", "successors", "predecessors", "keep", "step", "top",
         "value", "queue", "queued",
     )
 
-    def __init__(self, game: Game):
-        gmax = convert_priorities(game, "min_to_max")
-        priority = gmax.priority
+    def __init__(self, game: Game, player: int):
+        priority = game.priority
         count = [0] * (max(priority, default=0) + 1)
         for p in priority:
             count[p] += 1
         keep = [0] * len(count)
-        step = [0] * len(count)
         top = 1
-        for p, c in enumerate(count):
+        for p in reversed(range(len(count))):
             keep[p] = top
-            if p % 2:
-                step[p] = top
-                top *= c + 1
-        n = gmax.vertex_count
-        self.owner, self.successors, self.predecessors = gmax.owner, gmax.successors, gmax.predecessors
+            if p % 2 != player:
+                top *= count[p] + 1
+        n = game.vertex_count
+        self.player, self.owner = player, game.owner
+        self.successors, self.predecessors = game.successors, game.predecessors
         self.keep = list(map(keep.__getitem__, priority))
-        self.step = list(map(step.__getitem__, priority))
+        self.step = [0 if p % 2 == player else k for p, k in zip(priority, self.keep)]
         self.top = top
-        self.count = count
         self.value = [0] * n
         # A vertex is revisited only when one of its successors was lifted,
         # so the worklist converges to the same measure as a sweep over all
@@ -294,7 +295,8 @@ class _SpmHalf:
     def run(self, budget: int) -> bool:
         """Visit at most ``budget`` queued vertices, lifting each as far as
         its successors allow; returns whether the measure has converged."""
-        owner, successors, predecessors = self.owner, self.successors, self.predecessors
+        player, owner = self.player, self.owner
+        successors, predecessors = self.successors, self.predecessors
         keep, step, top, value = self.keep, self.step, self.top, self.value
         queue, queued = self.queue, self.queued
         popleft, append = queue.popleft, queue.append
@@ -303,7 +305,7 @@ class _SpmHalf:
                 return True
             v = popleft()
             queued[v] = False
-            if owner[v] == EVEN:
+            if owner[v] == player:
                 m = min(map(value.__getitem__, successors[v]))
             else:
                 m = max(map(value.__getitem__, successors[v]))
@@ -332,28 +334,26 @@ class _SpmHalf:
                         append(p)
 
     def won(self) -> list[int]:
-        """The vertices below top: those the even player wins, once the
-        measure has converged."""
+        """The vertices below top: those the player wins, once the measure
+        has converged."""
         top = self.top
         return [v for v, m in enumerate(self.value) if m < top]
 
     def strategy(self) -> dict[int, int]:
-        """The even player's moves at the even vertices it wins: to a
+        """The player's moves at the vertices it owns and wins: to a
         successor of least measure, the least such one on ties."""
         value, top, owner, successors = self.value, self.top, self.owner, self.successors
         return {
             v: min(successors[v], key=value.__getitem__)
             for v in range(len(value))
-            if value[v] < top and owner[v] == EVEN
+            if value[v] < top and owner[v] == self.player
         }
 
 
 def solve_spm(game: Game) -> Solution:
     """Small progress measures for both players, raced against each other.
 
-    The primal half lifts the even player's measures on the game; the dual
-    half lifts them on the dual game (owners swapped, priorities shifted by
-    one), whose even player is the original odd one.  The halves take
+    The two halves are each player's measures on the game.  They take
     turns of n visits, n being the vertex count.  When one converges, the
     vertices it wins are exactly the other half's top set at its least
     fixpoint (after Gazda and Willemse, "Improvement in Small Progress
@@ -368,16 +368,7 @@ def solve_spm(game: Game) -> Solution:
     won by exactly one half, and both strategies pass
     :func:`~paritygame.game.verify_strategy` on the regions they claim.
     """
-    # the dual reads ``game.predecessors`` first, so both halves share one
-    # table even when ``game`` (a subgame) was made without it
-    dual = Game._from_normalised(
-        tuple([p + 1 for p in game.priority]),
-        tuple([1 - o for o in game.owner]),
-        game.successors,
-        game.predecessors,
-        game.names,
-    )
-    halves = (_SpmHalf(game), _SpmHalf(dual))
+    halves = (_SpmHalf(game, EVEN), _SpmHalf(game, ODD))
     n = game.vertex_count
     turn = 0
     while not halves[turn].run(n):

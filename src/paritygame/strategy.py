@@ -112,9 +112,9 @@ def lift_solution(
     Raises ``ValueError`` unless ``partition`` is a stuttering partition
     of ``game``'s vertices whose block map is ``vmap``, the quotient winner
     vector covers exactly the quotient's vertices, and each quotient
-    strategy belongs to its
-    player, moves along quotient edges, is defined at every won block its
-    player owns and stays only on divergent blocks; and when a block it
+    strategy belongs to its player, moves only at blocks and along
+    quotient edges, is defined at every won block its player owns and
+    stays only on divergent blocks; and when a block it
     lifts has a member with no in-block route onto the quotient move (an
     unstable partition).
     """
@@ -138,6 +138,8 @@ def lift_solution(
         if strategy.player != player:
             raise ValueError("quotient strategy belongs to the other player")
         for c, t in strategy.moves.items():
+            if not 0 <= c < quotient_game.vertex_count:
+                raise ValueError(f"quotient strategy moves at {c}, which is not a block")
             if not quotient_game.has_edge(c, t):
                 raise ValueError(f"quotient strategy move {c}->{t} is not an edge")
         moves: dict[int, int] = {}

@@ -254,6 +254,22 @@ def test_usage_errors_exit_2(capsys):
     assert cli_dispatch(["--no-such-flag", "info", "x"]) == 2
     assert cli_dispatch(["bench"]) == 2
     capsys.readouterr()
+    # bad bench options used to exit 1 as domain failures, or 0 with no rows
+    for options, message in [
+        (["--n", "x"], "--family needs --n with positive sizes, not 'x'"),
+        (["--n", "0"], "--family needs --n with positive sizes, not '0'"),
+        (["--n", "4,-2"], "--family needs --n with positive sizes, not '4,-2'"),
+        (["--n", "4", "--repetitions", "0"], "--repetitions must be at least 1"),
+        (["--n", "4", "--methods", "foo"], "--methods takes a comma list of"),
+        (["--n", "4", "--methods", "all,direct"], "--methods takes a comma list of"),
+        (["--n", "4", "--methods", ","], "--methods takes a comma list of"),
+        (["--n", "4", "--solvers", "foo"], "--solvers takes a comma list of zielonka, spm, brute"),
+        (["--n", "4", "--solvers", ","], "--solvers takes a comma list of"),
+    ]:
+        assert cli_dispatch(["bench", "--family", "chain", *options]) == 2, options
+        captured = capsys.readouterr()
+        assert message in captured.err, options
+        assert captured.out == "", options
 
 
 def test_bench_has_no_jobs_option(capsys):

@@ -11,7 +11,6 @@ from paritygame import (
     gen_chain,
     gen_random,
     play_from,
-    solve_spm,
     solve_zielonka,
     stats,
     write_pgsolver,
@@ -72,20 +71,9 @@ def test_non_int_fields_never_reach_the_writer():
         write_pgsolver(Game([0, 1], [True, 1.0], [[1], [0]]))
 
 
-def test_priority_flips_equal_freshly_constructed_games(monkeypatch):
-    import paritygame.solvers as solvers
-
+def test_priority_flips_equal_freshly_constructed_games():
     games = [gen_random(1 + seed % 15, 3, 1 + seed % 6, seed) for seed in range(20)]
     games.append(Game([0, 3, 2], [EVEN, ODD, ODD], [[1], [1, 0], [0]], names=["x", "", None]))
-    # the games solve_spm lifts on are the ones its two halves are built on
-    real_init = solvers._SpmHalf.__init__
-    halves = []
-
-    def recording_init(half, game):
-        halves.append(game)
-        real_init(half, game)
-
-    monkeypatch.setattr(solvers._SpmHalf, "__init__", recording_init)
     for g in games:
         for direction in ("max_to_min", "min_to_max"):
             flipped = convert_priorities(g, direction)
@@ -93,14 +81,6 @@ def test_priority_flips_equal_freshly_constructed_games(monkeypatch):
             assert_same_game(
                 flipped, Game([d - p for p in g.priority], g.owner, g.successors, g.names)
             )
-        halves.clear()
-        solve_spm(g)
-        primal, dual = halves
-        assert primal is g
-        assert_same_game(
-            dual,
-            Game([p + 1 for p in g.priority], [1 - o for o in g.owner], g.successors, g.names),
-        )
 
 
 def test_stats_g1(g1):

@@ -159,15 +159,18 @@ def progress_measure(game: Game) -> ProgressMeasure:
 
     This is the even half of :func:`paritygame.solve_spm` run to
     convergence on its own, unseeded; the race in ``solve_spm`` ends at the
-    same measure.  The solver works on mixed-radix integers, and only this
-    decoding turns them back into tuples.
+    same measure.  The solver works on mixed-radix integers over the
+    min-parity game's odd priorities, lowest most significant; reflected
+    into the max-converted game these are its odd priorities, highest
+    first, and only this decoding turns the integers back into tuples.
     """
-    half = _SpmHalf(game)
+    half = _SpmHalf(game, EVEN)
     while not half.run(game.vertex_count):
         pass
     top = half.top
-    odd_ps = [p for p in range(len(half.count) - 1, 0, -1) if p % 2]
-    bounds = [half.count[p] for p in odd_ps]
+    gmax = convert_priorities(game, "min_to_max")
+    odd_ps = [p for p in range(max(gmax.priority, default=0), 0, -1) if p % 2]
+    bounds = [gmax.priority.count(p) for p in odd_ps]
 
     def digits(m: int) -> tuple[int, ...] | None:
         if m == top:

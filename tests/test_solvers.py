@@ -36,6 +36,13 @@ def test_attractor_chain_pulls_everything():
     assert attractor(g, EVEN, [3]) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("target", [-1, 4, 9])
+def test_attractor_rejects_a_target_that_is_no_vertex(target):
+    # -1 used to index the last vertex and 9 to raise IndexError
+    with pytest.raises(ValueError, match=f"^target {target} is not a vertex of the game$"):
+        attractor(gen_chain(3, 1, ODD, 0), EVEN, [0, target])
+
+
 def test_attractor_choice_vertex(g4):
     assert attractor(g4, EVEN, [1]) == [0, 1]
 
@@ -304,8 +311,8 @@ def recorded_halves():
     halves, budgets = [], []
     real_init, real_run = solvers._SpmHalf.__init__, solvers._SpmHalf.run
 
-    def init(half, game):
-        real_init(half, game)
+    def init(half, game, player):
+        real_init(half, game, player)
         halves.append(half)
 
     def run(half, budget):
@@ -322,8 +329,8 @@ def dual_game(g: Game) -> Game:
     return Game([p + 1 for p in g.priority], [1 - o for o in g.owner], g.successors)
 
 
-def unseeded_measure(g: Game) -> list[int]:
-    half = solvers._SpmHalf(g)
+def unseeded_measure(g: Game, player: int) -> list[int]:
+    half = solvers._SpmHalf(g, player)
     while not half.run(g.vertex_count):
         pass
     return half.value
@@ -332,9 +339,12 @@ def unseeded_measure(g: Game) -> list[int]:
 def assert_race_ends_at_unseeded_measures(g: Game):
     with recorded_halves() as (halves, _):
         solve_spm(g)
-    primal, dual = halves
-    assert primal.value == unseeded_measure(g)
-    assert dual.value == unseeded_measure(dual_game(g))
+    even, odd = halves
+    assert even.value == unseeded_measure(g, EVEN)
+    assert odd.value == unseeded_measure(g, ODD)
+    # the odd player's measures are the even player's on the dual game
+    # (owners swapped, priorities shifted by one)
+    assert odd.value == unseeded_measure(dual_game(g), EVEN)
 
 
 @pytest.mark.parametrize("family", sorted(SPM_FAMILIES))

@@ -396,6 +396,19 @@ def test_lifting_rejects_a_quotient_move_that_is_no_edge(g4):
         lift_solution(g4, part, reduced, vmap, qsol)
 
 
+@pytest.mark.parametrize("block", [-1, 2, 7])
+def test_lifting_rejects_a_quotient_move_at_no_block(block):
+    # the chain's quotient has 2 blocks, both won by EVEN; at -1 the move
+    # used to be checked against the last block's successors and pass
+    g = gen_chain(5, 1, ODD, 0)
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    qsol = solve_zielonka(reduced)
+    qsol.strategy_even.moves[block] = 1
+    with pytest.raises(ValueError, match=f"moves at {block}, which is not a block"):
+        lift_solution(g, part, reduced, vmap, qsol)
+
+
 def test_lifting_rejects_a_missing_move_at_an_owned_won_block(g4):
     part, reduced, vmap = _g4_quotient(g4)
     qsol = Solution([EVEN, EVEN, ODD], Strategy(EVEN, {0: 1}), Strategy(ODD, {2: 2}))
