@@ -14,18 +14,17 @@ from paritygame import (
     lift_solution,
     quotient,
     refine_stuttering,
-    solve_brute,
-    solve_spm,
+    solve,
     solve_zielonka,
     verify_strategy,
 )
 
 game = gen_random(10, 3, 2, 46)
 
-# Three solvers, one answer.
-for solver in (solve_zielonka, solve_spm, solve_brute):
-    solution = solver(game)
-    print(f"{solver.__name__:>14}: winners {solution.winner}")
+# Two solvers, one answer.
+for algorithm in ("zielonka", "spm"):
+    solution = solve(game, algorithm)
+    print(f"{algorithm:>8}: winners {solution.winner}")
 
 direct = solve_zielonka(game)
 print("even strategy:", direct.strategy_even.moves)

@@ -28,7 +28,6 @@ from .solvers import (
     Solution,
     attractor,
     solve,
-    solve_brute,
     solve_spm,
     solve_zielonka,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "solve",
     "solve_zielonka",
     "solve_spm",
-    "solve_brute",
     "lift_solution",
     "verify_strategy",
     "gen_random",

@@ -32,12 +32,31 @@ class _UsageError(Exception):
     pass
 
 
-_ALGORITHMS = ("zielonka", "spm", "brute")
+_ALGORITHMS = ("zielonka", "spm")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _at_least(low: int, what: str):
+    """An argparse ``type=`` converter to integers of at least ``low``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+
+    return convert
+
+
+_natural = _at_least(0, "a natural number")
+_positive = _at_least(1, "a positive integer")
 
 
 def _read_game(path: str, convention: str) -> Game:
@@ -92,13 +111,13 @@ def _build_parser() -> _Parser:
         choices=("random", "chain", "branch", "divergent-pair"),
         required=True,
     )
-    p_gen.add_argument("--n", type=int, default=8, help="vertex count parameter")
-    p_gen.add_argument("--degree", type=int, default=3, help="random family: max out-degree")
-    p_gen.add_argument("--pmax", type=int, default=3, help="random family: max priority")
+    p_gen.add_argument("--n", type=_positive, default=8, help="vertex count parameter")
+    p_gen.add_argument("--degree", type=_positive, default=3, help="random family: max out-degree")
+    p_gen.add_argument("--pmax", type=_natural, default=3, help="random family: max priority")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--chain-priority", type=int, default=1)
+    p_gen.add_argument("--chain-priority", type=_natural, default=1)
     p_gen.add_argument("--chain-owner", type=int, choices=(EVEN, ODD), default=ODD)
-    p_gen.add_argument("--sink-priority", type=int, default=0)
+    p_gen.add_argument("--sink-priority", type=_natural, default=0)
     p_gen.add_argument("-o", "--output")
 
     p_verify = sub.add_parser("verify", help="check a solution file against a game")
@@ -109,15 +128,15 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("files", nargs="*", help="game files to benchmark")
     p_bench.add_argument("--family", choices=("random", "chain"))
     p_bench.add_argument("--n", default="", help="comma-separated sizes for --family")
-    p_bench.add_argument("--count", type=int, default=1, help="random games per size")
-    p_bench.add_argument("--degree", type=int, default=3)
-    p_bench.add_argument("--pmax", type=int, default=3)
+    p_bench.add_argument("--count", type=_positive, default=1, help="random games per size")
+    p_bench.add_argument("--degree", type=_positive, default=3)
+    p_bench.add_argument("--pmax", type=_natural, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--methods", default="all", help="comma list of direct,strong,stuttering or all"
     )
     p_bench.add_argument("--solvers", default="zielonka", help="comma list of solvers")
-    p_bench.add_argument("--repetitions", type=int, default=3)
+    p_bench.add_argument("--repetitions", type=_positive, default=3)
     p_bench.add_argument("-o", "--output", help="CSV output file (default: stdout)")
     return parser
 
@@ -200,8 +219,6 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--methods takes a comma list of direct, strong and stuttering, or all")
     if not solvers or not set(solvers) <= set(_ALGORITHMS):
         raise _UsageError(f"--solvers takes a comma list of {', '.join(_ALGORITHMS)}")
-    if args.repetitions < 1:
-        raise _UsageError("--repetitions must be at least 1")
     tokens = args.n.split(",") if args.family else []
     sizes = [int(t) if t.strip().isdecimal() else 0 for t in tokens if t]
     if args.family and (not sizes or min(sizes) < 1):

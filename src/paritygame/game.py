@@ -35,12 +35,12 @@ class Game:
     else raises :class:`ValueError` naming the first bad vertex, so every
     ``Game`` is total and its edges stay inside the vertex set.
 
-    Successor lists are normalised to duplicate-free ascending order and
-    the constructor derives the predecessor lists from them; a game made
-    by :meth:`_from_normalised` (a quotient, a subgame) derives them on the
-    first read of :attr:`predecessors` instead, since minimisation never
-    reads them.  Empty names read as ``None``, and a game without any name
-    has ``names is None``, as a parsed file without names does.
+    Successor lists are normalised to duplicate-free ascending order.  The
+    predecessor lists are derived from them on the first read of
+    :attr:`predecessors`, however the game was made, so a game that is
+    only written out never builds them.  Empty names read as ``None``, and
+    a game without any name has ``names is None``, as a parsed file
+    without names does.
     """
 
     __slots__ = ("priority", "owner", "successors", "_pred", "names")
@@ -89,7 +89,7 @@ class Game:
             if names.count(None) == n:
                 names = None
         self.names = names
-        self._pred = _predecessors(successors)
+        self._pred = None
 
     @classmethod
     def _from_normalised(cls, priority, owner, successors, predecessors=None, names=None) -> Game:
@@ -180,11 +180,6 @@ class Play:
         if not self.cycle:
             raise ValueError("a play needs a non-empty cycle")
 
-    def is_valid(self, game: Game) -> bool:
-        seq = self.prefix + self.cycle
-        ok = all(game.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
-        return ok and game.has_edge(self.cycle[-1], self.cycle[0])
-
 
 @dataclass
 class Strategy:
@@ -193,12 +188,6 @@ class Strategy:
 
     player: int
     moves: dict[int, int] = field(default_factory=dict)
-
-    def is_valid(self, game: Game) -> bool:
-        return all(
-            game.owner[v] == self.player and game.has_edge(v, w)
-            for v, w in self.moves.items()
-        )
 
 
 @dataclass

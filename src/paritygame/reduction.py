@@ -106,16 +106,18 @@ def _refine(
     the initial ``block_of`` and block ``size`` (refined in place); returns
     the signature cache.
 
-    ``sign(dirty)`` returns the new signature of every vertex in the
-    sorted list ``dirty``, and ``next_dirty(moved)``, as any iterable
-    without duplicates, the vertices whose signature a round's moves may
-    have changed.  ``sign_one(v)`` and ``dirty_one(v)`` are the same for a
-    lone vertex ``v``.  The state is ``block_of`` and the size of every
-    block, no member sets.  Blocks stay signature-uniform between rounds,
-    so a round splits off exactly the members whose signature changed,
-    never rescanning the remainder.  A round costs what changed in it: a
-    block with one changed member splits that member off directly, and
-    the changed blocks are sorted only when there are several.
+    ``sign(dirty)`` returns the new signature of every vertex in the list
+    ``dirty``, and ``next_dirty(moved)``, as any iterable without
+    duplicates, the vertices whose signature a round's moves may have
+    changed.  ``sign_one(v)`` and ``dirty_one(v)`` are the same for a lone
+    vertex ``v``.  The state is ``block_of`` and the size of every block,
+    no member sets.  Blocks stay signature-uniform between rounds, so a
+    round splits off exactly the members whose signature changed, never
+    rescanning the remainder.  A round costs what changed in it: a block
+    with one changed member splits that member off directly.  Nothing
+    here is sorted: the order of the dirty vertices and of the changed
+    blocks only picks the interim block ids, which ``_finalize``
+    renumbers.
 
     A round with one dirty vertex skips the round machinery: the vertex is
     signed alone and, if its signature changed, split off, and the dirty
@@ -137,8 +139,6 @@ def _refine(
             block_of[v] = len(size)
             size.append(1)
             dirty = [u for u in dirty_one(v) if size[block_of[u]] > 1]
-            if len(dirty) > 1:
-                dirty.sort()
             continue
         changed: dict[int, list[int]] = {}
         for v, s in zip(dirty, sign(dirty)):
@@ -150,7 +150,7 @@ def _refine(
                 else:
                     changed[b] = [v]
         moved: list[int] = []
-        for b in sorted(changed) if len(changed) > 1 else changed:
+        for b in changed:
             touched = changed[b]
             if len(touched) == 1:
                 # a lone changed member leaves a block of several
@@ -182,7 +182,6 @@ def _refine(
                     block_of[v] = new_id
                 moved.extend(part)
         dirty = [v for v in next_dirty(moved) if size[block_of[v]] > 1]
-        dirty.sort()
     return sig
 
 

@@ -1,6 +1,6 @@
 """Complete parity-game solvers.
 
-Three interchangeable solvers produce winners plus memoryless winning
+Two interchangeable solvers produce winners plus memoryless winning
 strategies for both players:
 
 * :func:`solve_zielonka` — the attractor decomposition, phrased directly
@@ -15,11 +15,12 @@ strategies for both players:
   every vertex has exactly one winner, and both strategies pass
   :func:`~paritygame.game.verify_strategy`.  A measure is one mixed-radix
   integer, one digit per priority of the opponent's parity (the tests
-  decode it into the lattice's tuples);
-* :func:`solve_brute` — strategy enumeration with a one-player cycle
-  analysis, usable as an oracle on tiny games.
+  decode it into the lattice's tuples).
 
-:func:`solve` runs the first two behind the preprocessing of Friedmann and
+The strategy-enumeration oracle that cross-checks both on small games
+lives with the tests, in ``tests/oracles.py``.
+
+:func:`solve` runs both behind the preprocessing of Friedmann and
 Lange ("Solving Parity Games in Practice", ATVA 2009): self-loop dominions
 and their attractors are settled first, then Zielonka's core runs on the
 remaining vertex list in place, or SPM on each strongly connected
@@ -393,86 +394,6 @@ def solve_spm(game: Game) -> Solution:
     return solution
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracle.
-
-BRUTE_VERTEX_LIMIT = 10
-BRUTE_CHOICE_LIMIT = 10**6
-
-
-def _cycle_wins(game: Game, player: int, fixed: dict[int, int]) -> set[int]:
-    """Vertices from which the free-moving opponent can reach a cycle whose
-    minimum priority has the opponent's parity, when ``player`` is pinned
-    to the memoryless strategy ``fixed``."""
-    n = game.vertex_count
-    restricted = [
-        (fixed[v],) if game.owner[v] == player else game.successors[v] for v in range(n)
-    ]
-    opponent = 1 - player
-    bad: set[int] = set()
-    for q in sorted(set(game.priority)):
-        if q % 2 != opponent:
-            continue
-        sub = [v for v in range(n) if game.priority[v] >= q]
-        for comp in strongly_connected_components(sub, restricted):
-            if not any(game.priority[v] == q for v in comp):
-                continue
-            if len(comp) > 1 or comp[0] in restricted[comp[0]]:
-                bad.update(comp)
-    # backward reachability of a bad cycle in the restricted graph
-    reach = set(bad)
-    queue = deque(bad)
-    while queue:
-        u = queue.popleft()
-        for p in game.predecessors[u]:
-            if p not in reach and u in restricted[p]:
-                reach.add(p)
-                queue.append(p)
-    return reach
-
-
-def _brute_side(game: Game, player: int) -> tuple[set[int], dict[int, int]]:
-    own = [v for v in game.vertices() if game.owner[v] == player]
-    count = 1
-    for v in own:
-        count *= len(game.successors[v])
-        if count > BRUTE_CHOICE_LIMIT:
-            raise ValueError("brute-force solver: strategy space too large")
-    union: set[int] = set()
-    best: set[int] = set()
-    best_moves: dict[int, int] = {}
-    for choice in itertools.product(*(game.successors[v] for v in own)):
-        moves = dict(zip(own, choice))
-        wins = set(game.vertices()) - _cycle_wins(game, player, moves)
-        union |= wins
-        if len(wins) > len(best):
-            best = wins
-            best_moves = moves
-    if best != union:
-        raise RuntimeError("no single strategy dominates; determinacy violated?")
-    return best, best_moves
-
-
-def solve_brute(game: Game) -> Solution:
-    """Exhaustive solver: enumerate one player's memoryless strategies and
-    settle each against a free-moving opponent via cycle analysis.  Only
-    for small games (the enumeration is exponential)."""
-    if game.vertex_count > BRUTE_VERTEX_LIMIT:
-        raise ValueError(
-            f"brute-force solver limited to {BRUTE_VERTEX_LIMIT} vertices"
-        )
-    even_region, even_moves = _brute_side(game, EVEN)
-    odd_region, odd_moves = _brute_side(game, ODD)
-    if even_region | odd_region != set(game.vertices()) or even_region & odd_region:
-        raise RuntimeError("winning regions do not partition the vertex set")
-    winner = [EVEN if v in even_region else ODD for v in game.vertices()]
-    return Solution(
-        winner,
-        Strategy(EVEN, {v: w for v, w in even_moves.items() if v in even_region}),
-        Strategy(ODD, {v: w for v, w in odd_moves.items() if v in odd_region}),
-    )
-
-
 def _subgame(game: Game, vertices: list[int]) -> Game:
     """The subgame on the ascending list ``vertices``, renumbered in that
     order, keeping the edges that stay inside it."""
@@ -503,7 +424,7 @@ def _claim(
 
 
 def solve(game: Game, algorithm: str = "zielonka") -> Solution:
-    """Solve with ``zielonka``, ``spm`` or ``brute``.
+    """Solve with ``zielonka`` or ``spm``.
 
     ``zielonka`` and ``spm`` first settle what needs no solver, after
     Friedmann and Lange ("Solving Parity Games in Practice", ATVA 2009):
@@ -521,10 +442,7 @@ def solve(game: Game, algorithm: str = "zielonka") -> Solution:
     Winners equal the whole-game solvers'; the strategies win but may
     differ from theirs.  When no vertex has such a self-loop,
     ``zielonka`` returns exactly :func:`solve_zielonka`'s solution.
-    ``brute`` is :func:`solve_brute` on the whole game.
     """
-    if algorithm == "brute":
-        return solve_brute(game)
     if algorithm not in ("zielonka", "spm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     priority, owner, successors = game.priority, game.owner, game.successors

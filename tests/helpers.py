@@ -11,6 +11,8 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
+    Play,
+    Strategy,
     quotient,
     refine_stuttering,
     solve_zielonka,
@@ -26,6 +28,23 @@ def assert_same_game(a: Game, b: Game):
     assert a == b
     assert hash(a) == hash(b)
     assert a.predecessors == b.predecessors
+
+
+def play_is_valid(play: Play, game: Game) -> bool:
+    """Every step of ``play``, the cycle's closing step included, is an
+    edge of ``game``."""
+    seq = play.prefix + play.cycle
+    ok = all(game.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
+    return ok and game.has_edge(play.cycle[-1], play.cycle[0])
+
+
+def strategy_is_valid(strategy: Strategy, game: Game) -> bool:
+    """Every move of ``strategy`` is an edge of ``game`` from a vertex its
+    player owns."""
+    return all(
+        game.owner[v] == strategy.player and game.has_edge(v, w)
+        for v, w in strategy.moves.items()
+    )
 
 
 @st.composite

@@ -1,17 +1,23 @@
 """Relational greatest-fixpoint oracles for strong bisimilarity and
-divergence-sensitive stuttering equivalence, and the divergence flags they
-and the refinements are held to.
+divergence-sensitive stuttering equivalence, the divergence flags they and
+the refinements are held to, and a brute-force solver.
 
-Test equipment for small games: each oracle starts from all
+Test equipment for small games: each relational oracle starts from all
 priority/owner-equal pairs and deletes violating pairs until a fixpoint,
 independently of the signature-refinement engine it cross-checks.
+:func:`solve_brute` enumerates one player's memoryless strategies and
+settles each by cycle analysis, independently of the solvers it
+cross-checks.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from paritygame import Game, Partition
+from paritygame import EVEN, ODD, Game, Partition, Solution, Strategy
+from paritygame.graphs import strongly_connected_components
 
 
 def reference_infinite_path(
@@ -182,3 +188,83 @@ def partition_from_relation(game: Game, rel: set[tuple[int, int]]) -> list[list[
         seen.update(cls)
         blocks.append(cls)
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle.
+
+BRUTE_VERTEX_LIMIT = 10
+BRUTE_CHOICE_LIMIT = 10**6
+
+
+def _cycle_wins(game: Game, player: int, fixed: dict[int, int]) -> set[int]:
+    """Vertices from which the free-moving opponent can reach a cycle whose
+    minimum priority has the opponent's parity, when ``player`` is pinned
+    to the memoryless strategy ``fixed``."""
+    n = game.vertex_count
+    restricted = [
+        (fixed[v],) if game.owner[v] == player else game.successors[v] for v in range(n)
+    ]
+    opponent = 1 - player
+    bad: set[int] = set()
+    for q in sorted(set(game.priority)):
+        if q % 2 != opponent:
+            continue
+        sub = [v for v in range(n) if game.priority[v] >= q]
+        for comp in strongly_connected_components(sub, restricted):
+            if not any(game.priority[v] == q for v in comp):
+                continue
+            if len(comp) > 1 or comp[0] in restricted[comp[0]]:
+                bad.update(comp)
+    # backward reachability of a bad cycle in the restricted graph
+    reach = set(bad)
+    queue = deque(bad)
+    while queue:
+        u = queue.popleft()
+        for p in game.predecessors[u]:
+            if p not in reach and u in restricted[p]:
+                reach.add(p)
+                queue.append(p)
+    return reach
+
+
+def _brute_side(game: Game, player: int) -> tuple[set[int], dict[int, int]]:
+    own = [v for v in game.vertices() if game.owner[v] == player]
+    count = 1
+    for v in own:
+        count *= len(game.successors[v])
+        if count > BRUTE_CHOICE_LIMIT:
+            raise ValueError("brute-force solver: strategy space too large")
+    union: set[int] = set()
+    best: set[int] = set()
+    best_moves: dict[int, int] = {}
+    for choice in itertools.product(*(game.successors[v] for v in own)):
+        moves = dict(zip(own, choice))
+        wins = set(game.vertices()) - _cycle_wins(game, player, moves)
+        union |= wins
+        if len(wins) > len(best):
+            best = wins
+            best_moves = moves
+    if best != union:
+        raise RuntimeError("no single strategy dominates; determinacy violated?")
+    return best, best_moves
+
+
+def solve_brute(game: Game) -> Solution:
+    """Exhaustive solver: enumerate one player's memoryless strategies and
+    settle each against a free-moving opponent via cycle analysis.  Only
+    for small games (the enumeration is exponential)."""
+    if game.vertex_count > BRUTE_VERTEX_LIMIT:
+        raise ValueError(
+            f"brute-force solver limited to {BRUTE_VERTEX_LIMIT} vertices"
+        )
+    even_region, even_moves = _brute_side(game, EVEN)
+    odd_region, odd_moves = _brute_side(game, ODD)
+    if even_region | odd_region != set(game.vertices()) or even_region & odd_region:
+        raise RuntimeError("winning regions do not partition the vertex set")
+    winner = [EVEN if v in even_region else ODD for v in game.vertices()]
+    return Solution(
+        winner,
+        Strategy(EVEN, {v: w for v, w in even_moves.items() if v in even_region}),
+        Strategy(ODD, {v: w for v, w in odd_moves.items() if v in odd_region}),
+    )

@@ -21,7 +21,6 @@ from paritygame import (
     quotient,
     refine_strong,
     refine_stuttering,
-    solve_brute,
     solve_spm,
     solve_zielonka,
     verify_strategy,
@@ -32,7 +31,12 @@ from paritygame.generators import Xoshiro256StarStar
 
 from helpers import random_consistent_walk
 from lifting_reference import Lifting, mimick_next
-from oracles import oracle_strong_pairs, oracle_stuttering_pairs, partition_from_relation
+from oracles import (
+    oracle_strong_pairs,
+    oracle_stuttering_pairs,
+    partition_from_relation,
+    solve_brute,
+)
 
 
 @contextmanager

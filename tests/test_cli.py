@@ -259,17 +259,36 @@ def test_usage_errors_exit_2(capsys):
         (["--n", "x"], "--family needs --n with positive sizes, not 'x'"),
         (["--n", "0"], "--family needs --n with positive sizes, not '0'"),
         (["--n", "4,-2"], "--family needs --n with positive sizes, not '4,-2'"),
-        (["--n", "4", "--repetitions", "0"], "--repetitions must be at least 1"),
+        (["--n", "4", "--repetitions", "0"], "argument --repetitions: must be a positive integer"),
         (["--n", "4", "--methods", "foo"], "--methods takes a comma list of"),
         (["--n", "4", "--methods", "all,direct"], "--methods takes a comma list of"),
         (["--n", "4", "--methods", ","], "--methods takes a comma list of"),
-        (["--n", "4", "--solvers", "foo"], "--solvers takes a comma list of zielonka, spm, brute"),
+        (["--n", "4", "--solvers", "foo"], "--solvers takes a comma list of zielonka, spm\n"),
+        (["--n", "4", "--solvers", "brute"], "--solvers takes a comma list of zielonka, spm\n"),
         (["--n", "4", "--solvers", ","], "--solvers takes a comma list of"),
     ]:
         assert cli_dispatch(["bench", "--family", "chain", *options]) == 2, options
         captured = capsys.readouterr()
         assert message in captured.err, options
         assert captured.out == "", options
+    # numeric options used to reach the generators and exit 1, and a bad
+    # --count to blame --family
+    for argv, message in [
+        (["generate", "--family", "chain", "--n", "0"], "argument --n: must be a positive"),
+        (["generate", "--family", "random", "--degree", "0"], "argument --degree: must be a positive"),
+        (["generate", "--family", "random", "--pmax", "-1"], "argument --pmax: must be a natural"),
+        (["generate", "--family", "chain", "--chain-priority", "-1"], "argument --chain-priority: must be a natural"),
+        (["generate", "--family", "chain", "--sink-priority", "-1"], "argument --sink-priority: must be a natural"),
+        (["bench", "--family", "random", "--n", "5", "--degree", "0"], "argument --degree: must be a positive"),
+        (["bench", "--family", "random", "--n", "5", "--pmax", "-1"], "argument --pmax: must be a natural"),
+        (["bench", "--family", "random", "--n", "5", "--count", "0"], "argument --count: must be a positive"),
+        (["bench", "--family", "random", "--n", "5", "--count", "-2"], "argument --count: must be a positive"),
+        (["solve", "--algorithm", "brute", "f"], "argument --algorithm: invalid choice: 'brute'"),
+    ]:
+        assert cli_dispatch(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err, argv
+        assert captured.out == "", argv
 
 
 def test_bench_has_no_jobs_option(capsys):

@@ -16,7 +16,7 @@ from paritygame import (
     write_pgsolver,
 )
 
-from helpers import assert_same_game, cmp_proximity, min_vertex
+from helpers import assert_same_game, cmp_proximity, min_vertex, play_is_valid
 from lifting_reference import INFINITY, Path, consistent, distance
 
 
@@ -24,6 +24,19 @@ def test_successor_lists_normalised():
     g = Game(priority=[0], owner=[EVEN], successors=[[0, 0, 0]])
     assert g.successors == ((0,),)
     assert g.predecessors == ((0,),)
+
+
+def test_constructed_games_build_predecessors_on_first_read():
+    # the constructor used to build the table eagerly, also for a game that
+    # is only written out
+    for seed in range(20):
+        g = gen_random(1 + seed % 12, 3, 3, seed)
+        assert g._pred is None
+        pred = g.predecessors
+        assert pred == tuple(
+            tuple(v for v in g.vertices() if w in g.successors[v]) for w in g.vertices()
+        )
+        assert g._pred is pred
 
 
 @pytest.mark.parametrize(
@@ -209,7 +222,7 @@ def test_play_from_lengths_bounded():
             play, _ = play_from(g, se, so, v)
             assert len(play.prefix) <= g.vertex_count
             assert 1 <= len(play.cycle) <= g.vertex_count
-            assert play.is_valid(g)
+            assert play_is_valid(play, g)
 
 
 def test_convert_priorities_reflects_at_even_bound(g1):

@@ -12,10 +12,11 @@ from paritygame import (
     quotient,
     refine_strong,
     refine_stuttering,
-    solve_brute,
     write_pgsolver,
 )
 from paritygame.generators import SplitMix64, Xoshiro256StarStar
+
+from oracles import solve_brute
 
 # Reference vectors: splitmix64 values match the published test sequence
 # for the reference C implementation; the xoshiro256** values pin this
