@@ -15,7 +15,6 @@ from paritygame import (
     quotient,
     refine_stuttering,
     solve,
-    solve_zielonka,
     verify_strategy,
 )
 
@@ -26,7 +25,7 @@ for algorithm in ("zielonka", "spm"):
     solution = solve(game, algorithm)
     print(f"{algorithm:>8}: winners {solution.winner}")
 
-direct = solve_zielonka(game)
+direct = solve(game)
 print("even strategy:", direct.strategy_even.moves)
 print("odd strategy: ", direct.strategy_odd.moves)
 
@@ -34,7 +33,7 @@ print("odd strategy: ", direct.strategy_odd.moves)
 part = refine_stuttering(game)
 reduced, vmap = quotient(game, part)
 print(f"\nreduced {game.vertex_count} vertices to {reduced.vertex_count}")
-lifted = lift_solution(game, part, reduced, vmap, solve_zielonka(reduced))
+lifted = lift_solution(game, part, reduced, vmap, solve(reduced))
 
 for player in (EVEN, ODD):
     region = lifted.region(player)

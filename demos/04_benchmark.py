@@ -38,8 +38,8 @@ for game_id, methods in by_game.items():
           f"{stut.total_us/1000:>9.3f}")
 
 # Zielonka walks chains in linear time, so reduction is pure overhead
-# there.  Whole-game measure lifting (`solve_spm`) is quadratic on chains,
-# but `solve` settles the sink's self-loop and its attractor before any
+# there.  Measure lifting on the whole chain would be quadratic, but
+# `solve` settles the sink's self-loop and its attractor before any
 # lifting starts, so the direct route needs no reduction either.
 spm_records = run_benchmark(
     [("chain-1000", gen_chain(1000, 1, ODD, 0))],

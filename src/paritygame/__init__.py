@@ -24,13 +24,7 @@ from .reduction import (
     refine_stuttering,
     write_partition,
 )
-from .solvers import (
-    Solution,
-    attractor,
-    solve,
-    solve_spm,
-    solve_zielonka,
-)
+from .solvers import Solution, solve
 from .strategy import lift_solution
 
 __version__ = "0.1.0"
@@ -57,10 +51,7 @@ __all__ = [
     "refine_stuttering",
     "quotient",
     "write_partition",
-    "attractor",
     "solve",
-    "solve_zielonka",
-    "solve_spm",
     "lift_solution",
     "verify_strategy",
     "gen_random",

@@ -25,19 +25,11 @@ from .io import (
     write_solution,
 )
 from .reduction import quotient, refine_strong, refine_stuttering, write_partition
-from .solvers import solve
+from .solvers import ALGORITHMS, solve
 
 
 class _UsageError(Exception):
     pass
-
-
-_ALGORITHMS = ("zielonka", "spm")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _at_least(low: int, what: str):
@@ -78,8 +70,8 @@ def _game_to_text(game: Game, convention: str) -> str:
     return write_pgsolver(game)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="paritygame", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="paritygame", description=__doc__)
     parser.add_argument(
         "--convention",
         choices=("min", "max"),
@@ -94,7 +86,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve a game, print the solution")
     p_solve.add_argument("file")
     p_solve.add_argument(
-        "--algorithm", choices=_ALGORITHMS, default="zielonka"
+        "--algorithm", choices=ALGORITHMS, default="zielonka"
     )
 
     p_reduce = sub.add_parser("reduce", help="minimise a game")
@@ -217,8 +209,8 @@ def _cmd_bench(args) -> int:
     solvers = tuple(tok for tok in args.solvers.split(",") if tok)
     if not methods or not set(methods) <= set(bench_mod.METHODS):
         raise _UsageError("--methods takes a comma list of direct, strong and stuttering, or all")
-    if not solvers or not set(solvers) <= set(_ALGORITHMS):
-        raise _UsageError(f"--solvers takes a comma list of {', '.join(_ALGORITHMS)}")
+    if not solvers or not set(solvers) <= set(ALGORITHMS):
+        raise _UsageError(f"--solvers takes a comma list of {', '.join(ALGORITHMS)}")
     tokens = args.n.split(",") if args.family else []
     sizes = [int(t) if t.strip().isdecimal() else 0 for t in tokens if t]
     if args.family and (not sizes or min(sizes) < 1):
@@ -260,10 +252,10 @@ def cli_dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
+    except SystemExit as exc:
+        # argparse has printed the usage of the failing (sub)command, or the
+        # help it was asked for
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

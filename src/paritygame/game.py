@@ -92,16 +92,16 @@ class Game:
         self._pred = None
 
     @classmethod
-    def _from_normalised(cls, priority, owner, successors, predecessors=None, names=None) -> Game:
+    def _from_normalised(cls, priority, owner, successors, names=None) -> Game:
         """A game from parts already in the form ``__init__`` leaves them in,
         neither checked nor copied.  Parts may be shared with another game,
-        since games are immutable; predecessors left as ``None`` are
-        derived on their first read."""
+        since games are immutable; predecessors are derived on their first
+        read, as for any game."""
         new = cls.__new__(cls)
         new.priority = priority
         new.owner = owner
         new.successors = successors
-        new._pred = predecessors
+        new._pred = None
         new.names = names
         return new
 
@@ -337,15 +337,12 @@ def convert_priorities(game: Game, direction: str = "max_to_min") -> Game:
     Every priority becomes ``d - priority`` where ``d`` is the maximum
     priority rounded up to an even number; this preserves the winner of
     every vertex.  Both directions use the same reflection.  The result
-    shares ``game``'s successor and name tuples, and its predecessor table
-    if that is built (an unbuilt one stays unbuilt); only the priorities
-    are new.
+    shares ``game``'s successor and name tuples; only the priorities are
+    new, and its predecessor table is built on its first read.
     """
     if direction not in ("max_to_min", "min_to_max"):
         raise ValueError(f"unknown direction {direction!r}")
-    return Game._from_normalised(
-        _reflect(game.priority), game.owner, game.successors, game._pred, game.names
-    )
+    return Game._from_normalised(_reflect(game.priority), game.owner, game.successors, game.names)
 
 
 def _reflect(priority: Sequence[int]) -> tuple[int, ...]:

@@ -99,9 +99,7 @@ def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
     return Partition(block_of, blocks, list(map(diverges, blocks)), kind)
 
 
-def _refine(
-    block_of: list[int], size: list[int], sign, next_dirty, sign_one, dirty_one
-) -> list:
+def _refine(block_of: list[int], size: list[int], sign, next_dirty, sign_one) -> list:
     """Dirty-set signature refinement shared by both equivalences, from
     the initial ``block_of`` and block ``size`` (refined in place); returns
     the signature cache.
@@ -109,9 +107,9 @@ def _refine(
     ``sign(dirty)`` returns the new signature of every vertex in the list
     ``dirty``, and ``next_dirty(moved)``, as any iterable without
     duplicates, the vertices whose signature a round's moves may have
-    changed.  ``sign_one(v)`` and ``dirty_one(v)`` are the same for a lone
-    vertex ``v``.  The state is ``block_of`` and the size of every block,
-    no member sets.  Blocks stay signature-uniform between rounds, so a
+    changed.  ``sign_one(v)`` is the signature of a lone vertex ``v``.
+    The state is ``block_of`` and the size of every block, no member
+    sets.  Blocks stay signature-uniform between rounds, so a
     round splits off exactly the members whose signature changed, never
     rescanning the remainder.  A round costs what changed in it: a block
     with one changed member splits that member off directly.  Nothing
@@ -138,7 +136,8 @@ def _refine(
             size[block_of[v]] -= 1
             block_of[v] = len(size)
             size.append(1)
-            dirty = [u for u in dirty_one(v) if size[block_of[u]] > 1]
+            # ``dirty`` is ``[v]``, the one vertex moved
+            dirty = [u for u in next_dirty(dirty) if size[block_of[u]] > 1]
             continue
         changed: dict[int, list[int]] = {}
         for v, s in zip(dirty, sign(dirty)):
@@ -211,7 +210,7 @@ def refine_strong(game: Game) -> Partition:
             return pred[moved[0]]
         return {p for u in moved for p in pred[u]}
 
-    _refine(block_of, size, sign, next_dirty, sign_one, pred.__getitem__)
+    _refine(block_of, size, sign, next_dirty, sign_one)
     return _finalize(
         block_of,
         "strong",
@@ -376,7 +375,7 @@ def refine_stuttering(game: Game) -> Partition:
     block_of, size = _initial_blocks(game)
     sign, sign_one, sets = _stuttering_signer(game, block_of)
     next_dirty = partial(_dirty_stuttering, game, block_of)
-    sig = _refine(block_of, size, sign, next_dirty, sign_one, lambda v: next_dirty((v,)))
+    sig = _refine(block_of, size, sign, next_dirty, sign_one)
     succ = game.successors
     return _finalize(
         block_of,

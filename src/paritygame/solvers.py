@@ -1,31 +1,29 @@
-"""Complete parity-game solvers.
+"""Complete parity-game solving.
 
-Two interchangeable solvers produce winners plus memoryless winning
-strategies for both players:
+:func:`solve` is the one way in.  It first settles what needs no solver,
+after Friedmann and Lange ("Solving Parity Games in Practice", ATVA
+2009): self-loop dominions and their attractors.  Two cores then produce
+winners plus memoryless winning strategies for both players on the rest:
 
-* :func:`solve_zielonka` — the attractor decomposition, phrased directly
-  for the min-parity winner convention, on an explicit stack of
-  subgame-local levels (no Python recursion, no full-width masks);
-* :func:`solve_spm` — small progress measures: each player's measures on
-  the game, lifted from a predecessor worklist.  The two halves race in
-  slices of one visit per vertex; the first to converge writes the region
-  it wins as top in the other, which is that half's top set at its least
-  fixpoint, so lifting on from there ends at the same measures while
-  skipping the opponent's climb to top.  Each solution is checked twice:
-  every vertex has exactly one winner, and both strategies pass
-  :func:`~paritygame.game.verify_strategy`.  A measure is one mixed-radix
-  integer, one digit per priority of the opponent's parity (the tests
-  decode it into the lattice's tuples).
+* ``zielonka`` — the attractor decomposition, phrased directly for the
+  min-parity winner convention, on an explicit stack of subgame-local
+  levels (no Python recursion, no full-width masks), run on the remaining
+  vertex list in place;
+* ``spm`` — small progress measures (:func:`solve_spm`), run on each
+  strongly connected component of the remainder, bottom-up: each
+  player's measures on the component, lifted from a predecessor
+  worklist.  The two halves race in slices of one visit per vertex; the
+  first to converge writes the region it wins as top in the other, which
+  is that half's top set at its least fixpoint, so lifting on from there
+  ends at the same measures while skipping the opponent's climb to top.
+  Each solution is checked twice: every vertex has exactly one winner,
+  and both strategies pass :func:`~paritygame.game.verify_strategy`.  A
+  measure is one mixed-radix integer, one digit per priority of the
+  opponent's parity (the tests decode it into the lattice's tuples).
 
-The strategy-enumeration oracle that cross-checks both on small games
-lives with the tests, in ``tests/oracles.py``.
-
-:func:`solve` runs both behind the preprocessing of Friedmann and
-Lange ("Solving Parity Games in Practice", ATVA 2009): self-loop dominions
-and their attractors are settled first, then Zielonka's core runs on the
-remaining vertex list in place, or SPM on each strongly connected
-component of the remainder, bottom-up.  Its winners equal the whole-game
-solvers'; its strategies win but need not be theirs.
+The strategy-enumeration oracle that cross-checks both on small games,
+and the whole-game Zielonka solver the tests compare against, live with
+the tests.
 """
 
 from __future__ import annotations
@@ -37,6 +35,8 @@ from dataclasses import dataclass
 
 from .game import EVEN, ODD, Game, Strategy, verify_strategy
 from .graphs import strongly_connected_components
+
+ALGORITHMS = ("zielonka", "spm")
 
 
 @dataclass
@@ -91,20 +91,6 @@ def _attract(
                     in_attr.add(p)
                     queue.append(p)
     return in_attr, witness
-
-
-def attractor(game: Game, player: int, targets) -> list[int]:
-    """Least set containing ``targets`` that ``player`` can force plays
-    into: player vertices with a successor inside, opponent vertices with
-    all successors inside.  Returned in ascending vertex order.  A target
-    the game does not have raises :class:`ValueError`."""
-    n = game.vertex_count
-    targets = sorted(set(targets))
-    for v in targets:
-        if not 0 <= v < n:
-            raise ValueError(f"target {v} is not a vertex of the game")
-    attr, _ = _attract(game, player, targets, [True] * n)
-    return sorted(attr)
 
 
 @dataclass(slots=True)
@@ -166,11 +152,7 @@ def _zielonka(
             for v in attr:
                 alive[v] = False
             stack.append(_Level(vertices, side, lowest, attr, witness))
-            if len(attr) == len(lowest):
-                # the attractor is the lowest bucket, a prefix of the list
-                vertices = vertices[len(lowest) :]
-            else:
-                vertices = [v for v in vertices if alive[v]]
+            vertices = [v for v in vertices if alive[v]]
         regions: tuple[set[int], set[int]] = (set(), set())
         # ascend: close levels until one must re-run without the opponent's trap
         while stack:
@@ -225,15 +207,6 @@ def _solution(game: Game, region_even: set[int], moves: dict[int, dict[int, int]
             },
         )
     return Solution(winner, strategies[EVEN], strategies[ODD])
-
-
-def solve_zielonka(game: Game) -> Solution:
-    """Attractor-based solver (min-parity) on the whole game: the
-    subgame-local, stack-based Zielonka core run on every vertex."""
-    n = game.vertex_count
-    vertices = sorted(range(n), key=game.priority.__getitem__)
-    regions, moves = _zielonka(game, vertices, [True] * n)
-    return _solution(game, regions[EVEN], moves)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +412,9 @@ def solve(game: Game, algorithm: str = "zielonka") -> Solution:
        :func:`solve_spm` on what is unsolved of each, and claims the
        attractors of both regions it found before the next component.
 
-    Winners equal the whole-game solvers'; the strategies win but may
-    differ from theirs.  When no vertex has such a self-loop,
-    ``zielonka`` returns exactly :func:`solve_zielonka`'s solution.
+    Any other ``algorithm`` raises :class:`ValueError`.
     """
-    if algorithm not in ("zielonka", "spm"):
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     priority, owner, successors = game.priority, game.owner, game.successors
     loops: tuple[list[int], list[int]] = ([], [])

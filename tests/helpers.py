@@ -15,9 +15,9 @@ from paritygame import (
     Strategy,
     quotient,
     refine_stuttering,
-    solve_zielonka,
 )
 from paritygame.generators import Xoshiro256StarStar
+from paritygame.solvers import Solution, _solution, _zielonka
 
 from lifting_reference import Lifting, Path, distance, mimick_next
 
@@ -28,6 +28,15 @@ def assert_same_game(a: Game, b: Game):
     assert a == b
     assert hash(a) == hash(b)
     assert a.predecessors == b.predecessors
+
+
+def solve_zielonka(game: Game) -> Solution:
+    """Attractor-based solver (min-parity) on the whole game: the
+    subgame-local, stack-based Zielonka core run on every vertex."""
+    n = game.vertex_count
+    vertices = sorted(range(n), key=game.priority.__getitem__)
+    regions, moves = _zielonka(game, vertices, [True] * n)
+    return _solution(game, regions[EVEN], moves)
 
 
 def play_is_valid(play: Play, game: Game) -> bool:

@@ -21,15 +21,14 @@ from paritygame import (
     quotient,
     refine_strong,
     refine_stuttering,
-    solve_spm,
-    solve_zielonka,
     verify_strategy,
     write_pgsolver,
 )
 from paritygame.bench import CSV_HEADER, records_to_csv, run_benchmark
 from paritygame.generators import Xoshiro256StarStar
+from paritygame.solvers import solve_spm
 
-from helpers import random_consistent_walk
+from helpers import random_consistent_walk, solve_zielonka
 from lifting_reference import Lifting, mimick_next
 from oracles import (
     oracle_strong_pairs,

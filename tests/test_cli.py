@@ -291,6 +291,21 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == "", argv
 
 
+def test_a_usage_error_shows_the_subcommand_usage(capsys):
+    # the root usage, which lists the subcommands, used to be printed instead
+    assert cli_dispatch(["generate", "--family", "chain", "--n", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "usage: paritygame generate" in err
+    assert "{info,solve,reduce" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_returns_0(argv, capsys):
+    # argparse exits after printing help; that exit used to escape
+    assert cli_dispatch(argv) == 0
+    assert "usage: paritygame" in capsys.readouterr().out
+
+
 def test_bench_has_no_jobs_option(capsys):
     assert cli_dispatch(["bench", "--family", "chain", "--n", "10", "--jobs", "2"]) == 2
     assert "--jobs" in capsys.readouterr().err

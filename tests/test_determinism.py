@@ -5,13 +5,16 @@ results)."""
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 PIPELINE = r"""
 from paritygame import (
     Game, gen_chain, gen_random, refine_strong, refine_stuttering, quotient,
-    solve, solve_zielonka, solve_spm, write_pgsolver, write_partition,
-    write_solution, lift_solution, EVEN, ODD,
+    solve, write_pgsolver, write_partition, write_solution, lift_solution,
+    EVEN, ODD,
 )
+from paritygame.solvers import solve_spm
+from helpers import solve_zielonka
 
 chunks = []
 for seed in (1, 2, 3):
@@ -57,7 +60,9 @@ print("\n".join(chunks))
 
 
 def run_pipeline(hashseed: str) -> str:
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    # the tests' own directory, for ``helpers``
+    path = [str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-c", PIPELINE],
         capture_output=True,

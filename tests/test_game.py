@@ -11,12 +11,11 @@ from paritygame import (
     gen_chain,
     gen_random,
     play_from,
-    solve_zielonka,
     stats,
     write_pgsolver,
 )
 
-from helpers import assert_same_game, cmp_proximity, min_vertex, play_is_valid
+from helpers import assert_same_game, cmp_proximity, min_vertex, play_is_valid, solve_zielonka
 from lifting_reference import INFINITY, Path, consistent, distance
 
 

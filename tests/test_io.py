@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alternating_chain, assert_same_game, priority_ladder
+from helpers import alternating_chain, assert_same_game, priority_ladder, solve_zielonka
 from paritygame import (
     EVEN,
     ODD,
@@ -18,7 +18,6 @@ from paritygame import (
     parse_solution,
     quotient,
     refine_stuttering,
-    solve_zielonka,
     write_pgsolver,
     write_solution,
 )

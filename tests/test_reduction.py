@@ -31,11 +31,17 @@ from paritygame import (
     quotient,
     refine_strong,
     refine_stuttering,
-    solve_zielonka,
     write_partition,
 )
 
-from helpers import alternating_chain, assert_same_game, nested_game, relabelled, small_games
+from helpers import (
+    alternating_chain,
+    assert_same_game,
+    nested_game,
+    relabelled,
+    small_games,
+    solve_zielonka,
+)
 from oracles import (
     compute_divergent,
     divergent_wrt,
@@ -205,8 +211,8 @@ def test_quotients_are_valid_total_games():
     # quotients skip the constructor's checks; rebuilding one through it
     # checks totality, id range, sorted successors and predecessors.
     # Derived games build their predecessor table on its first read, and a
-    # priority conversion of a quotient whose table was never read builds
-    # its own.
+    # priority conversion builds its own, whether the quotient's was read
+    # or not.
     for seed in range(40):
         g = gen_random(1 + seed % 20, 3, 3, seed + 777)
         for refine in (refine_strong, refine_stuttering):
@@ -217,8 +223,9 @@ def test_quotients_are_valid_total_games():
             assert reduced._pred is None
             assert reduced.predecessors == _inverse(reduced.successors)
             assert_same_game(reduced, Game(reduced.priority, reduced.owner, reduced.successors))
-            # a table once built is shared, not rebuilt
-            assert convert_priorities(reduced).predecessors is reduced.predecessors
+            converted = convert_priorities(reduced)
+            assert converted._pred is None
+            assert converted.successors is reduced.successors
         sub = paritygame.solvers._subgame(g, list(range(0, g.vertex_count, 2)))
         assert sub._pred is None
         assert sub.predecessors == _inverse(sub.successors)

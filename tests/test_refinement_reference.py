@@ -445,7 +445,7 @@ def _signing_trace(monkeypatch) -> list[str]:
     trace: list[str] = []
     refine = reduction._refine
 
-    def traced(block_of, size, sign, next_dirty, sign_one, dirty_one):
+    def traced(block_of, size, sign, next_dirty, sign_one):
         def sign_batch(dirty):
             trace.append("B")
             return sign(dirty)
@@ -454,7 +454,7 @@ def _signing_trace(monkeypatch) -> list[str]:
             trace.append("L")
             return sign_one(v)
 
-        return refine(block_of, size, sign_batch, next_dirty, sign_lone, dirty_one)
+        return refine(block_of, size, sign_batch, next_dirty, sign_lone)
 
     monkeypatch.setattr(reduction, "_refine", traced)
     return trace

@@ -33,14 +33,12 @@ from paritygame import (
     quotient,
     refine_stuttering,
     solve,
-    solve_spm,
-    solve_zielonka,
     verify_strategy,
 )
 import paritygame.solvers as solvers
-from paritygame.solvers import _SpmHalf
+from paritygame.solvers import _SpmHalf, solve_spm
 
-from helpers import alternating_chain, priority_ladder, small_games
+from helpers import alternating_chain, priority_ladder, small_games, solve_zielonka
 
 
 def _attract(
@@ -157,7 +155,7 @@ def progress_measure(game: Game) -> ProgressMeasure:
     """Converged measure of the max-converted game, decoded into tuples: a
     vertex is top exactly when the odd player wins it.
 
-    This is the even half of :func:`paritygame.solve_spm` run to
+    This is the even half of :func:`paritygame.solvers.solve_spm` run to
     convergence on its own, unseeded; the race in ``solve_spm`` ends at the
     same measure.  The solver works on mixed-radix integers over the
     min-parity game's odd priorities, lowest most significant; reflected

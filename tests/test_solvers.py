@@ -13,47 +13,52 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    attractor,
     gen_chain,
     gen_divergent_pair,
     gen_random,
     solve,
-    solve_spm,
-    solve_zielonka,
     verify_strategy,
 )
+import paritygame
 import paritygame.solvers as solvers
+from paritygame.solvers import solve_spm
 from paritygame.generators import Xoshiro256StarStar
 
-from helpers import alternating_chain, priority_ladder, small_games, strategy_is_valid
+from helpers import (
+    alternating_chain,
+    priority_ladder,
+    small_games,
+    solve_zielonka,
+    strategy_is_valid,
+)
 from oracles import solve_brute
 from test_refinement_reference import game_zoo
 from test_solver_reference import SPM_FAMILIES, progress_measure
 
 
+def attract(g: Game, player: int, targets: list[int]) -> list[int]:
+    """The attractor of ``targets`` for ``player`` in the whole game,
+    ascending."""
+    attr, _ = solvers._attract(g, player, targets, [True] * g.vertex_count)
+    return sorted(attr)
+
+
 def test_attractor_chain_pulls_everything():
     g = gen_chain(3, 1, ODD, 0)
-    assert attractor(g, EVEN, [3]) == [0, 1, 2, 3]
-
-
-@pytest.mark.parametrize("target", [-1, 4, 9])
-def test_attractor_rejects_a_target_that_is_no_vertex(target):
-    # -1 used to index the last vertex and 9 to raise IndexError
-    with pytest.raises(ValueError, match=f"^target {target} is not a vertex of the game$"):
-        attractor(gen_chain(3, 1, ODD, 0), EVEN, [0, target])
+    assert attract(g, EVEN, [3]) == [0, 1, 2, 3]
 
 
 def test_attractor_choice_vertex(g4):
-    assert attractor(g4, EVEN, [1]) == [0, 1]
+    assert attract(g4, EVEN, [1]) == [0, 1]
 
 
 def test_attractor_of_everything_is_everything(g4):
-    assert attractor(g4, ODD, list(g4.vertices())) == [0, 1, 2]
+    assert attract(g4, ODD, list(g4.vertices())) == [0, 1, 2]
 
 
 def test_attractor_opponent_needs_all_edges(g4):
     # b is odd-owned with only its self-loop; v escapes to a
-    assert attractor(g4, ODD, [2]) == [2]
+    assert attract(g4, ODD, [2]) == [2]
 
 
 def test_zielonka_forced_cycle(g1):
@@ -215,6 +220,13 @@ def test_solve_offers_only_the_complete_solvers(g4):
     # the brute-force oracle lives with the tests; solve used to run it
     with pytest.raises(ValueError, match="^unknown algorithm 'brute'$"):
         solve(g4, "brute")
+
+
+@pytest.mark.parametrize("name", ["solve_zielonka", "solve_spm", "attractor"])
+def test_solve_is_the_only_exported_solver(name):
+    # the whole-game solvers keep the cliffs solve's preprocessing removes
+    assert not hasattr(paritygame, name)
+    assert name not in paritygame.__all__
 
 
 def _game_zoo():

@@ -20,7 +20,6 @@ from paritygame import (
     refine_strong,
     refine_stuttering,
     solve,
-    solve_zielonka,
     verify_strategy,
 )
 from paritygame.generators import Xoshiro256StarStar
@@ -30,6 +29,7 @@ from helpers import (
     alternating_chain,
     make_context,
     random_consistent_walk,
+    solve_zielonka,
 )
 from lifting_reference import (
     Lifting,

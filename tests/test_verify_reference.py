@@ -32,13 +32,12 @@ from paritygame import (
     quotient,
     refine_stuttering,
     solve,
-    solve_zielonka,
     verify_strategy,
 )
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.game import _find_cycle
 
-from helpers import alternating_chain, priority_ladder, small_games
+from helpers import alternating_chain, priority_ladder, small_games, solve_zielonka
 from test_graphs_reference import reference_sccs
 from test_refinement_reference import game_zoo
 
