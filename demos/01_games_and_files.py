@@ -1,4 +1,4 @@
-"""Building parity games, querying them, and moving them through files.
+"""Building parity games, checking a strategy, and moving games through files.
 
 A parity game is a total directed graph: every vertex carries a priority
 and an owner (player 0 = even, player 1 = odd).  The winner of an infinite
@@ -12,8 +12,8 @@ from paritygame import (
     Strategy,
     convert_priorities,
     parse_pgsolver,
-    play_from,
-    stats,
+    solve,
+    verify_strategy,
     write_pgsolver,
 )
 
@@ -24,7 +24,7 @@ game = Game(
     owner=[EVEN, EVEN, ODD],
     successors=[[1, 2], [1], [2]],
 )
-print("stats:", stats(game))
+print(game, "with priorities", sorted(set(game.priority)))
 
 # Every Game is a parity game: a vertex without a successor, or an edge to
 # a vertex that does not exist, is refused when the game is built.
@@ -33,11 +33,15 @@ try:
 except ValueError as exc:
     print("rejected:", exc)
 
-# Fix both players' moves and unfold the unique play from vertex 0.
-even_strategy = Strategy(EVEN, {0: 1, 1: 1})
-odd_strategy = Strategy(ODD, {2: 2})
-play, winner = play_from(game, even_strategy, odd_strategy, 0)
-print("play:", play.prefix, "then repeat", play.cycle, "-> winner", winner)
+# The solver gives every vertex's winner.  A memoryless strategy for the
+# even player is checked on the region even wins: moving from 0 to the good
+# loop wins there, moving to the bad loop leaves the region.
+solution = solve(game)
+print("winners:", solution.winner)
+region = solution.region(EVEN)
+for moves in ({0: 1, 1: 1}, {0: 2, 1: 1}):
+    result = verify_strategy(game, EVEN, region, Strategy(EVEN, moves))
+    print(f"even plays {moves} on {region}:", "wins" if result else result.reason)
 
 # PGSolver text round-trips exactly.
 text = write_pgsolver(game)

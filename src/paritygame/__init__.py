@@ -6,13 +6,9 @@ from .game import (
     EVEN,
     ODD,
     Game,
-    GameStats,
-    Play,
     Strategy,
     VerifyResult,
     convert_priorities,
-    play_from,
-    stats,
     verify_strategy,
 )
 from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
@@ -33,15 +29,11 @@ __all__ = [
     "EVEN",
     "ODD",
     "Game",
-    "GameStats",
-    "Play",
     "Strategy",
     "Partition",
     "Solution",
     "VerifyResult",
     "FormatError",
-    "stats",
-    "play_from",
     "convert_priorities",
     "parse_pgsolver",
     "write_pgsolver",

@@ -140,12 +140,17 @@ def run_benchmark(
 ) -> list[BenchRecord]:
     """One record per (game, method, solver); raises
     :class:`WinnerMismatchError` when methods disagree on a game or the
-    lifted ``stuttering+solve`` strategies do not verify."""
+    lifted ``stuttering+solve`` strategies do not verify, and
+    :class:`ValueError`, before timing anything, for an unknown method, a
+    repetition count below 1 or a game with no vertices."""
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    for game_id, game in games:
+        if not game.vertex_count:
+            raise ValueError(f"game {game_id} has no vertices")
     records = []
     for game_id, game in games:
         results = [

@@ -2,7 +2,8 @@
 
 Subcommands: ``info``, ``solve``, ``reduce``, ``generate``, ``verify`` and
 ``bench``.  Exit codes: 0 on success, 1 on a domain failure (parse error,
-failed verification, benchmark winner mismatch), 2 on usage errors.
+failed verification, a solution file with a move at a vertex its winner
+does not own, benchmark winner mismatch), 2 on usage errors.
 
 Game files use the PGSolver format.  ``--convention`` states how priorities
 in files are read and written; it defaults to ``max``, matching the
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .game import EVEN, ODD, Game, Strategy, convert_priorities, stats, verify_strategy
+from .game import EVEN, ODD, Game, Strategy, convert_priorities, verify_strategy
 from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
 from .io import (
     FormatError,
@@ -117,13 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("solution")
 
     p_bench = sub.add_parser("bench", help="benchmark direct vs reduce-then-solve")
-    p_bench.add_argument("files", nargs="*", help="game files to benchmark")
-    p_bench.add_argument("--family", choices=("random", "chain"))
-    p_bench.add_argument("--n", default="", help="comma-separated sizes for --family")
-    p_bench.add_argument("--count", type=_positive, default=1, help="random games per size")
-    p_bench.add_argument("--degree", type=_positive, default=3)
-    p_bench.add_argument("--pmax", type=_natural, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("files", nargs="+", help="game files to benchmark")
     p_bench.add_argument(
         "--methods", default="all", help="comma list of direct,strong,stuttering or all"
     )
@@ -135,10 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_info(args) -> int:
     game = _read_game(args.file, args.convention)
-    s = stats(game)
-    print(f"vertices:   {s.vertex_count}")
-    print(f"edges:      {s.edge_count}")
-    print(f"priorities: {s.priority_count} {list(s.priorities_present)}")
+    present = sorted(set(game.priority))
+    print(f"vertices:   {game.vertex_count}")
+    print(f"edges:      {game.edge_count}")
+    print(f"priorities: {len(present)} {present}")
     return 0
 
 
@@ -185,6 +180,14 @@ def _cmd_verify(args) -> int:
     if len(winner) != game.vertex_count:
         print("solution does not cover the game's vertices", file=sys.stderr)
         return 1
+    stray = min((v for v in moves if game.owner[v] != winner[v]), default=None)
+    if stray is not None:
+        print(
+            f"vertex {stray}: the solution gives a move, but its winner {winner[stray]} "
+            "does not own it",
+            file=sys.stderr,
+        )
+        return 1
     for player in (EVEN, ODD):
         region = [v for v in game.vertices() if winner[v] == player]
         strat = Strategy(
@@ -211,22 +214,7 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--methods takes a comma list of direct, strong and stuttering, or all")
     if not solvers or not set(solvers) <= set(ALGORITHMS):
         raise _UsageError(f"--solvers takes a comma list of {', '.join(ALGORITHMS)}")
-    tokens = args.n.split(",") if args.family else []
-    sizes = [int(t) if t.strip().isdecimal() else 0 for t in tokens if t]
-    if args.family and (not sizes or min(sizes) < 1):
-        raise _UsageError(f"--family needs --n with positive sizes, not {args.n!r}")
-    games: list[tuple[str, Game]] = []
-    for path in args.files:
-        games.append((path, _read_game(path, args.convention)))
-    for n in sizes:
-        if args.family == "chain":
-            games.append((f"chain-{n}", gen_chain(n, 1, ODD, 0)))
-        else:
-            for i in range(args.count):
-                seed = args.seed + i
-                games.append((f"random-{n}-s{seed}", gen_random(n, args.degree, args.pmax, seed)))
-    if not games:
-        raise _UsageError("nothing to benchmark: pass game files or --family")
+    games = [(path, _read_game(path, args.convention)) for path in args.files]
     records = bench_mod.run_benchmark(
         games,
         methods=methods,

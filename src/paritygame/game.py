@@ -1,6 +1,5 @@
 """Core parity game representation: games, memoryless strategies and
-their verifier (:func:`verify_strategy`), eventually-periodic plays
-(:func:`play_from`) and priority conversion.
+their verifier (:func:`verify_strategy`), and priority conversion.
 
 A parity game is a total directed graph whose vertices carry a natural
 priority and an owning player.  The winner of an infinite play is decided
@@ -167,20 +166,6 @@ def _predecessors(successors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return tuple(map(tuple, preds))
 
 
-@dataclass(frozen=True)
-class Play:
-    """Eventually-periodic infinite path: finite prefix followed by a
-    repeated non-empty cycle.  The prefix may be empty when the play cycles
-    from its very first vertex."""
-
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.cycle:
-            raise ValueError("a play needs a non-empty cycle")
-
-
 @dataclass
 class Strategy:
     """Memoryless strategy: a partial map from owned vertices to a chosen
@@ -282,53 +267,6 @@ def verify_strategy(
             if rest:
                 pending.append(rest)
     return VerifyResult(True)
-
-
-@dataclass(frozen=True)
-class GameStats:
-    vertex_count: int
-    edge_count: int
-    priority_count: int
-    priorities_present: tuple[int, ...]
-
-
-def stats(game: Game) -> GameStats:
-    present = tuple(sorted(set(game.priority)))
-    return GameStats(
-        vertex_count=game.vertex_count,
-        edge_count=game.edge_count,
-        priority_count=len(present),
-        priorities_present=present,
-    )
-
-
-def play_from(
-    game: Game, strategy_even: Strategy, strategy_odd: Strategy, v: int
-) -> tuple[Play, int]:
-    """Unfold the unique play from ``v`` under two memoryless strategies.
-
-    Both strategies together must cover every reached vertex.  Returns the
-    eventually-periodic play and the winner: the parity of the minimum
-    priority on the cycle.
-    """
-    moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
-    seq: list[int] = []
-    position: dict[int, int] = {}
-    cur = v
-    while cur not in position:
-        position[cur] = len(seq)
-        seq.append(cur)
-        table = moves[game.owner[cur]]
-        if cur not in table:
-            raise ValueError(f"no strategy move defined at reached vertex {cur}")
-        nxt = table[cur]
-        if not game.has_edge(cur, nxt):
-            raise ValueError(f"strategy move {cur}->{nxt} is not a game edge")
-        cur = nxt
-    k = position[cur]
-    play = Play(prefix=tuple(seq[:k]), cycle=tuple(seq[k:]))
-    winner = min(game.priority[w] for w in play.cycle) % 2
-    return play, winner
 
 
 def convert_priorities(game: Game, direction: str = "max_to_min") -> Game:

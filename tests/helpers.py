@@ -1,5 +1,5 @@
 """Helpers shared between the test modules: game families, lifting
-records, and reference definitions that only the tests use."""
+records, plays, and reference definitions that only the tests use."""
 
 import random
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    Play,
     Strategy,
     quotient,
     refine_stuttering,
@@ -37,6 +36,49 @@ def solve_zielonka(game: Game) -> Solution:
     vertices = sorted(range(n), key=game.priority.__getitem__)
     regions, moves = _zielonka(game, vertices, [True] * n)
     return _solution(game, regions[EVEN], moves)
+
+
+@dataclass(frozen=True)
+class Play:
+    """Eventually-periodic infinite path: finite prefix followed by a
+    repeated non-empty cycle.  The prefix may be empty when the play cycles
+    from its very first vertex."""
+
+    prefix: tuple[int, ...]
+    cycle: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.cycle:
+            raise ValueError("a play needs a non-empty cycle")
+
+
+def play_from(
+    game: Game, strategy_even: Strategy, strategy_odd: Strategy, v: int
+) -> tuple[Play, int]:
+    """Unfold the unique play from ``v`` under two memoryless strategies.
+
+    Both strategies together must cover every reached vertex.  Returns the
+    eventually-periodic play and the winner: the parity of the minimum
+    priority on the cycle.
+    """
+    moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
+    seq: list[int] = []
+    position: dict[int, int] = {}
+    cur = v
+    while cur not in position:
+        position[cur] = len(seq)
+        seq.append(cur)
+        table = moves[game.owner[cur]]
+        if cur not in table:
+            raise ValueError(f"no strategy move defined at reached vertex {cur}")
+        nxt = table[cur]
+        if not game.has_edge(cur, nxt):
+            raise ValueError(f"strategy move {cur}->{nxt} is not a game edge")
+        cur = nxt
+    k = position[cur]
+    play = Play(prefix=tuple(seq[:k]), cycle=tuple(seq[k:]))
+    winner = min(game.priority[w] for w in play.cycle) % 2
+    return play, winner
 
 
 def play_is_valid(play: Play, game: Game) -> bool:

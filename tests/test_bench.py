@@ -3,7 +3,7 @@
 import pytest
 
 import paritygame.bench as bench
-from paritygame import ODD, gen_chain, gen_random
+from paritygame import ODD, Game, gen_chain, gen_random, write_pgsolver
 from paritygame.bench import (
     CSV_HEADER,
     WinnerMismatchError,
@@ -127,11 +127,19 @@ def test_rejected_lifted_strategy_aborts(monkeypatch, tmp_path, capsys):
         run_benchmark([("random-30", game)], repetitions=1)
     # the methods that are not lifted still pass
     run_benchmark([("random-30", game)], ("direct", "strong+solve"), repetitions=1)
-    code = cli_dispatch(
-        ["bench", "--family", "random", "--n", "30", "--seed", "7", "-o", str(tmp_path / "b.csv")]
-    )
+    f = tmp_path / "random-30.gm"
+    f.write_text(write_pgsolver(game), encoding="ascii")
+    code = cli_dispatch(["--convention", "min", "bench", str(f), "-o", str(tmp_path / "b.csv")])
     assert code == 1
     assert "lifted strategy of player 0 rejected" in capsys.readouterr().err
+
+
+def test_rejects_a_game_with_no_vertices(monkeypatch):
+    # every stage accepts the empty game, and the record's winner of vertex
+    # 0 used to raise IndexError; no method may be timed first
+    monkeypatch.setattr(bench, "solve", None)
+    with pytest.raises(ValueError, match="game empty has no vertices"):
+        run_benchmark([("chain-3", gen_chain(3, 1, ODD, 0)), ("empty", Game([], [], []))])
 
 
 def test_rejects_unknown_method():

@@ -7,6 +7,7 @@ import pytest
 from paritygame import (
     ODD,
     Game,
+    gen_branch,
     gen_chain,
     gen_random,
     parse_pgsolver,
@@ -25,12 +26,46 @@ def write_game(path, text):
     return str(path)
 
 
+def generate(tmp_path, family, n, *options):
+    """Write ``generate --family family --n n`` to a file named after it,
+    priorities as the min convention reads them, and return its path."""
+    path = str(tmp_path / f"{family}-{n}{''.join(options)}.gm")
+    argv = ["--convention", "min", "generate", "--family", family, "--n", str(n), *options]
+    assert cli_dispatch([*argv, "-o", path]) == 0
+    return path
+
+
+def bench_rows(path):
+    """The data rows of a bench CSV, after its comment and header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        comment, header, *rows = csv.reader(fh)
+    assert header == CSV_HEADER.split(",")
+    return rows
+
+
 def test_info(tmp_path, capsys):
     f = write_game(tmp_path / "g.gm", G1_MIN_TEXT)
     assert cli_dispatch(["--convention", "min", "info", f]) == 0
     out = capsys.readouterr().out
     assert "vertices:   2" in out
     assert "[0, 1]" in out
+
+
+@pytest.mark.parametrize(
+    "text, vertices, edges, priorities",
+    [
+        (G1_MIN_TEXT, 2, 2, "2 [0, 1]"),
+        (write_pgsolver(gen_branch()), 4, 4, "2 [0, 1]"),
+        ("parity 0;\n0 5 1 0;", 1, 1, "1 [5]"),
+    ],
+    ids=["g1", "branch", "self-loop"],
+)
+def test_info_counts(tmp_path, capsys, text, vertices, edges, priorities):
+    f = write_game(tmp_path / "g.gm", text)
+    assert cli_dispatch(["--convention", "min", "info", f]) == 0
+    assert capsys.readouterr().out == (
+        f"vertices:   {vertices}\nedges:      {edges}\npriorities: {priorities}\n"
+    )
 
 
 def test_an_unwritable_name_exits_1(monkeypatch, capsys):
@@ -116,6 +151,18 @@ def test_verify_accepts_solver_output(tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_move_at_a_vertex_its_winner_does_not_own(tmp_path, capsys):
+    # every chain vertex is odd-owned and won by even, so no line may carry
+    # a move; the moves used to be dropped and the solution verified
+    f = generate(tmp_path, "chain", 3)
+    sol_file = tmp_path / "stray.sol"
+    sol_file.write_text("solution 3;\n0 0 1;\n1 0 2;\n2 0 3;\n3 0 3;\n", encoding="ascii")
+    assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex 0: the solution gives a move, but its winner 0 does not own it" in captured.err
+
+
 def test_verify_rejects_wrong_solution(tmp_path, capsys):
     f = write_game(tmp_path / "g.gm", G1_MIN_TEXT)
     sol_file = tmp_path / "bad.sol"
@@ -144,21 +191,11 @@ def test_spm_solution_verifies(tmp_path, capsys, dual):
 
 
 def test_bench_family_grid(tmp_path):
+    files = [generate(tmp_path, "chain", n) for n in (10, 50)]
     out = tmp_path / "bench.csv"
     code = cli_dispatch(
-        [
-            "bench",
-            "--family",
-            "chain",
-            "--n",
-            "10,50",
-            "--methods",
-            "all",
-            "--repetitions",
-            "1",
-            "-o",
-            str(out),
-        ]
+        ["--convention", "min", "bench", *files, "--methods", "all", "--repetitions", "1",
+         "-o", str(out)]
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -166,57 +203,34 @@ def test_bench_family_grid(tmp_path):
 
 
 def test_bench_large_chain_grid(tmp_path):
+    files = [generate(tmp_path, "chain", n) for n in (1000, 10000)]
     out = tmp_path / "bench.csv"
     code = cli_dispatch(
-        [
-            "bench",
-            "--family",
-            "chain",
-            "--n",
-            "1000,10000",
-            "--methods",
-            "all",
-            "--repetitions",
-            "1",
-            "-o",
-            str(out),
-        ]
+        ["--convention", "min", "bench", *files, "--methods", "all", "--repetitions", "1",
+         "-o", str(out)]
     )
     assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2 + 2 * 3
-    stut_10k = next(l for l in lines if l.startswith("chain-10000,stuttering+solve"))
-    assert stut_10k.split(",")[5] == "2"
-    direct_10k = next(l for l in lines if l.startswith("chain-10000,direct"))
-    assert direct_10k.split(",")[5] == "10001"
+    rows = bench_rows(out)
+    assert len(rows) == 2 * 3
+    red_v = {(row[0], row[1]): row[5] for row in rows}
+    assert red_v[files[1], "stuttering+solve"] == "2"
+    assert red_v[files[1], "direct"] == "10001"
 
 
 def test_bench_random_family(tmp_path):
+    files = [
+        generate(tmp_path, "random", n, "--seed", str(seed)) for n in (12, 20) for seed in (3, 4)
+    ]
     out = tmp_path / "bench.csv"
     code = cli_dispatch(
-        [
-            "bench",
-            "--family",
-            "random",
-            "--n",
-            "12,20",
-            "--count",
-            "2",
-            "--methods",
-            "direct,stuttering",
-            "--solvers",
-            "zielonka,spm",
-            "--repetitions",
-            "1",
-            "--seed",
-            "3",
-            "-o",
-            str(out),
-        ]
+        ["--convention", "min", "bench", *files, "--methods", "direct,stuttering",
+         "--solvers", "zielonka,spm", "--repetitions", "1", "-o", str(out)]
     )
     assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2 + 4 * 2 * 2
+    rows = bench_rows(out)
+    assert len(rows) == 4 * 2 * 2
+    assert {row[0] for row in rows} == set(files)
+    assert {row[2] for row in rows} == {"zielonka", "spm"}
 
 
 def test_bench_on_game_files(tmp_path):
@@ -249,40 +263,41 @@ def test_bench_csv_reads_back_one_field_per_column(tmp_path, name):
     assert all(len(row) == len(header) and row[0] == f for row in rows)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli_dispatch(["solve"]) == 2
     assert cli_dispatch(["--no-such-flag", "info", "x"]) == 2
-    assert cli_dispatch(["bench"]) == 2
     capsys.readouterr()
+    # bench takes game files only; ``generate`` makes the families
+    for argv, message in [
+        (["bench"], "usage: paritygame bench"),
+        (["bench", "--family", "chain", "x.gm"], "unrecognized arguments: --family"),
+    ]:
+        assert cli_dispatch(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err, argv
+        assert captured.out == "", argv
+    f = write_game(tmp_path / "chain.gm", write_pgsolver(gen_chain(4, 1, ODD, 0)))
     # bad bench options used to exit 1 as domain failures, or 0 with no rows
     for options, message in [
-        (["--n", "x"], "--family needs --n with positive sizes, not 'x'"),
-        (["--n", "0"], "--family needs --n with positive sizes, not '0'"),
-        (["--n", "4,-2"], "--family needs --n with positive sizes, not '4,-2'"),
-        (["--n", "4", "--repetitions", "0"], "argument --repetitions: must be a positive integer"),
-        (["--n", "4", "--methods", "foo"], "--methods takes a comma list of"),
-        (["--n", "4", "--methods", "all,direct"], "--methods takes a comma list of"),
-        (["--n", "4", "--methods", ","], "--methods takes a comma list of"),
-        (["--n", "4", "--solvers", "foo"], "--solvers takes a comma list of zielonka, spm\n"),
-        (["--n", "4", "--solvers", "brute"], "--solvers takes a comma list of zielonka, spm\n"),
-        (["--n", "4", "--solvers", ","], "--solvers takes a comma list of"),
+        (["--repetitions", "0"], "argument --repetitions: must be a positive integer"),
+        (["--methods", "foo"], "--methods takes a comma list of"),
+        (["--methods", "all,direct"], "--methods takes a comma list of"),
+        (["--methods", ","], "--methods takes a comma list of"),
+        (["--solvers", "foo"], "--solvers takes a comma list of zielonka, spm\n"),
+        (["--solvers", "brute"], "--solvers takes a comma list of zielonka, spm\n"),
+        (["--solvers", ","], "--solvers takes a comma list of"),
     ]:
-        assert cli_dispatch(["bench", "--family", "chain", *options]) == 2, options
+        assert cli_dispatch(["bench", f, *options]) == 2, options
         captured = capsys.readouterr()
         assert message in captured.err, options
         assert captured.out == "", options
-    # numeric options used to reach the generators and exit 1, and a bad
-    # --count to blame --family
+    # numeric options used to reach the generators and exit 1
     for argv, message in [
         (["generate", "--family", "chain", "--n", "0"], "argument --n: must be a positive"),
         (["generate", "--family", "random", "--degree", "0"], "argument --degree: must be a positive"),
         (["generate", "--family", "random", "--pmax", "-1"], "argument --pmax: must be a natural"),
         (["generate", "--family", "chain", "--chain-priority", "-1"], "argument --chain-priority: must be a natural"),
         (["generate", "--family", "chain", "--sink-priority", "-1"], "argument --sink-priority: must be a natural"),
-        (["bench", "--family", "random", "--n", "5", "--degree", "0"], "argument --degree: must be a positive"),
-        (["bench", "--family", "random", "--n", "5", "--pmax", "-1"], "argument --pmax: must be a natural"),
-        (["bench", "--family", "random", "--n", "5", "--count", "0"], "argument --count: must be a positive"),
-        (["bench", "--family", "random", "--n", "5", "--count", "-2"], "argument --count: must be a positive"),
         (["solve", "--algorithm", "brute", "f"], "argument --algorithm: invalid choice: 'brute'"),
     ]:
         assert cli_dispatch(argv) == 2, argv
@@ -307,7 +322,7 @@ def test_help_returns_0(argv, capsys):
 
 
 def test_bench_has_no_jobs_option(capsys):
-    assert cli_dispatch(["bench", "--family", "chain", "--n", "10", "--jobs", "2"]) == 2
+    assert cli_dispatch(["bench", "x.gm", "--jobs", "2"]) == 2
     assert "--jobs" in capsys.readouterr().err
 
 

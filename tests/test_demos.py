@@ -61,3 +61,18 @@ def test_all_lists_exactly_the_public_names_bound():
     public = {name for name in bound if not name.startswith("_")}
     assert len(paritygame.__all__) == len(set(paritygame.__all__))
     assert set(paritygame.__all__) == public
+
+
+def test_all_is_the_public_api():
+    # the 24 names of the pipeline: games, files, reduction, solving,
+    # lifting and verification, and the generators
+    assert sorted(paritygame.__all__) == sorted([
+        "EVEN", "ODD", "Game", "Strategy", "Partition", "Solution", "VerifyResult",
+        "FormatError", "convert_priorities", "parse_pgsolver", "write_pgsolver",
+        "parse_solution", "write_solution", "refine_strong", "refine_stuttering", "quotient",
+        "write_partition", "solve", "lift_solution", "verify_strategy", "gen_random",
+        "gen_chain", "gen_branch", "gen_divergent_pair",
+    ])
+    # plays and game statistics are test equipment and ``info`` output
+    for name in ("Play", "play_from", "GameStats", "stats"):
+        assert not hasattr(paritygame, name), name

@@ -10,12 +10,17 @@ from paritygame import (
     convert_priorities,
     gen_chain,
     gen_random,
-    play_from,
-    stats,
     write_pgsolver,
 )
 
-from helpers import assert_same_game, cmp_proximity, min_vertex, play_is_valid, solve_zielonka
+from helpers import (
+    assert_same_game,
+    cmp_proximity,
+    min_vertex,
+    play_from,
+    play_is_valid,
+    solve_zielonka,
+)
 from lifting_reference import INFINITY, Path, consistent, distance
 
 
@@ -93,27 +98,6 @@ def test_priority_flips_equal_freshly_constructed_games():
             assert_same_game(
                 flipped, Game([d - p for p in g.priority], g.owner, g.successors, g.names)
             )
-
-
-def test_stats_g1(g1):
-    s = stats(g1)
-    assert (s.vertex_count, s.edge_count, s.priority_count) == (2, 2, 2)
-    assert s.priorities_present == (0, 1)
-
-
-def test_stats_branch_fixture():
-    from paritygame import gen_branch
-
-    s = stats(gen_branch())
-    assert (s.vertex_count, s.edge_count, s.priority_count) == (4, 4, 2)
-    assert s.priorities_present == (0, 1)
-
-
-def test_stats_self_loop():
-    g = Game(priority=[5], owner=[ODD], successors=[[0]])
-    s = stats(g)
-    assert (s.vertex_count, s.edge_count, s.priority_count) == (1, 1, 1)
-    assert s.priorities_present == (5,)
 
 
 def test_distance_examples(g1, g4):

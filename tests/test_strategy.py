@@ -28,6 +28,7 @@ from helpers import (
     PathStrategyOracle,
     alternating_chain,
     make_context,
+    play_from,
     random_consistent_walk,
     solve_zielonka,
 )
@@ -276,8 +277,6 @@ def test_lifted_strategies_beat_every_memoryless_opponent():
     # game, where memoryless counter-strategies are optimal; enumerating
     # them all is therefore a complete play-level check
     import itertools
-
-    from paritygame import play_from
 
     rng = Xoshiro256StarStar(60606)
     plays = 0
