@@ -8,9 +8,10 @@ compresses chain-like structures to a constant size.
 """
 
 from paritygame import (
+    EVEN,
     ODD,
+    Game,
     gen_chain,
-    gen_divergent_pair,
     quotient,
     refine_strong,
     refine_stuttering,
@@ -39,8 +40,10 @@ print("\nits quotient game:")
 print(write_pgsolver(reduced))
 
 # Divergence decides self-loops: an infinite path inside a block becomes
-# a self-loop on the block, here on both blocks of the divergent pair.
-pair = gen_divergent_pair()
+# a self-loop on the block.  In this divergent pair two odd vertices form
+# a cycle with an escape to a self-looping even sink, and both blocks of
+# the quotient keep a self-loop.
+pair = Game([1, 1, 0], [ODD, ODD, EVEN], [[1], [0, 2], [2]])
 reduced, _ = quotient(pair, refine_stuttering(pair))
 print("\ndivergent pair quotient (note both self-loops):")
 print(write_pgsolver(reduced))

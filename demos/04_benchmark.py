@@ -38,9 +38,9 @@ for game_id, methods in by_game.items():
           f"{stut.total_us/1000:>9.3f}")
 
 # Zielonka walks chains in linear time, so reduction is pure overhead
-# there.  Measure lifting on the whole chain would be quadratic, but
-# `solve` settles the sink's self-loop and its attractor before any
-# lifting starts, so the direct route needs no reduction either.
+# there.  Small progress measures alone would lift every chain vertex,
+# but `solve` first settles the sink's self-loop and its attractor, here
+# the whole chain, so under SPM too the direct route needs no reduction.
 spm_records = run_benchmark(
     [("chain-1000", gen_chain(1000, 1, ODD, 0))],
     methods=("direct", "stuttering+solve"),

@@ -11,7 +11,7 @@ from .game import (
     convert_priorities,
     verify_strategy,
 )
-from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
+from .generators import gen_chain, gen_random
 from .io import FormatError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
 from .reduction import (
     Partition,
@@ -48,6 +48,4 @@ __all__ = [
     "verify_strategy",
     "gen_random",
     "gen_chain",
-    "gen_branch",
-    "gen_divergent_pair",
 ]

@@ -1,27 +1,27 @@
 """Benchmark harness: direct solving versus reduce-then-solve.
 
-For each (game, method, solver) combination one record is produced with
-the original and reduced sizes and the wall-clock reduction and solving
-times (best of a configurable number of repetitions, microsecond
-resolution internally, milliseconds in the CSV).  The winner of every
-vertex, carried back through the block map for reduced methods, is
-cross-checked across all methods per game, and the stuttering
-reduction's solution is lifted to the game and both players' strategies
-verified, outside the timed region; a mismatch or a rejected strategy
-means a soundness bug and aborts the run.  The CSV reports the winner of
-vertex 0.
+Each (game, method, solver) combination is timed, checked and recorded in
+turn.  Its record holds the original and reduced sizes and the wall-clock
+reduction and solving times (best of a configurable number of
+repetitions, microsecond resolution internally, milliseconds in the CSV).
+Outside the timed region, the winner of every vertex, carried back through
+the block map for reduced methods, is compared with the game's first
+combination, and the stuttering reduction's solution is lifted to the game
+and both players' strategies verified; a mismatch or a rejected strategy
+means a soundness bug and stops the run before a later combination is
+timed.  The CSV reports the winner of vertex 0.
 """
-
 from __future__ import annotations
 
 import csv
 import io
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .game import EVEN, ODD, Game, verify_strategy
 from .reduction import quotient, refine_strong, refine_stuttering
-from .solvers import solve
+from .solvers import ALGORITHMS, solve
 from .strategy import lift_solution
 
 METHODS = ("direct", "strong+solve", "stuttering+solve")
@@ -72,12 +72,14 @@ class BenchRecord:
         ]
 
 
-def _measure_once(game: Game, method: str, solver: str):
+def _timed(game: Game, method: str, solver: str):
+    """One run of ``method``: the reduce and solve times in µs, the game
+    solved, its solution, and the partition and block map (``None`` for
+    ``direct``)."""
     if method == "direct":
         t0 = time.perf_counter_ns()
         solution = solve(game, solver)
-        t1 = time.perf_counter_ns()
-        return 0, (t1 - t0) // 1000, game.vertex_count, game.edge_count, solution.winner, None
+        return 0, (time.perf_counter_ns() - t0) // 1000, game, solution, None
     refine = refine_strong if method == "strong+solve" else refine_stuttering
     t0 = time.perf_counter_ns()
     part = refine(game)
@@ -85,51 +87,7 @@ def _measure_once(game: Game, method: str, solver: str):
     t1 = time.perf_counter_ns()
     solution = solve(reduced, solver)
     t2 = time.perf_counter_ns()
-    return (
-        (t1 - t0) // 1000,
-        (t2 - t1) // 1000,
-        reduced.vertex_count,
-        reduced.edge_count,
-        [solution.winner[b] for b in vmap],
-        (part, reduced, vmap, solution),
-    )
-
-
-def _bench_one(
-    game_id: str, game: Game, method: str, solver: str, repetitions: int
-) -> tuple[BenchRecord, list[int], tuple | None]:
-    best = None
-    for _ in range(repetitions):
-        sample = _measure_once(game, method, solver)
-        if best is None or sample[0] + sample[1] < best[0] + best[1]:
-            best = sample
-    reduce_us, solve_us, red_v, red_e, winner, reduction = best
-    record = BenchRecord(
-        game_id=game_id,
-        method=method,
-        solver=solver,
-        orig_v=game.vertex_count,
-        orig_e=game.edge_count,
-        red_v=red_v,
-        red_e=red_e,
-        reduce_us=reduce_us,
-        solve_us=solve_us,
-        winner_v0=winner[0],
-        runs=repetitions,
-    )
-    return record, winner, reduction
-
-
-def _verify_lifted(record: BenchRecord, game: Game, reduction: tuple) -> None:
-    """Lift a reduced solution to ``game`` and verify both strategies."""
-    lifted = lift_solution(game, *reduction)
-    for player in (EVEN, ODD):
-        result = verify_strategy(game, player, lifted.region(player), lifted.strategy(player))
-        if not result:
-            raise WinnerMismatchError(
-                f"game {record.game_id}: {record.method}/{record.solver} lifted strategy "
-                f"of player {player} rejected: {result.reason}"
-            )
+    return (t1 - t0) // 1000, (t2 - t1) // 1000, reduced, solution, (part, vmap)
 
 
 def run_benchmark(
@@ -141,11 +99,13 @@ def run_benchmark(
     """One record per (game, method, solver); raises
     :class:`WinnerMismatchError` when methods disagree on a game or the
     lifted ``stuttering+solve`` strategies do not verify, and
-    :class:`ValueError`, before timing anything, for an unknown method, a
-    repetition count below 1 or a game with no vertices."""
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
+    :class:`ValueError`, before timing anything, for an empty or unknown
+    method or solver list, a repetition count below 1 or a game with no
+    vertices."""
+    if not methods or not set(methods) <= set(METHODS):
+        raise ValueError(f"methods must be a non-empty choice of {', '.join(METHODS)}")
+    if not solvers or not set(solvers) <= set(ALGORITHMS):
+        raise ValueError(f"solvers must be a non-empty choice of {', '.join(ALGORITHMS)}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     for game_id, game in games:
@@ -153,26 +113,38 @@ def run_benchmark(
             raise ValueError(f"game {game_id} has no vertices")
     records = []
     for game_id, game in games:
-        results = [
-            _bench_one(game_id, game, method, solver, repetitions)
-            for method in methods
-            for solver in solvers
-        ]
-        for r, winner, _ in results:
-            ref, ref_winner, _ = results[0]
-            if winner != ref_winner:
-                v = next(
-                    (v for v, (a, b) in enumerate(zip(ref_winner, winner)) if a != b),
-                    min(len(winner), len(ref_winner)),
-                )
+        ref = None
+        for method, solver in product(methods, solvers):
+            runs = (_timed(game, method, solver) for _ in range(repetitions))
+            reduce_us, solve_us, solved, solution, reduction = min(runs, key=lambda r: r[0] + r[1])
+            winner = solution.winner
+            if reduction is not None:
+                part, vmap = reduction
+                winner = [winner[b] for b in vmap]
+            if ref is None:
+                ref = f"{method}/{solver}", winner
+            elif winner != ref[1]:
+                v = next(v for v, (a, b) in enumerate(zip(ref[1], winner)) if a != b)
                 raise WinnerMismatchError(
-                    f"game {r.game_id}: {r.method}/{r.solver} and {ref.method}/{ref.solver} "
+                    f"game {game_id}: {method}/{solver} and {ref[0]} "
                     f"disagree on the winner of vertex {v}"
                 )
-        for r, _, reduction in results:
-            if r.method == "stuttering+solve":
-                _verify_lifted(r, game, reduction)
-        records.extend(r for r, _, _ in results)
+            if method == "stuttering+solve":
+                lifted = lift_solution(game, part, solved, vmap, solution)
+                for player in (EVEN, ODD):
+                    result = verify_strategy(
+                        game, player, lifted.region(player), lifted.strategy(player)
+                    )
+                    if not result:
+                        raise WinnerMismatchError(
+                            f"game {game_id}: {method}/{solver} lifted strategy "
+                            f"of player {player} rejected: {result.reason}"
+                        )
+            records.append(BenchRecord(
+                game_id, method, solver, game.vertex_count, game.edge_count,
+                solved.vertex_count, solved.edge_count, reduce_us, solve_us, winner[0],
+                repetitions,
+            ))
     return records
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``info``, ``solve``, ``reduce``, ``generate``, ``verify`` and
-``bench``.  Exit codes: 0 on success, 1 on a domain failure (parse error,
-failed verification, a solution file with a move at a vertex its winner
-does not own, benchmark winner mismatch), 2 on usage errors.
+``bench``.  ``generate`` makes members of the ``random`` and ``chain``
+families; ``bench`` times and checks direct solving against
+reduce-then-solve on game files.  Exit codes: 0 on success, 1 on a domain
+failure (parse error, failed verification, a solution file with a move at
+a vertex its winner does not own, benchmark winner mismatch), 2 on usage
+errors.
 
 Game files use the PGSolver format.  ``--convention`` states how priorities
 in files are read and written; it defaults to ``max``, matching the
@@ -17,7 +20,7 @@ import sys
 
 from . import bench as bench_mod
 from .game import EVEN, ODD, Game, Strategy, convert_priorities, verify_strategy
-from .generators import gen_branch, gen_chain, gen_divergent_pair, gen_random
+from .generators import gen_chain, gen_random
 from .io import (
     FormatError,
     parse_pgsolver,
@@ -31,6 +34,17 @@ from .solvers import ALGORITHMS, solve
 
 class _UsageError(Exception):
     pass
+
+
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser.  It reports arguments it does not know with
+    its own usage; left to the root parser, they would show the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _at_least(low: int, what: str):
@@ -79,16 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default="max",
         help="priority convention of game files (default: max)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     p_info = sub.add_parser("info", help="print game statistics")
     p_info.add_argument("file")
+    p_info.set_defaults(run=_cmd_info)
 
     p_solve = sub.add_parser("solve", help="solve a game, print the solution")
     p_solve.add_argument("file")
     p_solve.add_argument(
         "--algorithm", choices=ALGORITHMS, default="zielonka"
     )
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="minimise a game")
     p_reduce.add_argument("file")
@@ -97,13 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_reduce.add_argument("-o", "--output", help="quotient game file (default: stdout)")
     p_reduce.add_argument("--map", dest="map_file", help="write the block map here")
+    p_reduce.set_defaults(run=_cmd_reduce)
 
     p_gen = sub.add_parser("generate", help="generate a game family member")
-    p_gen.add_argument(
-        "--family",
-        choices=("random", "chain", "branch", "divergent-pair"),
-        required=True,
-    )
+    p_gen.add_argument("--family", choices=("random", "chain"), required=True)
     p_gen.add_argument("--n", type=_positive, default=8, help="vertex count parameter")
     p_gen.add_argument("--degree", type=_positive, default=3, help="random family: max out-degree")
     p_gen.add_argument("--pmax", type=_natural, default=3, help="random family: max priority")
@@ -112,10 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--chain-owner", type=int, choices=(EVEN, ODD), default=ODD)
     p_gen.add_argument("--sink-priority", type=_natural, default=0)
     p_gen.add_argument("-o", "--output")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_verify = sub.add_parser("verify", help="check a solution file against a game")
     p_verify.add_argument("file")
     p_verify.add_argument("solution")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="benchmark direct vs reduce-then-solve")
     p_bench.add_argument("files", nargs="+", help="game files to benchmark")
@@ -125,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--solvers", default="zielonka", help="comma list of solvers")
     p_bench.add_argument("--repetitions", type=_positive, default=3)
     p_bench.add_argument("-o", "--output", help="CSV output file (default: stdout)")
+    p_bench.set_defaults(run=_cmd_bench)
     return parser
 
 
@@ -163,12 +179,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_generate(args) -> int:
     if args.family == "random":
         game = gen_random(args.n, args.degree, args.pmax, args.seed)
-    elif args.family == "chain":
-        game = gen_chain(args.n, args.chain_priority, args.chain_owner, args.sink_priority)
-    elif args.family == "branch":
-        game = gen_branch()
     else:
-        game = gen_divergent_pair()
+        game = gen_chain(args.n, args.chain_priority, args.chain_owner, args.sink_priority)
     _write_text(args.output, _game_to_text(game, args.convention))
     return 0
 
@@ -225,16 +237,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "solve": _cmd_solve,
-    "reduce": _cmd_reduce,
-    "generate": _cmd_generate,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
-
-
 def cli_dispatch(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
     parser = _build_parser()
@@ -245,7 +247,7 @@ def cli_dispatch(argv: list[str]) -> int:
         # help it was asked for
         return exc.code
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,10 +29,11 @@ class Game:
     """Immutable parity game on dense vertex indices.
 
     Construction accepts exactly the parity games: every vertex needs an
-    owner of 0 or 1, a natural priority and at least one successor, and
-    every successor must be an ``int`` vertex id in ``0..n-1``.  Anything
-    else raises :class:`ValueError` naming the first bad vertex, so every
-    ``Game`` is total and its edges stay inside the vertex set.
+    owner of 0 or 1, a natural priority and at least one successor, every
+    successor must be an ``int`` vertex id in ``0..n-1``, and a name must
+    be a ``str`` or ``None``.  Anything else raises :class:`ValueError`
+    naming the first bad vertex, so every ``Game`` is total and its edges
+    stay inside the vertex set.
 
     Successor lists are normalised to duplicate-free ascending order.  The
     predecessor lists are derived from them on the first read of
@@ -87,6 +88,10 @@ class Game:
             names = tuple([nm or None for nm in names])
             if names.count(None) == n:
                 names = None
+            elif not set(map(type, names)) <= {str, type(None)}:
+                for v, nm in enumerate(names):
+                    if nm is not None and not isinstance(nm, str):
+                        raise ValueError(f"vertex {v}: name must be a string, not {nm!r}")
         self.names = names
         self._pred = None
 
@@ -213,8 +218,10 @@ def verify_strategy(
     not either, vertex by vertex in ascending order, and (b) every cycle of
     the strategy-restricted graph inside the region has a minimum priority
     of the player's parity.  On failure the result carries an escaping
-    edge, an uncovered vertex, or a witness cycle.  A region naming a
-    vertex the game does not have raises :class:`ValueError`.
+    edge, an uncovered vertex, or a witness cycle.  A ``player`` other than
+    :data:`EVEN` or :data:`ODD`, a strategy of the other player, or a
+    region naming a vertex the game does not have raises
+    :class:`ValueError`.
 
     The cycle condition is checked by nested strongly connected components
     (Emerson and Lei, LICS 1986) over one restricted successor table: the
@@ -227,6 +234,10 @@ def verify_strategy(
     """
     n = game.vertex_count
     owner, priority, successors = game.owner, game.priority, game.successors
+    if player not in (EVEN, ODD):
+        raise ValueError(f"player must be {EVEN} (even) or {ODD} (odd), not {player!r}")
+    if strategy.player != player:
+        raise ValueError(f"the strategy belongs to player {strategy.player}, not {player}")
     moves = strategy.moves
     opponent = 1 - player
     inside = [False] * n

@@ -1,4 +1,4 @@
-"""Deterministic game families and seeded random games.
+"""The chain family and seeded random games.
 
 Random games use a fixed, portable PRNG (splitmix64 seeding xoshiro256**,
 both implemented bit-exactly from the public reference code) so that
@@ -9,7 +9,7 @@ out-degree, then successors (rejection-sampled until distinct).
 
 from __future__ import annotations
 
-from .game import EVEN, ODD, Game
+from .game import EVEN, Game
 
 _MASK64 = (1 << 64) - 1
 
@@ -105,23 +105,3 @@ def gen_chain(n: int, p_chain: int, o_chain: int, p_sink: int) -> Game:
     successors = [[i + 1] for i in range(n)] + [[n]]
     return Game(priority, owner, successors)
 
-
-def gen_branch() -> Game:
-    """Three equal-priority even vertices reaching a self-looping odd sink
-    through different branch points; merged by both equivalences."""
-    return Game(
-        priority=[0, 0, 0, 1],
-        owner=[EVEN, EVEN, EVEN, ODD],
-        successors=[[1], [3], [3], [3]],
-    )
-
-
-def gen_divergent_pair() -> Game:
-    """Two odd-priority vertices forming a cycle with an escape edge to a
-    self-looping even sink; both blocks of the stuttering partition are
-    divergent."""
-    return Game(
-        priority=[1, 1, 0],
-        owner=[ODD, ODD, EVEN],
-        successors=[[1], [0, 2], [2]],
-    )

@@ -113,6 +113,27 @@ def small_games(draw, max_vertices: int, max_priority: int, max_successors: int)
     return Game(priority, owner, successors)
 
 
+def gen_branch() -> Game:
+    """Three equal-priority even vertices reaching a self-looping odd sink
+    through different branch points; merged by both equivalences."""
+    return Game(
+        priority=[0, 0, 0, 1],
+        owner=[EVEN, EVEN, EVEN, ODD],
+        successors=[[1], [3], [3], [3]],
+    )
+
+
+def gen_divergent_pair() -> Game:
+    """Two odd-priority vertices forming a cycle with an escape edge to a
+    self-looping even sink; both blocks of the stuttering partition are
+    divergent."""
+    return Game(
+        priority=[1, 1, 0],
+        owner=[ODD, ODD, EVEN],
+        successors=[[1], [0, 2], [2]],
+    )
+
+
 def alternating_chain(n: int) -> Game:
     """``n`` priority-1 vertices of alternating owner into a priority-0
     sink: no edge is inert, so stuttering splits one vertex per round."""

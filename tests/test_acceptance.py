@@ -12,9 +12,7 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
-    gen_branch,
     gen_chain,
-    gen_divergent_pair,
     gen_random,
     lift_solution,
     parse_pgsolver,
@@ -28,7 +26,7 @@ from paritygame.bench import CSV_HEADER, records_to_csv, run_benchmark
 from paritygame.generators import Xoshiro256StarStar
 from paritygame.solvers import solve_spm
 
-from helpers import random_consistent_walk, solve_zielonka
+from helpers import gen_branch, gen_divergent_pair, random_consistent_walk, solve_zielonka
 from lifting_reference import Lifting, mimick_next
 from oracles import (
     oracle_strong_pairs,

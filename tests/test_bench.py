@@ -107,6 +107,30 @@ def test_winner_mismatch_beyond_vertex_0_aborts(monkeypatch):
         )
 
 
+def test_a_mismatch_stops_the_run_before_later_methods_are_solved(monkeypatch):
+    # the direct method loses the chain's sink; the stuttering quotient
+    # shows it, and the strong quotient must not be solved afterwards
+    game = gen_chain(100, 1, ODD, 0)
+    real = bench.solve
+    solved = []
+
+    def wrong_sink(g, solver):
+        solved.append(g.vertex_count)
+        sol = real(g, solver)
+        if len(solved) == 1:
+            sol.winner[-1] = 1 - sol.winner[-1]
+        return sol
+
+    monkeypatch.setattr(bench, "solve", wrong_sink)
+    with pytest.raises(WinnerMismatchError, match="stuttering.solve/zielonka and direct/zielonka"):
+        run_benchmark(
+            [("chain-100", game)],
+            methods=("direct", "stuttering+solve", "strong+solve"),
+            repetitions=1,
+        )
+    assert solved == [101, 2]
+
+
 def test_rejected_lifted_strategy_aborts(monkeypatch, tmp_path, capsys):
     # a lifting that redirects one winning move to a vertex the game lacks
     real = bench.lift_solution
@@ -145,3 +169,20 @@ def test_rejects_a_game_with_no_vertices(monkeypatch):
 def test_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_benchmark(small_grid(), methods=("direct", "sideways"))
+
+
+@pytest.mark.parametrize(
+    "methods, solvers, message",
+    [
+        (bench.METHODS, ("zielonka", "foo"), "solvers must be a non-empty choice"),
+        ((), ("zielonka",), "methods must be a non-empty choice"),
+        (bench.METHODS, (), "solvers must be a non-empty choice"),
+    ],
+    ids=["unknown-solver", "no-method", "no-solver"],
+)
+def test_rejects_bad_solvers_and_empty_lists_before_timing(monkeypatch, methods, solvers, message):
+    # an unknown solver used to raise only once earlier combinations were
+    # timed, and an empty list returned no records
+    monkeypatch.setattr(bench, "solve", None)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(small_grid(), methods, solvers)

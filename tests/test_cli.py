@@ -7,7 +7,6 @@ import pytest
 from paritygame import (
     ODD,
     Game,
-    gen_branch,
     gen_chain,
     gen_random,
     parse_pgsolver,
@@ -17,6 +16,8 @@ from paritygame import (
 )
 from paritygame.bench import CSV_HEADER
 from paritygame.cli import cli_dispatch
+
+from helpers import gen_branch
 
 G1_MIN_TEXT = "parity 1;\n0 0 0 1;\n1 1 1 0;"
 
@@ -72,9 +73,9 @@ def test_an_unwritable_name_exits_1(monkeypatch, capsys):
     import paritygame.cli
 
     monkeypatch.setattr(
-        paritygame.cli, "gen_branch", lambda: Game([0], [0], [[0]], names=['a"b'])
+        paritygame.cli, "gen_chain", lambda *args: Game([0], [0], [[0]], names=['a"b'])
     )
-    assert cli_dispatch(["generate", "--family", "branch"]) == 1
+    assert cli_dispatch(["generate", "--family", "chain"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "vertex 0: name 'a\"b'" in captured.err
@@ -314,6 +315,25 @@ def test_a_usage_error_shows_the_subcommand_usage(capsys):
     assert "{info,solve,reduce" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["bench", "--family", "chain", "x.gm"], "usage: paritygame bench"),
+        (["solve", "x.gm", "--bogus"], "usage: paritygame solve"),
+        (["--bogus", "solve", "x.gm"], "usage: paritygame [-h]"),
+    ],
+    ids=["after-bench", "after-solve", "before-the-subcommand"],
+)
+def test_an_unknown_option_shows_the_usage_of_its_parser(argv, usage, capsys):
+    # the root usage used to be shown after a subcommand too
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert usage in captured.err
+    assert "unrecognized arguments: " in captured.err
+    assert ("{info,solve,reduce" in captured.err) == (argv[0] == "--bogus")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
 def test_help_returns_0(argv, capsys):
     # argparse exits after printing help; that exit used to escape
@@ -366,9 +386,11 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_generate_branch_and_divergent_pair(capsys):
-    assert cli_dispatch(["--convention", "min", "generate", "--family", "branch"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out.splitlines()[0] == "parity 3;"
-    assert cli_dispatch(["--convention", "min", "generate", "--family", "divergent-pair"]) == 0
-    assert capsys.readouterr().out.startswith("parity 2;")
+def test_generate_offers_only_random_and_chain(capsys):
+    # the two fixed fixture games are test equipment in ``helpers``
+    for family in ("branch", "divergent-pair"):
+        assert cli_dispatch(["generate", "--family", family]) == 2, family
+        captured = capsys.readouterr()
+        assert "usage: paritygame generate" in captured.err, family
+        assert "invalid choice" in captured.err, family
+        assert captured.out == "", family

@@ -64,15 +64,16 @@ def test_all_lists_exactly_the_public_names_bound():
 
 
 def test_all_is_the_public_api():
-    # the 24 names of the pipeline: games, files, reduction, solving,
-    # lifting and verification, and the generators
+    # the 22 names of the pipeline: games, files, reduction, solving,
+    # lifting and verification, and the parameterised generators
     assert sorted(paritygame.__all__) == sorted([
         "EVEN", "ODD", "Game", "Strategy", "Partition", "Solution", "VerifyResult",
         "FormatError", "convert_priorities", "parse_pgsolver", "write_pgsolver",
         "parse_solution", "write_solution", "refine_strong", "refine_stuttering", "quotient",
         "write_partition", "solve", "lift_solution", "verify_strategy", "gen_random",
-        "gen_chain", "gen_branch", "gen_divergent_pair",
+        "gen_chain",
     ])
-    # plays and game statistics are test equipment and ``info`` output
-    for name in ("Play", "play_from", "GameStats", "stats"):
+    # plays and the fixture games are test equipment, and game statistics
+    # are ``info`` output
+    for name in ("Play", "play_from", "GameStats", "stats", "gen_branch", "gen_divergent_pair"):
         assert not hasattr(paritygame, name), name

@@ -72,6 +72,9 @@ def test_constructed_games_build_predecessors_on_first_read():
         (([0, 1], [EVEN, ODD], [[1], [-1]]), "dangling successor id -1 at vertex 1"),
         (([0, 0, 0], [0, 0, 0], [[1], [0, 5], []]), "dangling successor id 5 at vertex 1"),
         (([0, 0, 0], [0, 0, 0], [[1], [], [3]]), "vertex 1 has no successor"),
+        # write_pgsolver raised a bare TypeError on these names
+        (([0], [0], [[0]], [5]), "vertex 0: name must be a string, not 5"),
+        (([0, 0], [0, 0], [[0], [1]], ["a", b"x"]), "vertex 1: name must be a string, not b'x'"),
     ],
 )
 def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, message):

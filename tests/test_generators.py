@@ -5,9 +5,7 @@ import pytest
 from paritygame import (
     EVEN,
     ODD,
-    gen_branch,
     gen_chain,
-    gen_divergent_pair,
     gen_random,
     quotient,
     refine_strong,
@@ -16,6 +14,7 @@ from paritygame import (
 )
 from paritygame.generators import SplitMix64, Xoshiro256StarStar
 
+from helpers import gen_branch, gen_divergent_pair
 from oracles import solve_brute
 
 # Reference vectors: splitmix64 values match the published test sequence

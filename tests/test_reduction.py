@@ -24,9 +24,7 @@ from paritygame import (
     Game,
     Partition,
     convert_priorities,
-    gen_branch,
     gen_chain,
-    gen_divergent_pair,
     gen_random,
     quotient,
     refine_strong,
@@ -37,6 +35,8 @@ from paritygame import (
 from helpers import (
     alternating_chain,
     assert_same_game,
+    gen_branch,
+    gen_divergent_pair,
     nested_game,
     relabelled,
     small_games,

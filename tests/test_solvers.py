@@ -14,7 +14,6 @@ from paritygame import (
     ODD,
     Game,
     gen_chain,
-    gen_divergent_pair,
     gen_random,
     solve,
     verify_strategy,
@@ -26,6 +25,7 @@ from paritygame.generators import Xoshiro256StarStar
 
 from helpers import (
     alternating_chain,
+    gen_divergent_pair,
     priority_ladder,
     small_games,
     solve_zielonka,

@@ -13,7 +13,6 @@ from paritygame import (
     Solution,
     Strategy,
     gen_chain,
-    gen_divergent_pair,
     gen_random,
     lift_solution,
     quotient,
@@ -27,6 +26,7 @@ from paritygame.generators import Xoshiro256StarStar
 from helpers import (
     PathStrategyOracle,
     alternating_chain,
+    gen_divergent_pair,
     make_context,
     play_from,
     random_consistent_walk,
@@ -177,6 +177,19 @@ def test_verify_strategy_flags_missing_move(g4):
 def test_verify_strategy_rejects_a_region_outside_the_game(g4, vertex):
     with pytest.raises(ValueError, match=f"region vertex {vertex} "):
         verify_strategy(g4, EVEN, [0, 1, vertex], Strategy(EVEN, {0: 1, 1: 1}))
+
+
+def test_verify_strategy_rejects_a_non_player_and_a_foreign_strategy():
+    # with player 2 the opponent was -1, so no cycle could lose
+    g = gen_chain(3, 1, ODD, 0)
+    with pytest.raises(ValueError, match="player must be 0 .even. or 1 .odd., not 2"):
+        verify_strategy(g, 2, [0, 1, 2, 3], Strategy(2, {0: 1, 1: 2, 2: 3, 3: 3}))
+    # ODD wins the chain into an odd sink with these moves, but the
+    # strategy is labelled EVEN's
+    g = gen_chain(3, 1, ODD, 1)
+    assert verify_strategy(g, ODD, g.vertices(), Strategy(ODD, {0: 1, 1: 2, 2: 3}))
+    with pytest.raises(ValueError, match="belongs to player 0, not 1"):
+        verify_strategy(g, ODD, g.vertices(), Strategy(EVEN, {0: 1, 1: 2, 2: 3}))
 
 
 def test_lifting_ignores_routes_that_leave_the_block():
