@@ -4,12 +4,12 @@ Each (game, method, solver) combination is timed, checked and recorded in
 turn.  Its record holds the original and reduced sizes and the wall-clock
 reduction and solving times (best of a configurable number of
 repetitions, microsecond resolution internally, milliseconds in the CSV).
-Outside the timed region, the winner of every vertex, carried back through
-the block map for reduced methods, is compared with the game's first
-combination, and the stuttering reduction's solution is lifted to the game
-and both players' strategies verified; a mismatch or a rejected strategy
-means a soundness bug and stops the run before a later combination is
-timed.  The CSV reports the winner of vertex 0.
+Outside the timed region, a reduced method's solution is lifted to the
+game, every combination's winner of every vertex is compared with the
+game's first combination, and both players' strategies are verified; a
+mismatch or a rejected strategy means a soundness bug and stops the run
+before a later combination is timed.  The CSV reports the winner of
+vertex 0.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ CSV_HEADER = (
 
 class WinnerMismatchError(RuntimeError):
     """A soundness failure: different methods disagree on the winner of
-    some vertex, or a lifted strategy fails verification."""
+    some vertex, or a strategy fails verification."""
 
 
 @dataclass
@@ -97,8 +97,8 @@ def run_benchmark(
     repetitions: int = 3,
 ) -> list[BenchRecord]:
     """One record per (game, method, solver); raises
-    :class:`WinnerMismatchError` when methods disagree on a game or the
-    lifted ``stuttering+solve`` strategies do not verify, and
+    :class:`WinnerMismatchError` when methods disagree on a game or a
+    strategy, lifted for a reduced method, does not verify, and
     :class:`ValueError`, before timing anything, for an empty or unknown
     method or solver list, a repetition count below 1 or a game with no
     vertices."""
@@ -117,10 +117,10 @@ def run_benchmark(
         for method, solver in product(methods, solvers):
             runs = (_timed(game, method, solver) for _ in range(repetitions))
             reduce_us, solve_us, solved, solution, reduction = min(runs, key=lambda r: r[0] + r[1])
-            winner = solution.winner
             if reduction is not None:
                 part, vmap = reduction
-                winner = [winner[b] for b in vmap]
+                solution = lift_solution(game, part, solved, vmap, solution)
+            winner = solution.winner
             if ref is None:
                 ref = f"{method}/{solver}", winner
             elif winner != ref[1]:
@@ -129,17 +129,15 @@ def run_benchmark(
                     f"game {game_id}: {method}/{solver} and {ref[0]} "
                     f"disagree on the winner of vertex {v}"
                 )
-            if method == "stuttering+solve":
-                lifted = lift_solution(game, part, solved, vmap, solution)
-                for player in (EVEN, ODD):
-                    result = verify_strategy(
-                        game, player, lifted.region(player), lifted.strategy(player)
+            for player in (EVEN, ODD):
+                result = verify_strategy(
+                    game, player, solution.region(player), solution.strategy(player)
+                )
+                if not result:
+                    raise WinnerMismatchError(
+                        f"game {game_id}: {method}/{solver} strategy "
+                        f"of player {player} rejected: {result.reason}"
                     )
-                    if not result:
-                        raise WinnerMismatchError(
-                            f"game {game_id}: {method}/{solver} lifted strategy "
-                            f"of player {player} rejected: {result.reason}"
-                        )
             records.append(BenchRecord(
                 game_id, method, solver, game.vertex_count, game.edge_count,
                 solved.vertex_count, solved.edge_count, reduce_us, solve_us, winner[0],

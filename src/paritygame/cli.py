@@ -32,10 +32,6 @@ from .reduction import quotient, refine_strong, refine_stuttering, write_partiti
 from .solvers import ALGORITHMS, solve
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Subparser(argparse.ArgumentParser):
     """A subcommand's parser.  It reports arguments it does not know with
     its own usage; left to the root parser, they would show the root's."""
@@ -64,6 +60,29 @@ def _at_least(low: int, what: str):
 
 _natural = _at_least(0, "a natural number")
 _positive = _at_least(1, "a positive integer")
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    """An argparse ``type=`` converter for ``bench --methods``."""
+    aliases = {"strong": "strong+solve", "stuttering": "stuttering+solve"}
+    methods = tuple(aliases.get(tok, tok) for tok in text.split(",") if tok)
+    if methods == ("all",):
+        return bench_mod.METHODS
+    if not methods or not set(methods) <= set(bench_mod.METHODS):
+        raise argparse.ArgumentTypeError(
+            "--methods takes a comma list of direct, strong and stuttering, or all"
+        )
+    return methods
+
+
+def _solvers(text: str) -> tuple[str, ...]:
+    """An argparse ``type=`` converter for ``bench --solvers``."""
+    solvers = tuple(tok for tok in text.split(",") if tok)
+    if not solvers or not set(solvers) <= set(ALGORITHMS):
+        raise argparse.ArgumentTypeError(
+            f"--solvers takes a comma list of {', '.join(ALGORITHMS)}"
+        )
+    return solvers
 
 
 def _read_game(path: str, convention: str) -> Game:
@@ -135,9 +154,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="benchmark direct vs reduce-then-solve")
     p_bench.add_argument("files", nargs="+", help="game files to benchmark")
     p_bench.add_argument(
-        "--methods", default="all", help="comma list of direct,strong,stuttering or all"
+        "--methods", type=_methods, default="all",
+        help="comma list of direct,strong,stuttering or all",
     )
-    p_bench.add_argument("--solvers", default="zielonka", help="comma list of solvers")
+    p_bench.add_argument(
+        "--solvers", type=_solvers, default="zielonka", help="comma list of solvers"
+    )
     p_bench.add_argument("--repetitions", type=_positive, default=3)
     p_bench.add_argument("-o", "--output", help="CSV output file (default: stdout)")
     p_bench.set_defaults(run=_cmd_bench)
@@ -217,20 +239,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    aliases = {"strong": "strong+solve", "stuttering": "stuttering+solve"}
-    methods = tuple(aliases.get(tok, tok) for tok in args.methods.split(",") if tok)
-    if methods == ("all",):
-        methods = bench_mod.METHODS
-    solvers = tuple(tok for tok in args.solvers.split(",") if tok)
-    if not methods or not set(methods) <= set(bench_mod.METHODS):
-        raise _UsageError("--methods takes a comma list of direct, strong and stuttering, or all")
-    if not solvers or not set(solvers) <= set(ALGORITHMS):
-        raise _UsageError(f"--solvers takes a comma list of {', '.join(ALGORITHMS)}")
     games = [(path, _read_game(path, args.convention)) for path in args.files]
     records = bench_mod.run_benchmark(
         games,
-        methods=methods,
-        solvers=solvers,
+        methods=args.methods,
+        solvers=args.solvers,
         repetitions=args.repetitions,
     )
     _write_text(args.output, bench_mod.records_to_csv(records))
@@ -248,9 +261,6 @@ def cli_dispatch(argv: list[str]) -> int:
         return exc.code
     try:
         return args.run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, OSError, ValueError, bench_mod.WinnerMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,13 +85,16 @@ class Game:
         self.owner = owner
         self.successors = successors
         if names is not None:
-            names = tuple([nm or None for nm in names])
+            names = tuple(names)
+            if names.count(None) != n:
+                # scanned as given, so that ``0`` or ``b""`` is no missing name
+                if not set(map(type, names)) <= {str, type(None)}:
+                    for v, nm in enumerate(names):
+                        if nm is not None and not isinstance(nm, str):
+                            raise ValueError(f"vertex {v}: name must be a string, not {nm!r}")
+                names = tuple([nm or None for nm in names])
             if names.count(None) == n:
                 names = None
-            elif not set(map(type, names)) <= {str, type(None)}:
-                for v, nm in enumerate(names):
-                    if nm is not None and not isinstance(nm, str):
-                        raise ValueError(f"vertex {v}: name must be a string, not {nm!r}")
         self.names = names
         self._pred = None
 

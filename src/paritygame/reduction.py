@@ -57,14 +57,13 @@ class Partition:
     representative being the least member.  ``divergent`` flags (per block)
     record whether an infinite path can stay inside the block from the
     representative, and from every member once the partition is stable.
-    ``kind`` records which refinement produced the partition
-    (``"strong"`` or ``"stuttering"``).
+    A stable partition of either equivalence, strong or stuttering, can be
+    quotiented and a solved quotient lifted through it.
     """
 
     block_of: list[int]
     blocks: list[list[int]]
     divergent: list[bool]
-    kind: str
 
     @property
     def block_count(self) -> int:
@@ -82,7 +81,7 @@ def _initial_blocks(game: Game) -> tuple[list[int], list[int]]:
     return block_of, size
 
 
-def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
+def _finalize(block_of: list[int], diverges) -> Partition:
     """Renumber ``block_of`` in place by least member and collect the
     sorted member lists, both in one ascending pass; then flag each block
     by ``diverges(members)``."""
@@ -96,7 +95,7 @@ def _finalize(block_of: list[int], kind: str, diverges) -> Partition:
         else:
             blocks[f].append(v)
         block_of[v] = f
-    return Partition(block_of, blocks, list(map(diverges, blocks)), kind)
+    return Partition(block_of, blocks, list(map(diverges, blocks)))
 
 
 def _refine(block_of: list[int], size: list[int], sign, next_dirty, sign_one) -> list:
@@ -213,7 +212,6 @@ def refine_strong(game: Game) -> Partition:
     _refine(block_of, size, sign, next_dirty, sign_one)
     return _finalize(
         block_of,
-        "strong",
         lambda vs: block_of[vs[0]] in map(block, succ[vs[0]])
         if len(vs) > 1
         else vs[0] in succ[vs[0]],
@@ -379,7 +377,6 @@ def refine_stuttering(game: Game) -> Partition:
     succ = game.successors
     return _finalize(
         block_of,
-        "stuttering",
         lambda vs: _DIVERGES in sets[sig[vs[0]]] if len(vs) > 1 else vs[0] in succ[vs[0]],
     )
 
@@ -392,8 +389,6 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     members reach, itself included exactly when it is divergent, which
     for a strong partition means that a member has an intra-block edge.
     """
-    if partition.kind not in ("strong", "stuttering"):
-        raise ValueError(f"cannot quotient a partition of kind {partition.kind!r}")
     block_of = partition.block_of
     if len(block_of) != game.vertex_count:
         raise ValueError(

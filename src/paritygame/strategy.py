@@ -1,5 +1,7 @@
-"""Lifting winning strategies from a stuttering quotient back to the
-original game.
+"""Lifting winning strategies from a quotient back to the original game.
+
+The partition may be strong or stuttering: members of a strong block reach
+the same blocks in one step, so a strong partition is stuttering-stable too.
 
 Given a winning memoryless strategy on the quotient, the lifted strategy
 shadows it.  Take a member ``v``, owned by the lifting player, of a winning
@@ -109,17 +111,14 @@ def lift_solution(
     block by block (see the module docstring for the rule) on the
     player's vertices of every block the player owns and wins.
 
-    Raises ``ValueError`` unless ``partition`` is a stuttering partition
-    of ``game``'s vertices whose block map is ``vmap``, the quotient winner
-    vector covers exactly the quotient's vertices, and each quotient
+    Raises ``ValueError`` unless ``partition``, strong or stuttering,
+    covers ``game``'s vertices with the block map ``vmap``, the quotient
+    winner vector covers exactly the quotient's vertices, and each quotient
     strategy belongs to its player, moves only at blocks and along
     quotient edges, is defined at every won block its player owns and
-    stays only on divergent blocks; and when a block it
-    lifts has a member with no in-block route onto the quotient move (an
-    unstable partition).
+    stays only on divergent blocks; and when a block it lifts has a member
+    with no in-block route onto the quotient move (an unstable partition).
     """
-    if partition.kind != "stuttering":
-        raise ValueError("strategy lifting requires a stuttering partition")
     if len(partition.block_of) != game.vertex_count:
         raise ValueError(
             f"partition of {len(partition.block_of)} vertices for a game of {game.vertex_count}"

@@ -1,5 +1,7 @@
 """Benchmark harness: record shape, CSV output, soundness cross-check."""
 
+import re
+
 import pytest
 
 import paritygame.bench as bench
@@ -76,86 +78,106 @@ def test_multiple_solvers_multiply_rows():
     assert len({r.winner_v0 for r in records}) == 1
 
 
-def test_winner_mismatch_aborts(monkeypatch):
-    # a broken solver that reports a winner depending on the game size
-    def fake_solve(game, solver):
-        return type("FakeSolution", (), {"winner": [game.vertex_count % 2] * game.vertex_count})()
+def lifting_that_flips(monkeypatch, flip):
+    """Make ``bench`` lift reduced solutions with the winners of the
+    vertices ``flip(game)`` handed to the other player, strategies kept;
+    returns the list of the sizes of the games ``bench`` solves."""
+    real_lift, real_solve = bench.lift_solution, bench.solve
+    solved = []
 
-    monkeypatch.setattr(bench, "solve", fake_solve)
-    with pytest.raises(WinnerMismatchError):
+    def solve(g, solver):
+        solved.append(g.vertex_count)
+        return real_solve(g, solver)
+
+    def lift(game, *reduction):
+        lifted = real_lift(game, *reduction)
+        for v in flip(game):
+            lifted.winner[v] = 1 - lifted.winner[v]
+        return lifted
+
+    monkeypatch.setattr(bench, "solve", solve)
+    monkeypatch.setattr(bench, "lift_solution", lift)
+    return solved
+
+
+def test_winner_mismatch_aborts(monkeypatch):
+    # a broken lifting that hands every vertex to the other player
+    lifting_that_flips(monkeypatch, lambda game: game.vertices())
+    with pytest.raises(WinnerMismatchError, match="vertex 0$"):
         run_benchmark([("chain-100", gen_chain(100, 1, ODD, 0))], repetitions=1)
 
 
 def test_winner_mismatch_beyond_vertex_0_aborts(monkeypatch):
-    # the direct method loses the sink of the chain while every method
+    # the stuttering method loses the sink of the chain while every method
     # agrees on vertex 0
-    game = gen_chain(100, 1, ODD, 0)
-    real = bench.solve
-
-    def wrong_sink(g, solver):
-        sol = real(g, solver)
-        if g.vertex_count == game.vertex_count:
-            sol.winner[-1] = 1 - sol.winner[-1]
-        return sol
-
-    monkeypatch.setattr(bench, "solve", wrong_sink)
-    with pytest.raises(WinnerMismatchError, match="vertex 100"):
+    lifting_that_flips(monkeypatch, lambda game: [game.vertex_count - 1])
+    with pytest.raises(WinnerMismatchError, match="vertex 100$"):
         run_benchmark(
-            [("chain-100", game)],
+            [("chain-100", gen_chain(100, 1, ODD, 0))],
             methods=("direct", "stuttering+solve"),
             repetitions=1,
         )
 
 
 def test_a_mismatch_stops_the_run_before_later_methods_are_solved(monkeypatch):
-    # the direct method loses the chain's sink; the stuttering quotient
-    # shows it, and the strong quotient must not be solved afterwards
-    game = gen_chain(100, 1, ODD, 0)
-    real = bench.solve
-    solved = []
-
-    def wrong_sink(g, solver):
-        solved.append(g.vertex_count)
-        sol = real(g, solver)
-        if len(solved) == 1:
-            sol.winner[-1] = 1 - sol.winner[-1]
-        return sol
-
-    monkeypatch.setattr(bench, "solve", wrong_sink)
+    # the stuttering method loses the chain's sink, and the strong quotient
+    # must not be solved afterwards
+    solved = lifting_that_flips(monkeypatch, lambda game: [game.vertex_count - 1])
     with pytest.raises(WinnerMismatchError, match="stuttering.solve/zielonka and direct/zielonka"):
         run_benchmark(
-            [("chain-100", game)],
+            [("chain-100", gen_chain(100, 1, ODD, 0))],
             methods=("direct", "stuttering+solve", "strong+solve"),
             repetitions=1,
         )
     assert solved == [101, 2]
 
 
+def corrupt_one_move(solution, vertex_count):
+    """``solution`` with its least EVEN move sent to a vertex the game lacks."""
+    moves = solution.strategy_even.moves
+    moves[min(moves)] = vertex_count
+    return solution
+
+
 def test_rejected_lifted_strategy_aborts(monkeypatch, tmp_path, capsys):
-    # a lifting that redirects one winning move to a vertex the game lacks
+    # a lifting that redirects one winning move to a vertex the game lacks;
+    # only the stuttering lift used to be verified
     real = bench.lift_solution
-
-    def corrupt_one_move(game, *reduction):
-        lifted = real(game, *reduction)
-        moves = lifted.strategy_even.moves
-        moves[min(moves)] = game.vertex_count
-        return lifted
-
-    monkeypatch.setattr(bench, "lift_solution", corrupt_one_move)
+    monkeypatch.setattr(
+        bench, "lift_solution",
+        lambda game, *reduction: corrupt_one_move(real(game, *reduction), game.vertex_count),
+    )
     game = gen_random(30, 3, 3, 7)
-    with pytest.raises(
-        WinnerMismatchError,
-        match=r"game random-30: stuttering\+solve/zielonka lifted strategy of player 0 "
-        r"rejected: strategy move is not a game edge",
-    ):
-        run_benchmark([("random-30", game)], repetitions=1)
-    # the methods that are not lifted still pass
-    run_benchmark([("random-30", game)], ("direct", "strong+solve"), repetitions=1)
+    for method in ("stuttering+solve", "strong+solve"):
+        with pytest.raises(
+            WinnerMismatchError,
+            match=rf"^game random-30: {re.escape(method)}/zielonka strategy of player 0 "
+            r"rejected: strategy move is not a game edge$",
+        ):
+            run_benchmark([("random-30", game)], ("direct", method), repetitions=1)
+    # the direct method, which is not lifted, still passes
+    run_benchmark([("random-30", game)], ("direct",), repetitions=1)
     f = tmp_path / "random-30.gm"
     f.write_text(write_pgsolver(game), encoding="ascii")
     code = cli_dispatch(["--convention", "min", "bench", str(f), "-o", str(tmp_path / "b.csv")])
     assert code == 1
-    assert "lifted strategy of player 0 rejected" in capsys.readouterr().err
+    assert "strategy of player 0 rejected" in capsys.readouterr().err
+
+
+def test_rejected_direct_strategy_aborts(monkeypatch):
+    # the direct solution's strategies used to go unchecked
+    game = gen_random(30, 3, 3, 7)
+    real = bench.solve
+    monkeypatch.setattr(
+        bench, "solve",
+        lambda g, solver: corrupt_one_move(real(g, solver), g.vertex_count),
+    )
+    with pytest.raises(
+        WinnerMismatchError,
+        match=r"^game random-30: direct/zielonka strategy of player 0 "
+        r"rejected: strategy move is not a game edge$",
+    ):
+        run_benchmark([("random-30", game)], ("direct",), repetitions=1)
 
 
 def test_rejects_a_game_with_no_vertices(monkeypatch):

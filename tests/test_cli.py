@@ -278,7 +278,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert message in captured.err, argv
         assert captured.out == "", argv
     f = write_game(tmp_path / "chain.gm", write_pgsolver(gen_chain(4, 1, ODD, 0)))
-    # bad bench options used to exit 1 as domain failures, or 0 with no rows
+    # bad bench options used to exit 1 as domain failures, or 0 with no rows,
+    # and bad lists printed no usage
     for options, message in [
         (["--repetitions", "0"], "argument --repetitions: must be a positive integer"),
         (["--methods", "foo"], "--methods takes a comma list of"),
@@ -291,6 +292,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert cli_dispatch(["bench", f, *options]) == 2, options
         captured = capsys.readouterr()
         assert message in captured.err, options
+        assert "usage: paritygame bench" in captured.err, options
         assert captured.out == "", options
     # numeric options used to reach the generators and exit 1
     for argv, message in [

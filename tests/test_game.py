@@ -75,6 +75,10 @@ def test_constructed_games_build_predecessors_on_first_read():
         # write_pgsolver raised a bare TypeError on these names
         (([0], [0], [[0]], [5]), "vertex 0: name must be a string, not 5"),
         (([0, 0], [0, 0], [[0], [1]], ["a", b"x"]), "vertex 1: name must be a string, not b'x'"),
+        # a falsy name that is not a string used to read as no name
+        (([0], [0], [[0]], [0]), "vertex 0: name must be a string, not 0"),
+        (([0], [0], [[0]], [b""]), "vertex 0: name must be a string, not b''"),
+        (([0], [0], [[0]], [False]), "vertex 0: name must be a string, not False"),
     ],
 )
 def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, message):

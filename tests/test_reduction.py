@@ -137,19 +137,12 @@ def test_quotient_under_all_singletons_is_identity():
         assert vmap == [0, 1, 2]
 
 
-def test_quotient_rejects_initial_partition(g1):
-    # a partition of any kind but strong or stuttering, stable or not
-    initial = Partition([0, 1], [[0], [1]], [False, False], "initial")
-    with pytest.raises(ValueError, match="'initial'"):
-        quotient(g1, initial)
-
-
 def test_quotient_rejects_a_non_total_game():
     # A Game is always total, but a hand-built partition can still leave a
     # quotient block without a successor: the 2-cycle's one block diverges,
     # and marking it otherwise drops its only quotient edge.
     g = Game(priority=[0, 0], owner=[EVEN, EVEN], successors=[[1], [0]])
-    part = Partition([0, 0], [[0, 1]], [False], "stuttering")
+    part = Partition([0, 0], [[0, 1]], [False])
     with pytest.raises(ValueError, match="^quotient block 0 has no successor"):
         quotient(g, part)
 
@@ -401,10 +394,10 @@ def check_divergence_flags(g, name=""):
     for refine in (refine_strong, refine_stuttering):
         part = refine(g)
         flags = compute_divergent(g, part)
-        assert [part.divergent[b] for b in part.block_of] == flags, (name, part.kind)
+        assert [part.divergent[b] for b in part.block_of] == flags, (name, refine.__name__)
         reduced, _ = quotient(g, part)
         loops = [b in reduced.successors[b] for b in reduced.vertices()]
-        assert loops == part.divergent, (name, part.kind)
+        assert loops == part.divergent, (name, refine.__name__)
 
 
 def test_divergence_flags_come_from_the_refinement():

@@ -335,8 +335,10 @@ def test_path_strategy_oracle_returns_successors():
 
 
 def test_lift_strategy_matches_path_level_selector():
-    """The per-block pass emits exactly the path-level mimick_next move at
-    every owned vertex of a won block."""
+    """Through the partition of either refinement, strong or stuttering,
+    the per-block pass emits exactly the path-level mimick_next move at
+    every owned vertex of a won block, and both lifted strategies win
+    their regions."""
     games = [gen_random(1 + (s * 104729) % 60, 3, 3, s + 10_000) for s in range(500)]
     games += [
         gen_random(2 + (s * 13) % 50, 1 + s % 4, s % 2, s + 500_000) for s in range(250)
@@ -350,28 +352,27 @@ def test_lift_strategy_matches_path_level_selector():
     ]
     games += [alternating_chain(n) for n in (1, 2, 5, 40)]
     compared = 0
-    for i, g in enumerate(games):
-        part = refine_stuttering(g)
-        reduced, vmap = quotient(g, part)
-        qsol = solve_zielonka(reduced)
-        lifted = lift_solution(g, part, reduced, vmap, qsol)
-        for player in (EVEN, ODD):
-            ctx = Lifting(g, part, reduced, vmap, qsol, player)
-            expected = {
-                v: mimick_next(ctx, (v,))
-                for v in lifted.region(player)
-                if g.owner[v] == player
-            }
-            assert lifted.strategy(player).moves == expected, (i, player)
-            compared += 1
-    assert compared == 2 * len(games)
+    for refine in (refine_strong, refine_stuttering):
+        for i, g in enumerate(games):
+            part = refine(g)
+            reduced, vmap = quotient(g, part)
+            qsol = solve_zielonka(reduced)
+            lifted = lift_solution(g, part, reduced, vmap, qsol)
+            for player in (EVEN, ODD):
+                ctx = Lifting(g, part, reduced, vmap, qsol, player)
+                region, strategy = lifted.region(player), lifted.strategy(player)
+                expected = {v: mimick_next(ctx, (v,)) for v in region if g.owner[v] == player}
+                where = (refine.__name__, i, player)
+                assert strategy.moves == expected, where
+                assert verify_strategy(g, player, region, strategy), where
+                compared += 1
+    assert compared == 4 * len(games)
 
 
 def test_lifting_rejects_an_unstable_partition():
     # block {0, 1} is not stable: 0 exits to the sink, 1 only loops
     g = Game(priority=[1, 1, 0], owner=[EVEN] * 3, successors=[[2], [1], [2]])
-    part = Partition(block_of=[0, 0, 1], blocks=[[0, 1], [2]],
-                     divergent=[False, True], kind="stuttering")
+    part = Partition(block_of=[0, 0, 1], blocks=[[0, 1], [2]], divergent=[False, True])
     reduced = Game(priority=[1, 0], owner=[EVEN, EVEN], successors=[[1], [1]])
     qsol = Solution([EVEN, EVEN], Strategy(EVEN, {0: 1, 1: 1}), Strategy(ODD, {}))
     with pytest.raises(ValueError, match="unstable"):
@@ -386,13 +387,6 @@ def _g4_quotient(g4):
     part = refine_stuttering(g4)
     reduced, vmap = quotient(g4, part)
     return part, reduced, vmap
-
-
-def test_lifting_rejects_a_strong_partition(g4):
-    part = refine_strong(g4)
-    reduced, vmap = quotient(g4, part)
-    with pytest.raises(ValueError, match="requires a stuttering partition"):
-        lift_solution(g4, part, reduced, vmap, solve_zielonka(reduced))
 
 
 def test_lifting_rejects_a_vmap_other_than_the_block_map(g4):
