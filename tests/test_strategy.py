@@ -389,6 +389,19 @@ def _g4_quotient(g4):
     return part, reduced, vmap
 
 
+def test_lifting_accepts_a_strong_partition(g4):
+    """A strong partition is stuttering-stable, so a solution lifts through
+    it: EVEN wins 0 by moving to the even self-loop 1, ODD wins 2."""
+    part = refine_strong(g4)
+    reduced, vmap = quotient(g4, part)
+    lifted = lift_solution(g4, part, reduced, vmap, solve_zielonka(reduced))
+    assert lifted.winner == [EVEN, EVEN, ODD]
+    assert lifted.strategy(EVEN).moves == {0: 1, 1: 1}
+    assert lifted.strategy(ODD).moves == {2: 2}
+    for player in (EVEN, ODD):
+        assert verify_strategy(g4, player, lifted.region(player), lifted.strategy(player))
+
+
 def test_lifting_rejects_a_vmap_other_than_the_block_map(g4):
     part, reduced, _ = _g4_quotient(g4)
     with pytest.raises(ValueError, match="vmap does not match the partition"):
