@@ -1,4 +1,5 @@
-"""Building parity games, checking a strategy, and moving games through files.
+"""Building parity games, checking a strategy, and moving games and
+solutions through files.
 
 A parity game is a total directed graph: every vertex carries a priority
 and an owner (player 0 = even, player 1 = odd).  The winner of an infinite
@@ -12,9 +13,11 @@ from paritygame import (
     Strategy,
     convert_priorities,
     parse_pgsolver,
+    parse_solution,
     solve,
     verify_strategy,
     write_pgsolver,
+    write_solution,
 )
 
 # A tiny game: vertex 0 (even player, priority 0) chooses between two
@@ -48,6 +51,18 @@ text = write_pgsolver(game)
 print("\nPGSolver form:")
 print(text)
 assert parse_pgsolver(text) == game
+
+# A solution file is read against its game: one line per vertex, with a
+# move exactly where the winner owns the vertex.  Reading back what the
+# solver wrote gives the same solution.
+solution_text = write_solution(
+    game, solution.winner, solution.strategy_even, solution.strategy_odd
+)
+print("\nsolution form:")
+print(solution_text)
+read_back = parse_solution(solution_text, game)
+print("read back equal:", read_back == solution)
+assert read_back == solution
 
 # External tools usually read priorities max-first; the reflection keeps
 # every winner while flipping the convention.

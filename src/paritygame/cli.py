@@ -4,9 +4,8 @@ Subcommands: ``info``, ``solve``, ``reduce``, ``generate``, ``verify`` and
 ``bench``.  ``generate`` makes members of the ``random`` and ``chain``
 families; ``bench`` times and checks direct solving against
 reduce-then-solve on game files.  Exit codes: 0 on success, 1 on a domain
-failure (parse error, failed verification, a solution file with a move at
-a vertex its winner does not own, benchmark winner mismatch), 2 on usage
-errors.
+failure (parse error, failed verification, a solution file that breaks
+its format, benchmark winner mismatch), 2 on usage errors.
 
 Game files use the PGSolver format.  ``--convention`` states how priorities
 in files are read and written; it defaults to ``max``, matching the
@@ -19,7 +18,7 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .game import EVEN, ODD, Game, Strategy, convert_priorities, verify_strategy
+from .game import EVEN, ODD, Game, convert_priorities, verify_strategy
 from .generators import gen_chain, gen_random
 from .io import (
     FormatError,
@@ -210,24 +209,9 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     game = _read_game(args.file, args.convention)
     with open(args.solution, "rb") as fh:
-        winner, moves = parse_solution(fh.read())
-    if len(winner) != game.vertex_count:
-        print("solution does not cover the game's vertices", file=sys.stderr)
-        return 1
-    stray = min((v for v in moves if game.owner[v] != winner[v]), default=None)
-    if stray is not None:
-        print(
-            f"vertex {stray}: the solution gives a move, but its winner {winner[stray]} "
-            "does not own it",
-            file=sys.stderr,
-        )
-        return 1
+        solution = parse_solution(fh.read(), game)
     for player in (EVEN, ODD):
-        region = [v for v in game.vertices() if winner[v] == player]
-        strat = Strategy(
-            player, {v: w for v, w in moves.items() if game.owner[v] == player}
-        )
-        result = verify_strategy(game, player, region, strat)
+        result = verify_strategy(game, player, solution.region(player), solution.strategy(player))
         if not result:
             print(
                 f"player {player}: {result.reason}; witness {result.witness}",

@@ -183,6 +183,18 @@ class Strategy:
     moves: dict[int, int] = field(default_factory=dict)
 
 
+def _check_players(winner: Sequence, unit: str) -> None:
+    """Raise :class:`ValueError` naming the first ``unit`` whose winner is
+    not the int :data:`EVEN` or :data:`ODD`; the scan of types and counts
+    runs in C, the loop only names the culprit."""
+    if not set(map(type, winner)) <= {int} or (
+        winner.count(EVEN) + winner.count(ODD) != len(winner)
+    ):
+        for i, w in enumerate(winner):
+            if type(w) is not int or w not in (EVEN, ODD):
+                raise ValueError(f"{unit} {i}: winner {w!r} is not {EVEN} (even) or {ODD} (odd)")
+
+
 @dataclass
 class VerifyResult:
     ok: bool

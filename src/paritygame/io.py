@@ -17,13 +17,17 @@ boundary).
 A companion, equally line-oriented format stores solutions: a header
 ``solution <max-id>;`` followed by ``<id> <winner> (<move>)? ;`` per
 vertex, the move being present exactly when the winner owns the vertex.
+A solution is read against its game: one line for each of the game's
+vertices, in any order, and an optional header that declares the game's
+max id.
 """
 
 from __future__ import annotations
 
 import re
 
-from .game import EVEN, ODD, Game, Strategy, _reflect
+from .game import EVEN, ODD, Game, Strategy, _check_players, _reflect
+from .solvers import Solution
 
 
 class FormatError(ValueError):
@@ -192,10 +196,7 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
             f"winner vector of length {len(winner)} for {n} vertices: "
             f"vertex {min(len(winner), n)} is unmatched"
         )
-    if not set(map(type, winner)) <= {int} or winner.count(EVEN) + winner.count(ODD) != n:
-        for v, w in enumerate(winner):
-            if type(w) is not int or w not in (EVEN, ODD):
-                raise ValueError(f"vertex {v}: winner {w!r} is not {EVEN} (even) or {ODD} (odd)")
+    _check_players(winner, "vertex")
     moves = {EVEN: strategy_even.moves, ODD: strategy_odd.moves}
     out = [f"solution {n - 1};"]
     try:
@@ -216,13 +217,15 @@ _SOLUTION_RE = re.compile(r"^\s*(\d+)\s+([01])(?:\s+(\d+))?\s*;\s*$", re.ASCII)
 _SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$", re.ASCII)
 
 
-def parse_solution(text: str | bytes) -> tuple[list[int], dict[int, int]]:
-    """Parse solution text; returns the winner per vertex and the move map
-    (over all vertices that carry one).  ``bytes`` are decoded as UTF-8."""
+def parse_solution(text: str | bytes, game: Game) -> Solution:
+    """Read solution text against ``game`` into the :class:`Solution` it
+    states.  Text that breaks the format for this game raises
+    :class:`FormatError` naming the line.  ``bytes`` are decoded as UTF-8."""
     if isinstance(text, bytes):
         text = _decode_utf8(text)
-    winners: dict[int, int] = {}
-    moves: dict[int, int] = {}
+    n, owner = game.vertex_count, game.owner
+    winner: list[int | None] = [None] * n
+    moves: tuple[dict[int, int], dict[int, int]] = ({}, {})  # by player
     lines = text.split("\n")
     header_max = _header_max(_SOLUTION_HEADER_RE, lines[0])
     start = 0 if header_max is None else 1
@@ -237,16 +240,19 @@ def parse_solution(text: str | bytes) -> tuple[list[int], dict[int, int]]:
             move = None if m.group(3) is None else int(m.group(3))
         except ValueError:
             raise FormatError(lineno, "vertex id or move has too many digits") from None
-        if vid in winners:
+        if vid >= n:
+            raise FormatError(lineno, f"vertex id {vid} is outside the game's {n} vertices")
+        if winner[vid] is not None:
             raise FormatError(lineno, f"duplicate vertex id {vid}")
-        winners[vid] = int(m.group(2))
+        w = winner[vid] = int(m.group(2))
+        if move is None and owner[vid] == w:
+            raise FormatError(lineno, f"vertex {vid} is won by its owner {w}, but has no move")
         if move is not None:
-            moves[vid] = move
-    if not winners:
-        raise FormatError(1, "no vertices in solution")
-    n = max(winners) + 1
-    for vid in range(n):
-        if vid not in winners:
-            raise FormatError(1, f"vertex ids are not contiguous: {vid} is missing")
+            if owner[vid] != w:
+                raise FormatError(lineno, f"vertex {vid}: the solution gives a move, "
+                                  f"but its winner {w} does not own it")
+            moves[w][vid] = move
+    if None in winner:
+        raise FormatError(1, f"vertex {winner.index(None)} has no line")
     _check_header_max(header_max, n)
-    return [winners[v] for v in range(n)], moves
+    return Solution(winner, Strategy(EVEN, moves[EVEN]), Strategy(ODD, moves[ODD]))

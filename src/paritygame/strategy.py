@@ -30,7 +30,7 @@ reference the per-block pass is compared against.
 
 from __future__ import annotations
 
-from .game import EVEN, ODD, Game, Strategy
+from .game import EVEN, ODD, Game, Strategy, _check_players
 from .reduction import Partition
 from .solvers import Solution
 
@@ -113,11 +113,12 @@ def lift_solution(
 
     Raises ``ValueError`` unless ``partition``, strong or stuttering,
     covers ``game``'s vertices with the block map ``vmap``, the quotient
-    winner vector covers exactly the quotient's vertices, and each quotient
-    strategy belongs to its player, moves only at blocks and along
-    quotient edges, is defined at every won block its player owns and
-    stays only on divergent blocks; and when a block it lifts has a member
-    with no in-block route onto the quotient move (an unstable partition).
+    winner vector gives a player for exactly the quotient's vertices, and
+    each quotient strategy belongs to its player, moves only at blocks and
+    along quotient edges, is defined at every won block its player owns
+    and stays only on divergent blocks; and when a block it lifts has a
+    member with no in-block route onto the quotient move (an unstable
+    partition).
     """
     if len(partition.block_of) != game.vertex_count:
         raise ValueError(
@@ -131,6 +132,7 @@ def lift_solution(
             f"quotient winner vector of length {len(qwinner)} "
             f"for {quotient_game.vertex_count} blocks"
         )
+    _check_players(qwinner, "block")
     lifted = []
     for player in (EVEN, ODD):
         strategy = quotient_solution.strategy(player)

@@ -161,7 +161,32 @@ def test_verify_rejects_a_move_at_a_vertex_its_winner_does_not_own(tmp_path, cap
     assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "vertex 0: the solution gives a move, but its winner 0 does not own it" in captured.err
+    assert (
+        "error: line 2: vertex 0: the solution gives a move, but its winner 0 does not own it"
+        in captured.err
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("solution 4;\n0 0;\n1 0;\n2 0;\n3 0 3;\n4 0;\n", "line 6: vertex id 4 is outside"),
+        ("solution 2;\n0 0;\n1 0;\n2 0;\n", "line 1: vertex 3 has no line"),
+        # the sink is even-owned and won by even
+        ("solution 3;\n0 0;\n1 0;\n2 0;\n3 0;\n", "line 5: vertex 3 is won by its owner 0"),
+    ],
+    ids=["one-vertex-more", "one-vertex-fewer", "missing-move"],
+)
+def test_verify_rejects_a_solution_that_breaks_its_format(tmp_path, capsys, text, message):
+    # the first two used to print "solution does not cover the game's
+    # vertices", the third "strategy undefined inside the region"
+    f = generate(tmp_path, "chain", 3)
+    sol_file = tmp_path / "bad.sol"
+    sol_file.write_text(text, encoding="ascii")
+    assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 def test_verify_rejects_wrong_solution(tmp_path, capsys):
@@ -187,8 +212,7 @@ def test_spm_solution_verifies(tmp_path, capsys, dual):
     sol_file.write_text(capsys.readouterr().out, encoding="ascii")
     assert cli_dispatch(["--convention", "min", "verify", f, str(sol_file)]) == 0
     assert "verified" in capsys.readouterr().out
-    winner, _ = parse_solution(sol_file.read_bytes())
-    assert winner == solve(g, "zielonka").winner
+    assert parse_solution(sol_file.read_bytes(), g).winner == solve(g, "zielonka").winner
 
 
 def test_bench_family_grid(tmp_path):

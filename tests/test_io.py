@@ -1,5 +1,8 @@
 """PGSolver format parsing/writing and the solution format."""
 
+import re
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +17,19 @@ from paritygame import (
     convert_priorities,
     gen_chain,
     gen_random,
+    lift_solution,
     parse_pgsolver,
     parse_solution,
     quotient,
     refine_stuttering,
+    solve,
     write_pgsolver,
     write_solution,
 )
 
 G1_TEXT = "parity 1;\n0 0 0 1;\n1 1 1 0;"
+# g1: vertex 0 is even-owned, vertex 1 odd-owned, and even wins both
+G1 = Game([0, 1], [EVEN, ODD], [[1], [0]])
 
 
 def test_parse_g1():
@@ -66,12 +73,13 @@ def test_parse_gap_in_ids_rejected():
     "parse, text",
     [
         (parse_pgsolver, "parity 7;\n0 1 0 1;\n1 0 1 0;"),
-        (parse_solution, "solution 9;\n0 0 1;\n1 0;"),
+        (partial(parse_solution, game=G1), "solution 9;\n0 0 1;\n1 0;"),
     ],
     ids=["game", "solution"],
 )
 def test_header_max_id_must_match_the_vertices(parse, text):
-    # a truncated file whose ids happen to be contiguous
+    # a truncated game file whose ids happen to be contiguous; a solution
+    # whose header is not its game's
     with pytest.raises(FormatError, match="^line 1: header declares max id"):
         parse(text)
     # without the header the same lines parse: it stays optional
@@ -79,7 +87,8 @@ def test_header_max_id_must_match_the_vertices(parse, text):
 
 
 @pytest.mark.parametrize(
-    "parse, keyword", [(parse_pgsolver, "parity"), (parse_solution, "solution")],
+    "parse, keyword",
+    [(parse_pgsolver, "parity"), (partial(parse_solution, game=G1), "solution")],
     ids=["game", "solution"],
 )
 def test_header_max_id_too_long_for_int_raises_format_error(parse, keyword):
@@ -174,7 +183,7 @@ def test_bytes_that_are_not_utf8_raise_format_error():
 
 def test_solution_bytes_that_are_not_utf8_raise_format_error():
     with pytest.raises(FormatError, match="line 3: not UTF-8") as info:
-        parse_solution(b"solution 1;\n0 0 1;\n1 \xc3;")
+        parse_solution(b"solution 1;\n0 0 1;\n1 \xc3;", G1)
     assert info.value.line == 3
 
 
@@ -184,7 +193,7 @@ def test_non_ascii_digits_raise_format_error(digit):
         parse_pgsolver(f"0 0 0 0;\n1 {digit} 0 0;".encode())
     assert info.value.line == 2
     with pytest.raises(FormatError, match="line 3: cannot parse solution") as info:
-        parse_solution(f"solution 1;\n0 0 1;\n1 0 {digit};".encode())
+        parse_solution(f"solution 1;\n0 0 1;\n1 0 {digit};".encode(), G1)
     assert info.value.line == 3
 
 
@@ -206,18 +215,19 @@ def test_numbers_too_long_for_int_raise_format_error(text):
 )
 def test_solution_numbers_too_long_for_int_raise_format_error(text):
     with pytest.raises(FormatError, match="line 2: .* too many digits"):
-        parse_solution(text)
+        parse_solution(text, G1)
 
 
 def test_solution_format_round_trip(g4):
     sol = solve_zielonka(g4)
     text = write_solution(g4, sol.winner, sol.strategy_even, sol.strategy_odd)
     assert text.splitlines()[0] == "solution 2;"
-    winner, moves = parse_solution(text)
-    assert parse_solution(text.encode()) == (winner, moves)
-    assert winner == sol.winner
+    parsed = parse_solution(text, g4)
+    assert parsed == sol
+    assert parse_solution(text.encode(), g4) == sol
     # moves present exactly where the winner owns the vertex
-    assert moves == {0: 1, 1: 1, 2: 2}
+    assert parsed.strategy_even.moves == {0: 1, 1: 1}
+    assert parsed.strategy_odd.moves == {2: 2}
 
 
 def test_solution_move_only_when_winner_owns(g1):
@@ -251,8 +261,30 @@ def test_write_solution_rejects_a_winner_that_is_no_player(winner, vertex):
 
 
 def test_parse_solution_rejects_garbage():
-    with pytest.raises(FormatError):
-        parse_solution("solution 0;\n0 2;")
+    with pytest.raises(FormatError, match="^line 2: cannot parse solution line"):
+        parse_solution("solution 0;\n0 2;", G1)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("solution 1;\n0 0 1;\n1 0;\n2 0;", 4, "vertex id 2 is outside the game's 2 vertices"),
+        ("0 0 1;\n0 0 1;\n1 0;", 2, "duplicate vertex id 0"),
+        # used to parse to ([0, 0], {0: 1, 1: 0})
+        ("solution 1;\n0 0 1;\n1 0 0;", 3,
+         "vertex 1: the solution gives a move, but its winner 0 does not own it"),
+        ("solution 1;\n1 0;\n\n0 0;", 4, "vertex 0 is won by its owner 0, but has no move"),
+        ("solution 1;\n0 0 1;\n", 1, "vertex 1 has no line"),
+        ("", 1, "vertex 0 has no line"),
+        ("solution 2;\n0 0 1;\n1 0;", 1, "header declares max id 2, but the max id is 1"),
+    ],
+    ids=["outside", "duplicate", "stray-move", "missing-move", "missing-line", "empty",
+         "header"],
+)
+def test_parse_solution_reads_the_text_against_its_game(text, line, message):
+    with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}$") as info:
+        parse_solution(text, G1)
+    assert info.value.line == line
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +352,71 @@ def _parses_or_raises_format_error(text):
             assert 1 <= exc.line <= text.count("\n") + 1
 
 
-@PROPERTY
-@given(games(), st.data())
-def test_mutated_text_raises_only_format_errors(g, data):
-    text = write_pgsolver(g)
+def _mutate(text, data):
+    """``text`` with one to four short spans replaced by short runs of
+    format characters."""
     for _ in range(data.draw(st.integers(1, 4))):
         i = data.draw(st.integers(0, len(text)))
         j = data.draw(st.integers(i, min(len(text), i + 8)))
         text = text[:i] + data.draw(st.text(' \t\n,;"0123456789-x', max_size=4)) + text[j:]
-    _parses_or_raises_format_error(text)
+    return text
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_mutated_text_raises_only_format_errors(g, data):
+    _parses_or_raises_format_error(_mutate(write_pgsolver(g), data))
 
 
 @PROPERTY
 @given(st.text(max_size=60))
 def test_arbitrary_text_raises_only_format_errors(text):
     _parses_or_raises_format_error(text)
+
+
+def _solution_text(g, sol):
+    return write_solution(g, sol.winner, sol.strategy_even, sol.strategy_odd)
+
+
+@PROPERTY
+@given(games(), st.sampled_from(["zielonka", "spm"]))
+def test_parse_solution_inverts_write_solution(g, algorithm):
+    sol = solve(g, algorithm)
+    assert parse_solution(_solution_text(g, sol), g) == sol
+
+
+@PROPERTY
+@given(games())
+def test_parse_solution_inverts_write_solution_of_a_lifted_solution(g):
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    sol = lift_solution(g, part, reduced, vmap, solve(reduced))
+    assert parse_solution(_solution_text(g, sol), g) == sol
+
+
+def _solution_parses_or_raises_format_error(text, g):
+    """A solution read from ``text`` states one player per vertex and a
+    move exactly where that player owns the vertex; anything else is a
+    :class:`FormatError` naming a line of ``text``."""
+    try:
+        sol = parse_solution(text, g)
+    except FormatError as exc:
+        assert 1 <= exc.line <= text.count("\n") + 1
+        return
+    assert len(sol.winner) == g.vertex_count and set(sol.winner) <= {EVEN, ODD}
+    for player in (EVEN, ODD):
+        owned_and_won = {v for v in sol.region(player) if g.owner[v] == player}
+        assert set(sol.strategy(player).moves) == owned_and_won
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_mutated_solution_text_raises_only_format_errors(g, data):
+    text = _mutate(_solution_text(g, solve(g)), data)
+    _solution_parses_or_raises_format_error(text, g)
+
+
+@PROPERTY
+@given(games(), st.text(max_size=60))
+def test_arbitrary_solution_text_raises_only_format_errors(g, text):
+    _solution_parses_or_raises_format_error(text, g)

@@ -488,6 +488,17 @@ def test_lifting_rejects_a_quotient_winner_vector_of_another_length(extra):
         lift_solution(g5, p5, r5, v5, qsol)
 
 
+@pytest.mark.parametrize("bad", [2, -1, None, "1", True, 0.0])
+def test_lifting_rejects_a_quotient_winner_that_is_no_player(bad):
+    # [2, 2] used to lift to winners [2, 2, 2, 2, 2]
+    g = gen_chain(4, 1, ODD, 0)
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    qsol = Solution([EVEN, bad], Strategy(EVEN, {}), Strategy(ODD, {}))
+    with pytest.raises(ValueError, match=rf"^block 1: winner .* is not 0 \(even\) or 1 \(odd\)$"):
+        lift_solution(g, part, reduced, vmap, qsol)
+
+
 @pytest.mark.parametrize(
     "game", [alternating_chain(20_000), gen_chain(20_000, 1, EVEN, 0)],
     ids=["alternating-chain", "even-chain"],
