@@ -384,10 +384,11 @@ def refine_stuttering(game: Game) -> Partition:
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     """Quotient game of a stable partition plus the vertex-to-block map.
 
-    Block priorities and owners come from the representative (blocks are
-    uniform by construction).  A block's successors are the blocks its
-    members reach, itself included exactly when it is divergent, which
-    for a strong partition means that a member has an intra-block edge.
+    Block priorities and owners come from the representative; a block
+    whose members differ in either raises ``ValueError`` (a partition of
+    another game).  A block's successors are the blocks its members reach,
+    itself included exactly when it is divergent, which for a strong
+    partition means that a member has an intra-block edge.
     """
     block_of = partition.block_of
     if len(block_of) != game.vertex_count:
@@ -400,6 +401,8 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     succ = game.successors
     successors = []
     for b, (members, divergent) in enumerate(zip(partition.blocks, partition.divergent)):
+        if len(members) > 1 and len({(game.priority[v], game.owner[v]) for v in members}) > 1:
+            raise ValueError(f"partition block {b} mixes priorities or owners")
         targets = {block_of[w] for v in members for w in succ[v]}
         targets.discard(b)
         if divergent:

@@ -6,9 +6,10 @@ after Friedmann and Lange ("Solving Parity Games in Practice", ATVA
 winners plus memoryless winning strategies for both players on the rest:
 
 * ``zielonka`` — the attractor decomposition, phrased directly for the
-  min-parity winner convention, on an explicit stack of subgame-local
-  levels (no Python recursion, no full-width masks), run on the remaining
-  vertex list in place;
+  min-parity winner convention, each level a generator over its own
+  vertex list that yields its sub-levels to one driver loop (no Python
+  recursion, no full-width masks), run on the remaining vertex list in
+  place;
 * ``spm`` — small progress measures (:func:`solve_spm`), run on each
   strongly connected component of the remainder, bottom-up: each
   player's measures on the component, lifted from a predecessor
@@ -93,28 +94,64 @@ def _attract(
     return in_attr, witness
 
 
-@dataclass(slots=True)
-class _Level:
-    """One level of Zielonka's decomposition, kept on an explicit stack.
-
-    ``removed`` is what the level has taken out of the shared membership
-    array for the sub-level now running: first the attractor of ``lowest``,
-    then, when ``rerun`` is set, the opponent's trap.
-    """
-
-    vertices: list[int]
-    side: int
-    lowest: list[int]
-    removed: set[int]
-    witness: dict[int, int]
-    rerun: bool = False
+def _level(
+    game: Game,
+    vertices: list[int],
+    alive: list[bool],
+    moves: dict[int, dict[int, int]],
+    reuse: tuple[list[int], set[int], dict[int, int]] | None = None,
+):
+    """One level of Zielonka's decomposition of the subgame ``vertices``,
+    as a generator that yields each sub-level, is sent its regions and
+    returns its own: it removes the attractor of the lowest bucket (or
+    ``reuse``, a bucket, attractor and witnesses already computed), solves
+    the remainder, then claims the subgame or re-runs it without the
+    opponent's trap.  What it clears in ``alive`` it restores."""
+    if not vertices:
+        return set(), set()
+    priority, owner, successors = game.priority, game.owner, game.successors
+    m = priority[vertices[0]]
+    side = m % 2
+    opp = 1 - side
+    if reuse:
+        lowest, attr, witness = reuse
+    else:
+        lowest = vertices[: bisect_right(vertices, m, key=priority.__getitem__)]
+        attr, witness = _attract(game, side, lowest, alive)
+    for v in attr:
+        alive[v] = False
+    regions = yield _level(game, [v for v in vertices if alive[v]], alive, moves)
+    for v in attr:
+        alive[v] = True
+    if not regions[opp]:
+        for v in lowest:
+            if owner[v] == side:
+                moves[side][v] = min(w for w in successors[v] if alive[w])
+        moves[side].update(witness)
+        # the sub-level won its whole subgame; with the attractor that is
+        # this level's
+        regions[side].update(attr)
+        return regions
+    trap, trap_witness = _attract(game, opp, sorted(regions[opp]), alive)
+    moves[opp].update(trap_witness)
+    for v in trap:
+        alive[v] = False
+    # a trap that misses the attractor leaves the re-run the same bucket,
+    # attractor and witnesses: a vertex of ``opp`` outside the trap has no
+    # successor in it, or it would be in it, so no vertex left gains or
+    # loses a way into the attractor
+    reuse = (lowest, attr, witness) if trap.isdisjoint(attr) else None
+    regions = yield _level(game, [v for v in vertices if alive[v]], alive, moves, reuse)
+    for v in trap:
+        alive[v] = True
+    regions[opp].update(trap)
+    return regions
 
 
 def _zielonka(
     game: Game, vertices: list[int], alive: list[bool]
 ) -> tuple[tuple[set[int], set[int]], dict[int, dict[int, int]]]:
-    """Zielonka's decomposition of the subgame ``vertices`` (min-parity),
-    on an explicit stack of subgame-local levels.
+    """Zielonka's decomposition of the subgame ``vertices`` (min-parity).
 
     ``vertices`` is ordered by priority and then by vertex, and ``alive``
     marks exactly those vertices; the subgame must be total.  Returns both
@@ -122,73 +159,25 @@ def _zielonka(
     cover at least every vertex that its owner wins and stay inside the
     subgame.  ``alive`` is restored before returning.
 
-    Each level removes the attractor of the lowest-priority vertices for
-    the matching player, solves the remainder, and either claims the whole
-    subgame or re-runs it without the opponent's established region.
-    A level works only on its own vertex list: the minimum priority, the
-    lowest bucket and the next subgame come from that list, never from the
-    whole game, and a claimed region grows from the sub-level's region.
-    One membership array marks the current subgame; a level clears the
-    vertices it removes before its sub-level runs and restores them after,
-    so no level copies it.  A re-run whose trap misses the level's
-    attractor takes that attractor over instead of computing it again.
-    Deep games need no Python recursion.
+    Each level (:func:`_level`) works only on its own vertex list: the
+    minimum priority, the lowest bucket and the next subgame come from
+    that list, never from the whole game, and a claimed region grows from
+    the sub-level's region.  One membership array marks the current
+    subgame, so no level copies it.  The levels wait on one list, each
+    sub-level's regions sent to its parent, so nesting never reaches the
+    Python stack.
     """
-    priority, owner, successors = game.priority, game.owner, game.successors
     moves: dict[int, dict[int, int]] = {EVEN: {}, ODD: {}}
-    stack: list[_Level] = []
-    reuse = None  # a re-run level's bucket, attractor and witnesses
-    while True:
-        # descend: open a level per subgame until the subgame is empty
-        while vertices:
-            m = priority[vertices[0]]
-            side = m % 2
-            if reuse:
-                lowest, attr, witness = reuse
-                reuse = None
-            else:
-                lowest = vertices[: bisect_right(vertices, m, key=priority.__getitem__)]
-                attr, witness = _attract(game, side, lowest, alive)
-            for v in attr:
-                alive[v] = False
-            stack.append(_Level(vertices, side, lowest, attr, witness))
-            vertices = [v for v in vertices if alive[v]]
-        regions: tuple[set[int], set[int]] = (set(), set())
-        # ascend: close levels until one must re-run without the opponent's trap
-        while stack:
-            level = stack[-1]
-            for v in level.removed:
-                alive[v] = True
-            side = level.side
-            opp = 1 - side
-            if level.rerun:
-                regions[opp].update(level.removed)
-            elif not regions[opp]:
-                for v in level.lowest:
-                    if owner[v] == side:
-                        moves[side][v] = min(w for w in successors[v] if alive[w])
-                moves[side].update(level.witness)
-                # the sub-level won its whole subgame; with the attractor
-                # that is this level's
-                regions[side].update(level.removed)
-            else:
-                trap, trap_witness = _attract(game, opp, sorted(regions[opp]), alive)
-                moves[opp].update(trap_witness)
-                for v in trap:
-                    alive[v] = False
-                if trap.isdisjoint(level.removed):
-                    # the re-run would find this level's bucket, attractor
-                    # and witnesses again: a vertex of ``opp`` outside the
-                    # trap has no successor in it, or it would be in it,
-                    # so no vertex left gains or loses a way into the
-                    # attractor
-                    reuse = level.lowest, level.removed, level.witness
-                level.removed, level.rerun = trap, True
-                vertices = [v for v in level.vertices if alive[v]]
-                break
+    stack = [_level(game, vertices, alive, moves)]
+    regions = None
+    while stack:
+        try:
+            stack.append(stack[-1].send(regions))
+            regions = None
+        except StopIteration as done:
             stack.pop()
-        else:
-            return regions, moves
+            regions = done.value
+    return regions, moves
 
 
 def _solution(game: Game, region_even: set[int], moves: dict[int, dict[int, int]]) -> Solution:

@@ -113,12 +113,12 @@ def lift_solution(
 
     Raises ``ValueError`` unless ``partition``, strong or stuttering,
     covers ``game``'s vertices with the block map ``vmap``, the quotient
-    winner vector gives a player for exactly the quotient's vertices, and
-    each quotient strategy belongs to its player, moves only at blocks and
-    along quotient edges, is defined at every won block its player owns
-    and stays only on divergent blocks; and when a block it lifts has a
-    member with no in-block route onto the quotient move (an unstable
-    partition).
+    game has one vertex per block, the quotient winner vector gives a
+    player for exactly the quotient's vertices, and each quotient strategy
+    belongs to its player, moves only at blocks and along quotient edges,
+    is defined at every won block its player owns and stays only on
+    divergent blocks; and when a block it lifts has a member with no
+    in-block route onto the quotient move (an unstable partition).
     """
     if len(partition.block_of) != game.vertex_count:
         raise ValueError(
@@ -126,6 +126,11 @@ def lift_solution(
         )
     if vmap != partition.block_of:
         raise ValueError("vmap does not match the partition")
+    if quotient_game.vertex_count != partition.block_count:
+        raise ValueError(
+            f"quotient of {quotient_game.vertex_count} vertices "
+            f"for a partition of {partition.block_count} blocks"
+        )
     qwinner, qowner = quotient_solution.winner, quotient_game.owner
     if len(qwinner) != quotient_game.vertex_count:
         raise ValueError(

@@ -154,6 +154,16 @@ def test_quotient_rejects_a_partition_of_another_game(n, o_chain):
         quotient(gen_chain(n, 1, o_chain, 0), part)
 
 
+def test_quotient_rejects_a_partition_whose_blocks_mix_priorities_or_owners():
+    # a same-size partition of another game: its one block used to become
+    # a vertex of priority 0 owned by EVEN, and lifting a solution of that
+    # quotient gave EVEN the move 1: 2 at vertex 1, which ODD owns
+    g = Game([0, 1, 2], [EVEN, ODD, EVEN], [[1], [2], [2]])
+    part = refine_stuttering(Game([1, 1, 1], [ODD, ODD, ODD], [[1], [2], [2]]))
+    with pytest.raises(ValueError, match="^partition block 0 mixes priorities or owners$"):
+        quotient(g, part)
+
+
 @pytest.mark.parametrize(
     "module",
     [

@@ -1,12 +1,12 @@
 """Differential check of the solver core against the recursive solvers.
 
-The production Zielonka solver runs on an explicit stack over
-subgame-local vertex lists, with one membership array cleared and restored
-around each sub-level; the production progress-measure solver lifts from a
-predecessor worklist.  The references below are the earlier forms, kept
-here as the exactness oracle: Zielonka recursing over full-width
-membership masks (with the attractor it was written against), and measure
-lifting that sweeps every vertex until nothing changes.  Both production
+The production Zielonka solver runs each level as a generator over its
+own vertex list, driven from one loop, with one membership array cleared
+and restored around each sub-level; the production progress-measure
+solver lifts from a predecessor worklist.  The references below are the
+earlier forms, kept here as the exactness oracle: Zielonka recursing over
+full-width membership masks (with the attractor it was written against),
+and measure lifting that sweeps every vertex until nothing changes.  Both production
 solvers must return the same solutions, down to the order in which the
 strategy dicts list their moves, and the same converged measure.  That
 measure is compared as tuples: :func:`progress_measure` decodes the

@@ -109,20 +109,42 @@ def test_three_way_agreement_sample():
         assert solve_brute(g).winner == wz, seed
 
 
-def test_zielonka_nests_deeper_than_the_recursion_limit():
+def _frame_depth() -> int:
+    """How many frames sit above the caller's."""
+    depth, frame = 0, sys._getframe().f_back
+    while frame.f_back is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_zielonka_nests_deeper_than_the_recursion_limit(monkeypatch):
     # vertex i has priority 2i, owner i mod 2 and edges {i, i+1}: every
-    # level peels off one vertex, so Zielonka nests 3,000 levels
+    # level peels off one vertex, so Zielonka nests 3,000 levels through
+    # its first sub-level; the whole priority ladder of 180 re-runs levels
+    # throughout.  Every attractor runs at the same frame depth.
     n = 3000
-    g = Game(
+    deep = Game(
         [2 * i for i in range(n)],
         [i % 2 for i in range(n)],
         [[i, i + 1] for i in range(n - 1)] + [[n - 1]],
     )
+    attract = solvers._attract
+    depths = []
+
+    def recording(*args):
+        depths.append(_frame_depth())
+        return attract(*args)
+
+    monkeypatch.setattr(solvers, "_attract", recording)
     limit = sys.getrecursionlimit()
-    sol = solve_zielonka(g)
-    assert sys.getrecursionlimit() == limit
-    assert sol.winner == [EVEN] * n
-    assert verify_strategy(g, EVEN, list(g.vertices()), sol.strategy_even).ok
+    for g, winner in ((deep, [EVEN] * n), (priority_ladder(180), [v % 2 for v in range(180)])):
+        depths.clear()
+        sol = solve_zielonka(g)
+        assert sys.getrecursionlimit() == limit
+        assert len(set(depths)) == 1
+        assert sol.winner == winner
+        for player in (EVEN, ODD):
+            assert verify_strategy(g, player, sol.region(player), sol.strategy(player)).ok
 
 
 def test_solution_invariants_and_strategy_soundness():

@@ -488,6 +488,20 @@ def test_lifting_rejects_a_quotient_winner_vector_of_another_length(extra):
         lift_solution(g5, p5, r5, v5, qsol)
 
 
+@pytest.mark.parametrize(
+    "other", [gen_random(5, 2, 3, 1), Game([0], [EVEN], [[0]])], ids=["larger", "smaller"]
+)
+def test_lifting_rejects_a_quotient_of_another_block_count(other):
+    # the larger quotient raised a bare IndexError, and the smaller one was
+    # reported as a quotient strategy that stays at non-divergent block 0
+    g = gen_chain(4, 1, ODD, 0)
+    part = refine_stuttering(g)
+    _, vmap = quotient(g, part)
+    message = f"^quotient of {other.vertex_count} vertices for a partition of 2 blocks$"
+    with pytest.raises(ValueError, match=message):
+        lift_solution(g, part, other, vmap, solve(other))
+
+
 @pytest.mark.parametrize("bad", [2, -1, None, "1", True, 0.0])
 def test_lifting_rejects_a_quotient_winner_that_is_no_player(bad):
     # [2, 2] used to lift to winners [2, 2, 2, 2, 2]
