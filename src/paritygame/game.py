@@ -195,6 +195,14 @@ def _check_players(winner: Sequence, unit: str) -> None:
                 raise ValueError(f"{unit} {i}: winner {w!r} is not {EVEN} (even) or {ODD} (odd)")
 
 
+def _check_region(region: Sequence, n: int) -> None:
+    """Raise naming the first entry of ``region`` that is not an ``int``
+    vertex id in ``0..n-1``."""
+    for v in region:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"region vertex {v!r} is not a vertex of the game")
+
+
 @dataclass
 class VerifyResult:
     ok: bool
@@ -235,14 +243,17 @@ def verify_strategy(
     of the player's parity.  On failure the result carries an escaping
     edge, an uncovered vertex, or a witness cycle.  A ``player`` other than
     :data:`EVEN` or :data:`ODD`, a strategy of the other player, or a
-    region naming a vertex the game does not have raises
+    region entry that is not an ``int`` vertex id of the game raises
     :class:`ValueError`.
 
     The cycle condition is checked by nested strongly connected components
     (Emerson and Lei, LICS 1986) over one restricted successor table: the
     strategy's move at the player's vertices, every successor at the
-    opponent's.  A cyclic component whose minimum priority has the
-    opponent's parity holds a losing cycle through a vertex of that
+    opponent's.  The closure pass counts each member's in-degree in that
+    table, and every vertex that no cycle reaches is peeled from the
+    sources first: it lies on no cycle, so the decomposition sees only
+    what a cycle reaches.  A cyclic component whose minimum priority has
+    the opponent's parity holds a losing cycle through a vertex of that
     priority.  Otherwise every cycle of the component through such a vertex
     is won, and the cycles that avoid them lie inside the components of
     what is left without them, which are decomposed in turn.
@@ -255,18 +266,25 @@ def verify_strategy(
         raise ValueError(f"the strategy belongs to player {strategy.player}, not {player}")
     moves = strategy.moves
     opponent = 1 - player
+    region = list(region)
+    # ``0 <= v < n`` compares by value, so ``True`` and ``1.0`` would pass
+    # it; the type scan runs in C, and the loop only names the culprit
+    if not set(map(type, region)) <= {int}:
+        _check_region(region, n)
     inside = [False] * n
     for v in region:
         if not 0 <= v < n:
-            raise ValueError(f"region vertex {v} is not a vertex of the game")
+            _check_region(region, n)
         inside[v] = True
     members = list(compress(range(n), inside))
     restricted = list(successors)
+    indegree = [0] * n  # in the restricted graph
     for v in members:
         if owner[v] == opponent:
             for w in successors[v]:
                 if not inside[w]:
                     return VerifyResult(False, "opponent can escape the region", (v, w))
+                indegree[w] += 1
         else:
             if v not in moves:
                 return VerifyResult(False, "strategy undefined inside the region", (v,))
@@ -276,8 +294,17 @@ def verify_strategy(
             if not inside[w]:
                 return VerifyResult(False, "strategy leaves the region", (v, w))
             restricted[v] = (w,)
+            indegree[w] += 1
 
-    pending = [members]
+    # peel from the sources every vertex that no cycle reaches; what is
+    # left holds every cycle
+    peeled = [v for v in members if not indegree[v]]
+    for v in peeled:
+        for w in restricted[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                peeled.append(w)
+    pending = [list(compress(range(n), indegree))] if len(peeled) < len(members) else []
     while pending:
         for comp in strongly_connected_components(pending.pop(), restricted):
             if len(comp) == 1 and comp[0] not in restricted[comp[0]]:

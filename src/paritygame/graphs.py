@@ -1,6 +1,7 @@
 """Iterative strongly connected components, shared by the stuttering
 refinement (on the inert vertices that reach an inert cycle), the solvers
-and the strategy verifier.
+and the strategy verifier (on the region vertices that a cycle of the
+restricted graph reaches).
 
 :func:`strongly_connected_components` takes the subgraph's vertices
 ``nodes`` and a successor table ``succ``, indexed by vertex: a tuple or

@@ -1,10 +1,12 @@
 """Strategy lifting (entry sets, targets, mimicking) and verification."""
 
 import dataclasses
+import re
 import time
 
 import pytest
 
+import paritygame.game
 from paritygame import (
     EVEN,
     ODD,
@@ -22,6 +24,7 @@ from paritygame import (
     verify_strategy,
 )
 from paritygame.generators import Xoshiro256StarStar
+from paritygame.graphs import strongly_connected_components
 
 from helpers import (
     PathStrategyOracle,
@@ -30,6 +33,7 @@ from helpers import (
     make_context,
     play_from,
     random_consistent_walk,
+    relabelled,
     solve_zielonka,
 )
 from lifting_reference import (
@@ -40,6 +44,7 @@ from lifting_reference import (
     target_class,
     target_vertex,
 )
+from test_graphs_reference import reference_sccs
 
 
 def even_chain(n: int = 3) -> Game:
@@ -173,9 +178,10 @@ def test_verify_strategy_flags_missing_move(g4):
     assert not res.ok and res.witness == (1,)
 
 
-@pytest.mark.parametrize("vertex", [-1, 3])
+@pytest.mark.parametrize("vertex", [-1, 3, 1.0, "1", True])
 def test_verify_strategy_rejects_a_region_outside_the_game(g4, vertex):
-    with pytest.raises(ValueError, match=f"region vertex {vertex} "):
+    # an entry that only equals a vertex id is no vertex either
+    with pytest.raises(ValueError, match=f"region vertex {re.escape(repr(vertex))} "):
         verify_strategy(g4, EVEN, [0, 1, vertex], Strategy(EVEN, {0: 1, 1: 1}))
 
 
@@ -190,6 +196,60 @@ def test_verify_strategy_rejects_a_non_player_and_a_foreign_strategy():
     assert verify_strategy(g, ODD, g.vertices(), Strategy(ODD, {0: 1, 1: 2, 2: 3}))
     with pytest.raises(ValueError, match="belongs to player 0, not 1"):
         verify_strategy(g, ODD, g.vertices(), Strategy(EVEN, {0: 1, 1: 2, 2: 3}))
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The node lists the verifier hands to the strongly connected
+    components, in call order."""
+    calls: list[list[int]] = []
+
+    def recording(nodes, succ):
+        calls.append(list(nodes))
+        return strongly_connected_components(nodes, succ)
+
+    monkeypatch.setattr(paritygame.game, "strongly_connected_components", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "game", [gen_chain(800, 1, EVEN, 0), alternating_chain(400)], ids=["even", "alternating"]
+)
+def test_verify_strategy_decomposes_only_the_sink_of_a_chain(game, decomposed):
+    # every chain vertex is peeled: no cycle reaches it
+    game = relabelled(game, 1)
+    sink = next(v for v in game.vertices() if v in game.successors[v])
+    solution = solve(game, "zielonka")
+    for player in (EVEN, ODD):
+        assert verify_strategy(game, player, solution.region(player), solution.strategy(player))
+    assert decomposed == [[sink]]
+
+
+def test_verify_strategy_decomposes_what_a_cycle_reaches(decomposed):
+    game = gen_random(10000, 5, 3, 1)
+    solution = solve(game, "zielonka")
+    for player in (EVEN, ODD):
+        region, moves = solution.region(player), solution.strategy(player).moves
+        restricted = {
+            v: [moves[v]] if game.owner[v] == player else list(game.successors[v])
+            for v in region
+        }
+        reached = {
+            v
+            for comp in reference_sccs(region, restricted.__getitem__)
+            if len(comp) > 1 or comp[0] in restricted[comp[0]]
+            for v in comp
+        }
+        frontier = list(reached)
+        while frontier:
+            for w in restricted[frontier.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        decomposed.clear()
+        assert verify_strategy(game, player, region, solution.strategy(player))
+        assert decomposed[0] == sorted(reached)
+        assert 0 < len(reached) < len(region)
 
 
 def test_lifting_ignores_routes_that_leave_the_block():

@@ -1,7 +1,8 @@
 """Differential check of the strategy verifier.
 
 The production verifier builds the strategy-restricted successor table
-once and decomposes it into nested strongly connected components.  The
+once, peels what no cycle reaches and decomposes the rest into nested
+strongly connected components.  The
 reference below is the earlier form, kept here as the exactness oracle:
 one strongly connected component pass per losing priority over the
 vertices of at least that priority, through per-vertex successor
@@ -101,6 +102,43 @@ def reference_verify_strategy(
 # Strategies to verify: solved, lifted, and corrupted.
 
 
+def _tail_between_cycles(length: int) -> Game:
+    """An even-won 2-cycle, whose odd vertex may leave it for an acyclic
+    tail of ``length`` vertices that ends in an odd-won 2-cycle: the first
+    cycle reaches the whole tail, so a restricted graph that keeps the
+    exit peels none of it."""
+    end = length + 2
+    priority, owner = [2, 2], [ODD, EVEN]
+    successors = [[1, 2], [0]]
+    for t in range(2, end):
+        priority.append(3 + t % 3)
+        owner.append(t % 2)
+        successors.append([t + 1, min(t + 2, end)] if t % 2 == EVEN else [t + 1])
+    priority += [1, 4]
+    owner += [ODD, EVEN]
+    successors += [[end + 1], [end]]
+    return Game(priority, owner, successors)
+
+
+def _lead_ins_to_a_losing_cycle(sources: int, length: int) -> Game:
+    """An odd-won 2-cycle (vertices 0 and 1) behind ``sources`` acyclic
+    lead-ins of ``length`` vertices each, entering it at alternate
+    vertices; every fourth even lead-in vertex may also leave for an even
+    self-loop (vertex 2)."""
+    priority, owner = [1, 2, 0], [EVEN, ODD, EVEN]
+    successors = [[1], [0], [2]]
+    for k in range(sources):
+        for i in range(length):
+            v = len(priority)
+            priority.append(3 + (i + k) % 3)
+            owner.append((i + k) % 2)
+            succs = [v + 1 if i < length - 1 else k % 2]
+            if owner[v] == EVEN and i % 4 == 0:
+                succs.append(2)
+            successors.append(succs)
+    return Game(priority, owner, successors)
+
+
 def _games():
     rng = Xoshiro256StarStar(5150)
     games = [game_zoo(trial, rng) for trial in range(300)]
@@ -109,6 +147,8 @@ def _games():
               for q in (0, 1)]
     games += [alternating_chain(n) for n in (1, 6, 60)]
     games += [priority_ladder(n) for n in (1, 2, 9, 40)]
+    games += [_tail_between_cycles(n) for n in (1, 8, 60)]
+    games += [_lead_ins_to_a_losing_cycle(k, n) for k, n in ((1, 60), (3, 9), (4, 40))]
     return games
 
 
