@@ -106,6 +106,44 @@ def test_parse_is_whitespace_tolerant():
     assert g.successors == ((1,), (0, 1))
 
 
+def test_parse_sorts_and_deduplicates_a_successor_list():
+    g = parse_pgsolver("0 0 0 3,1,3;\n1 0 0 1;\n2 0 0 2;\n3 0 0 3;")
+    assert g.successors[0] == (1, 3)
+
+
+def test_parse_reads_ids_listed_in_reverse_order():
+    g = parse_pgsolver('parity 2;\n2 2 0 0 "c";\n1 1 1 2,0;\n0 0 0 1;')
+    assert_same_game(g, Game([0, 1, 2], [EVEN, ODD, EVEN], [[1], [0, 2], [0]], [None, None, "c"]))
+
+
+def test_parse_reads_leading_zeros():
+    lines = [f"{v} 0 0 {(v + 1) % 8};" for v in range(7)]
+    g = parse_pgsolver("\n".join(lines + ["007 003 1 000;"]))
+    assert g.priority[7] == 3 and g.owner[7] == ODD and g.successors[7] == (0,)
+
+
+def test_parse_names_the_line_of_a_trailing_comma():
+    with pytest.raises(FormatError, match=r"^line 3: bad successor list '1,2,'$") as info:
+        parse_pgsolver("parity 2;\n0 0 0 1;\n1 0 0 1,2,;\n2 0 0 0;")
+    assert info.value.line == 3
+
+
+def test_parse_names_the_line_of_a_successor_too_long_for_int():
+    with pytest.raises(FormatError, match="^line 2: bad successor list '1111") as info:
+        parse_pgsolver("0 0 0 0;\n1 0 0 " + "1" * 5000 + ";")
+    assert info.value.line == 2
+
+
+def test_parse_accepts_a_final_newline():
+    assert parse_pgsolver(G1_TEXT + "\n") == G1
+
+
+@pytest.mark.parametrize("text", ["parity 0;", "parity 0;\n"])
+def test_parse_rejects_a_text_that_is_only_the_header(text):
+    with pytest.raises(FormatError, match="^line 1: no vertices in input$"):
+        parse_pgsolver(text)
+
+
 def test_parse_max_convention_reflects_priorities():
     g = parse_pgsolver(G1_TEXT, convention="max")
     # max priority 1 rounds up to 2; 0 -> 2, 1 -> 1
