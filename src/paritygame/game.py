@@ -195,6 +195,16 @@ def _check_players(winner: Sequence, unit: str) -> None:
                 raise ValueError(f"{unit} {i}: winner {w!r} is not {EVEN} (even) or {ODD} (odd)")
 
 
+def _check_moves(moves: dict) -> None:
+    """Raise naming the first vertex of ``moves`` that is not an ``int``
+    or whose move is not one."""
+    for v, w in moves.items():
+        if type(v) is not int:
+            raise ValueError(f"strategy vertex {v!r} is not a vertex id")
+        if type(w) is not int:
+            raise ValueError(f"vertex {v}: strategy move {w!r} is not a vertex id")
+
+
 def _check_region(region: Sequence, n: int) -> None:
     """Raise naming the first entry of ``region`` that is not an ``int``
     vertex id in ``0..n-1``."""
@@ -242,8 +252,9 @@ def verify_strategy(
     the strategy-restricted graph inside the region has a minimum priority
     of the player's parity.  On failure the result carries an escaping
     edge, an uncovered vertex, or a witness cycle.  A ``player`` other than
-    :data:`EVEN` or :data:`ODD`, a strategy of the other player, or a
-    region entry that is not an ``int`` vertex id of the game raises
+    :data:`EVEN` or :data:`ODD`, a strategy of the other player, a
+    region entry that is not an ``int`` vertex id of the game, or a
+    strategy vertex or move that is not an ``int`` raises
     :class:`ValueError`.
 
     The cycle condition is checked by nested strongly connected components
@@ -267,10 +278,13 @@ def verify_strategy(
     moves = strategy.moves
     opponent = 1 - player
     region = list(region)
-    # ``0 <= v < n`` compares by value, so ``True`` and ``1.0`` would pass
-    # it; the type scan runs in C, and the loop only names the culprit
+    # ``0 <= v < n``, ``in`` and dict lookups compare by value, so ``True``
+    # and ``1.0`` would pass them; the type scans run in C, and the loops
+    # only name the culprit
     if not set(map(type, region)) <= {int}:
         _check_region(region, n)
+    if not set(map(type, chain(moves, moves.values()))) <= {int}:
+        _check_moves(moves)
     inside = [False] * n
     for v in region:
         if not 0 <= v < n:

@@ -7,12 +7,26 @@ Grammar::
     line     := <id> <priority> <owner> <succ> ("," <succ>)* name? ";"
     name     := '"' <characters> '"'
 
-Owner 0 is the even player, 1 the odd player.  Whitespace is free-form;
-comments are not supported.  Internally the toolkit always uses min-parity
+Owner 0 is the even player, 1 the odd player; comments are not supported.
+The reader accepts exactly this:
+
+- vertex lines in any order, with blank lines anywhere (a line is blank
+  when ``str.strip`` leaves nothing of it);
+- whitespace inside a line is ASCII (space, tab, ``\r``, ``\f``, ``\v``),
+  free-form between fields, so CRLF line ends read as LF ones;
+- the ids are ``0..n-1``, each on exactly one line, in decimal digits with
+  leading zeros allowed;
+- every vertex has a successor list, which is deduplicated and sorted;
+- a name holds neither ``"`` nor a line break, and ``""`` means no name;
+- the header is optional, but when present it must give the max id.
+
+The body is read in one regular-expression scan over the whole text, its
+numbers converted by ``int`` in bulk; only when the scan rejects the text
+is it read again line by line, to name the first bad line in a
+:class:`FormatError`.  Internally the toolkit always uses min-parity
 winner semantics: parsing with ``convention="max"`` reflects the priorities
-as read, before the game is built, so every parse constructs and
-normalises its game exactly once (writing converts back at the CLI
-boundary).
+as read, before the game is built, so every parse builds its game exactly
+once (writing converts back at the CLI boundary).
 
 A companion, equally line-oriented format stores solutions: a header
 ``solution <max-id>;`` followed by ``<id> <winner> (<move>)? ;`` per
@@ -25,8 +39,12 @@ max id.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, ge
+from typing import NoReturn
 
-from .game import EVEN, ODD, Game, Strategy, _check_players, _reflect
+from .game import EVEN, ODD, Game, Strategy, _check_players, _check_successors, _reflect
 from .solvers import Solution
 
 
@@ -48,6 +66,19 @@ _VERTEX_RE = re.compile(
     r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9](?:[0-9,\s]*[0-9,])?))?\s*(?:\"([^\"]*)\")?\s*;\s*$",
     re.ASCII,
 )
+# The same grammar for every line of a body at once: whitespace inside a
+# line is the ASCII whitespace of ``\s`` but the line break, and a line
+# holding only what ``str.strip`` removes (Unicode ``\s``, which is
+# ``str.isspace``) is blank.  No match crosses a line break, so every line
+# matches exactly when the matches number the lines.  Unlike
+# ``_VERTEX_RE`` it demands a successor list.
+_WS = r"[ \t\r\f\v]"
+_LINE_SCAN = re.compile(
+    rf"^(?:{_WS}*([0-9]+){_WS}+([0-9]+){_WS}+([01]){_WS}+([0-9](?:[0-9,{_WS[1:-1]}]*[0-9,])?)"
+    rf"{_WS}*(?:\"([^\"\n]*)\")?{_WS}*;{_WS}*|[^\S\n]*)$",
+    re.MULTILINE,
+)
+_OWNERS = {"0": EVEN, "1": ODD}
 
 
 def _header_max(header_re: re.Pattern, first_line: str) -> int | None:
@@ -91,72 +122,103 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         raise ValueError(f"unknown priority convention {convention!r}")
     if isinstance(text, bytes):
         text = _decode_utf8(text)
+    first, _, rest = text.partition("\n")
+    header_max = _header_max(_HEADER_RE, first)
+    # a header-only text leaves an empty body: one blank line
+    body, first_lineno = (text, 1) if header_max is None else (rest, 2)
 
-    ids: list[int] = []
-    priority: list[int] = []
-    owner: list[int] = []
-    successors: list[list[int]] = []
-    names: list[str | None] = []
-    # ``seen`` stays None while the ids run 0, 1, 2, ... in file order,
-    # which rules out duplicates without a set lookup per line.
-    seen: set[int] | None = None
-    lines = text.split("\n")
-    header_max = _header_max(_HEADER_RE, lines[0])
-    start = 0 if header_max is None else 1
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+    rows = _LINE_SCAN.findall(body)
+    if len(rows) != body.count("\n") + 1:
+        _diagnose(body, first_lineno)
+    columns = list(zip(*rows)) or [()] * 5
+    if "" in columns[0]:  # blank lines
+        keep = columns[0]
+        columns = [tuple(compress(column, keep)) for column in columns]
+    id_col, priority_col, owner_col, succ_col, name_col = columns
+    if not id_col:
+        raise FormatError(1, "no vertices in input")
+    try:
+        ids = list(map(int, id_col))
+        priority = tuple(map(int, priority_col))
+        flat = tuple(map(int, ",".join(succ_col).split(",")))
+    except ValueError:  # a number too long for ``int``, or an empty field
+        _diagnose(body, first_lineno)
+    owner = tuple(map(_OWNERS.__getitem__, owner_col))
+    successors = _cut_successors(succ_col, flat)
+    names = tuple([nm or None for nm in name_col]) if any(name_col) else None
+
+    n = len(ids)
+    identity = list(range(n))
+    if ids != identity:
+        order = sorted(range(n), key=ids.__getitem__)
+        if list(map(ids.__getitem__, order)) != identity:
+            seen = set(ids)
+            if len(seen) != n:
+                _diagnose(body, first_lineno)  # a duplicate id
+            missing = next(v for v in range(n) if v not in seen)
+            raise FormatError(1, f"vertex ids are not contiguous: {missing} is missing")
+        priority = tuple(map(priority.__getitem__, order))
+        owner = tuple(map(owner.__getitem__, order))
+        successors = list(map(successors.__getitem__, order))
+        if names is not None:
+            names = tuple(map(names.__getitem__, order))
+    _check_header_max(header_max, n)
+    if convention == "max":
+        priority = _reflect(priority)
+    if max(flat) >= n:
+        try:
+            _check_successors(successors, n)
+        except ValueError as exc:  # a dangling successor id
+            raise FormatError(1, str(exc)) from None
+    return Game._from_normalised(priority, owner, tuple(successors), names)
+
+
+def _cut_successors(fields: tuple[str, ...], flat: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The successor tuple of each successor field in ``fields``, cut from
+    ``flat``, the ids of all of them in order.  A tuple that is not
+    strictly ascending is deduplicated and sorted, as ``Game`` does."""
+    # each field ends where the commas up to it say
+    commas = accumulate(map(str.count, fields, repeat(",")))
+    ends = list(map(add, commas, range(1, len(fields) + 1)))
+    successors = list(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
+    # a drop inside a tuple, not at a boundary between two, means that
+    # tuple is not strictly ascending
+    drops = set(compress(range(1, len(flat)), map(ge, flat, islice(flat, 1, None))))
+    for k in {bisect_right(ends, j) for j in drops.difference(ends)}:
+        successors[k] = tuple(sorted(set(successors[k])))
+    return successors
+
+
+def _diagnose(body: str, first_lineno: int) -> NoReturn:
+    """Raise the :class:`FormatError` of the first line of ``body`` that
+    breaks the format, reading it line by line; ``first_lineno`` is the
+    number of its first line in the whole text.  Called only when the
+    bulk scan rejected ``body``, so some line does break it."""
+    seen: set[int] = set()
+    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
         m = _VERTEX_RE.match(raw)
         if m is None:
             if not raw.strip():
                 continue
             raise FormatError(lineno, f"cannot parse vertex line {raw.strip()!r}")
-        vid_text, prio_text, owner_text, succ_field, name = m.groups()
+        vid_text, prio_text, _, succ_field, _ = m.groups()
         # the fields are digits, so only a number longer than ``int``
         # converts can fail here
         try:
             vid = int(vid_text)
-            prio = int(prio_text)
+            int(prio_text)
         except ValueError:
             raise FormatError(lineno, "vertex id or priority has too many digits") from None
-        if seen is None and vid != len(ids):
-            seen = set(ids)
-        if seen is not None:
-            if vid in seen:
-                raise FormatError(lineno, f"duplicate vertex id {vid}")
-            seen.add(vid)
-        # The field starts with a digit and ends in a digit or comma, so it
-        # needs no stripping.
+        if vid in seen:
+            raise FormatError(lineno, f"duplicate vertex id {vid}")
+        seen.add(vid)
         if succ_field is None:
             raise FormatError(lineno, f"vertex {vid} has an empty successor list")
         try:
-            successors.append(list(map(int, succ_field.split(","))))
+            list(map(int, succ_field.split(",")))
         except ValueError:
             raise FormatError(lineno, f"bad successor list {succ_field!r}") from None
-        ids.append(vid)
-        priority.append(prio)
-        owner.append(int(owner_text))
-        names.append(name)
-
-    if not ids:
-        raise FormatError(1, "no vertices in input")
-    n = len(ids)
-    if seen is not None:
-        top = max(ids)
-        if top + 1 != n:
-            for vid in range(top + 1):
-                if vid not in seen:
-                    raise FormatError(1, f"vertex ids are not contiguous: {vid} is missing")
-        order = sorted(range(n), key=ids.__getitem__)
-        priority = [priority[i] for i in order]
-        owner = [owner[i] for i in order]
-        successors = [successors[i] for i in order]
-        names = [names[i] for i in order]
-    _check_header_max(header_max, n)
-    if convention == "max":
-        priority = _reflect(priority)
-    try:
-        return Game(priority, owner, successors, names)
-    except ValueError as exc:  # a dangling successor id
-        raise FormatError(1, str(exc)) from None
+    raise RuntimeError("the bulk scan rejected a text whose every line is well formed")
 
 
 def _check_not_empty(game: Game) -> None:

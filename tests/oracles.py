@@ -8,6 +8,9 @@ independently of the signature-refinement engine it cross-checks.
 :func:`solve_brute` enumerates one player's memoryless strategies and
 settles each by cycle analysis, independently of the solvers it
 cross-checks.
+:func:`reference_parse_pgsolver` reads PGSolver text one line at a time,
+as the library's reader did before it read the body in one scan; it is
+the reference that reader's results and errors are compared against.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import itertools
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from paritygame import EVEN, ODD, Game, Partition, Solution, Strategy
+from paritygame import EVEN, ODD, FormatError, Game, Partition, Solution, Strategy
+from paritygame.game import _reflect
 from paritygame.graphs import strongly_connected_components
+from paritygame.io import _HEADER_RE, _VERTEX_RE, _check_header_max, _decode_utf8, _header_max
 
 
 def reference_infinite_path(
@@ -268,3 +273,82 @@ def solve_brute(game: Game) -> Solution:
         Strategy(EVEN, {v: w for v, w in even_moves.items() if v in even_region}),
         Strategy(ODD, {v: w for v, w in odd_moves.items() if v in odd_region}),
     )
+
+
+def reference_parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
+    """Parse PGSolver text into a game.
+
+    ``convention`` states how priorities in the file are to be read:
+    ``"min"`` takes them verbatim, ``"max"`` reflects them so that internal
+    semantics is always min-parity.  ``bytes`` are decoded as UTF-8.
+    """
+    if convention not in ("min", "max"):
+        raise ValueError(f"unknown priority convention {convention!r}")
+    if isinstance(text, bytes):
+        text = _decode_utf8(text)
+
+    ids: list[int] = []
+    priority: list[int] = []
+    owner: list[int] = []
+    successors: list[list[int]] = []
+    names: list[str | None] = []
+    # ``seen`` stays None while the ids run 0, 1, 2, ... in file order,
+    # which rules out duplicates without a set lookup per line.
+    seen: set[int] | None = None
+    lines = text.split("\n")
+    header_max = _header_max(_HEADER_RE, lines[0])
+    start = 0 if header_max is None else 1
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        m = _VERTEX_RE.match(raw)
+        if m is None:
+            if not raw.strip():
+                continue
+            raise FormatError(lineno, f"cannot parse vertex line {raw.strip()!r}")
+        vid_text, prio_text, owner_text, succ_field, name = m.groups()
+        # the fields are digits, so only a number longer than ``int``
+        # converts can fail here
+        try:
+            vid = int(vid_text)
+            prio = int(prio_text)
+        except ValueError:
+            raise FormatError(lineno, "vertex id or priority has too many digits") from None
+        if seen is None and vid != len(ids):
+            seen = set(ids)
+        if seen is not None:
+            if vid in seen:
+                raise FormatError(lineno, f"duplicate vertex id {vid}")
+            seen.add(vid)
+        # The field starts with a digit and ends in a digit or comma, so it
+        # needs no stripping.
+        if succ_field is None:
+            raise FormatError(lineno, f"vertex {vid} has an empty successor list")
+        try:
+            successors.append(list(map(int, succ_field.split(","))))
+        except ValueError:
+            raise FormatError(lineno, f"bad successor list {succ_field!r}") from None
+        ids.append(vid)
+        priority.append(prio)
+        owner.append(int(owner_text))
+        names.append(name)
+
+    if not ids:
+        raise FormatError(1, "no vertices in input")
+    n = len(ids)
+    if seen is not None:
+        top = max(ids)
+        if top + 1 != n:
+            for vid in range(top + 1):
+                if vid not in seen:
+                    raise FormatError(1, f"vertex ids are not contiguous: {vid} is missing")
+        order = sorted(range(n), key=ids.__getitem__)
+        priority = [priority[i] for i in order]
+        owner = [owner[i] for i in order]
+        successors = [successors[i] for i in order]
+        names = [names[i] for i in order]
+    _check_header_max(header_max, n)
+    if convention == "max":
+        priority = _reflect(priority)
+    try:
+        return Game(priority, owner, successors, names)
+    except ValueError as exc:  # a dangling successor id
+        raise FormatError(1, str(exc)) from None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import alternating_chain, assert_same_game, priority_ladder, solve_zielonka
+from oracles import reference_parse_pgsolver
 from paritygame import (
     EVEN,
     ODD,
@@ -410,6 +411,89 @@ def test_mutated_text_raises_only_format_errors(g, data):
 @given(st.text(max_size=60))
 def test_arbitrary_text_raises_only_format_errors(text):
     _parses_or_raises_format_error(text)
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader against the line-by-line reference reader: the same game
+# with the same names, or the same FormatError on the same line.
+
+# whitespace between fields; inside a line it is ASCII, and a line of only
+# Unicode whitespace is blank
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\v", "\f", " \f\v\t"])
+BLANKS = st.sampled_from(["", " \t", "\u00a0", "\x1c"])
+
+
+@st.composite
+def varied_texts(draw):
+    """PGSolver text in every shape the format allows: lines in any
+    order with blank lines between them, LF or CRLF endings, any ASCII
+    whitespace between fields, ids and priorities with leading zeros,
+    successor lists unsorted or with duplicates, names that hold format
+    characters, and a header or none.  One text in about ten has a
+    dangling successor id."""
+    n = draw(st.integers(1, 12))
+    sep = draw(SEPARATORS)
+    name_text = draw(st.sampled_from([NAMES, st.text(";, 0123456789", max_size=5)]))
+
+    def number(value):
+        return "0" * draw(st.integers(0, 2)) + str(value)
+
+    comma = "," + draw(st.sampled_from(["", " ", "\v"]))
+    # now and then a text names the id past the last vertex
+    top = n - 1 if draw(st.integers(0, 9)) else n
+    lines = []
+    for v in range(n):
+        priority = number(draw(st.integers(0, 9)))
+        succs = comma.join(map(number, draw(st.lists(st.integers(0, top), min_size=1, max_size=4))))
+        name = draw(st.none() | name_text)
+        label = "" if name is None else f'{sep}"{name}"'
+        pad = sep if draw(st.booleans()) else ""
+        owner = draw(st.sampled_from("01"))
+        lines.append(f"{pad}{number(v)}{sep}{priority}{sep}{owner}{sep}{succs}{label}{pad};")
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANKS))
+    if draw(st.booleans()):
+        lines.insert(0, f"parity {n - 1};")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def _reads_as_the_reference_does(text):
+    for convention in ("min", "max"):
+        try:
+            expected = reference_parse_pgsolver(text, convention)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as info:
+                parse_pgsolver(text, convention)
+            assert (info.value.line, str(info.value)) == (exc.line, str(exc))
+        else:
+            got = parse_pgsolver(text, convention)
+            assert_same_game(got, expected)
+            assert got.names == expected.names
+
+
+@PROPERTY
+@given(varied_texts())
+def test_varied_text_reads_as_the_reference_reads_it(text):
+    _reads_as_the_reference_does(text)
+
+
+@PROPERTY
+@given(varied_texts(), st.data())
+def test_mutated_varied_text_reads_as_the_reference_reads_it(text, data):
+    _reads_as_the_reference_does(_mutate(text, data))
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_mutated_written_text_reads_as_the_reference_reads_it(g, data):
+    _reads_as_the_reference_does(_mutate(write_pgsolver(g), data))
+
+
+@PROPERTY
+@given(st.text(max_size=60) | st.text(' \t\r\n\v\f\x1c\u00a0,;"0123456789parity', max_size=40))
+def test_arbitrary_text_reads_as_the_reference_reads_it(text):
+    _reads_as_the_reference_does(text)
 
 
 def _solution_text(g, sol):

@@ -185,6 +185,17 @@ def test_verify_strategy_rejects_a_region_outside_the_game(g4, vertex):
         verify_strategy(g4, EVEN, [0, 1, vertex], Strategy(EVEN, {0: 1, 1: 1}))
 
 
+@pytest.mark.parametrize("move", [True, 1.0, "1"])
+def test_verify_strategy_rejects_a_move_that_is_no_vertex_id(g4, move):
+    # True used to be taken as vertex 1 and verified; 1.0 escaped as a
+    # TypeError from indexing
+    text = re.escape(repr(move))
+    with pytest.raises(ValueError, match=f"^vertex 0: strategy move {text} is not a vertex id$"):
+        verify_strategy(g4, EVEN, [0, 1], Strategy(EVEN, {0: move, 1: 1}))
+    with pytest.raises(ValueError, match=f"^strategy vertex {text} is not a vertex id$"):
+        verify_strategy(g4, EVEN, [0, 1], Strategy(EVEN, {0: 1, move: 1}))
+
+
 def test_verify_strategy_rejects_a_non_player_and_a_foreign_strategy():
     # with player 2 the opponent was -1, so no cycle could lose
     g = gen_chain(3, 1, ODD, 0)
