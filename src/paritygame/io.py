@@ -74,7 +74,7 @@ _VERTEX_RE = re.compile(
 # ``_VERTEX_RE`` it demands a successor list.
 _WS = r"[ \t\r\f\v]"
 _LINE_SCAN = re.compile(
-    rf"^(?:{_WS}*([0-9]+){_WS}+([0-9]+){_WS}+([01]){_WS}+([0-9](?:[0-9,{_WS[1:-1]}]*[0-9,])?)"
+    rf"^(?:{_WS}*([0-9]+){_WS}+([0-9]+){_WS}+([01]){_WS}+([0-9](?:[0-9, \t\r\f\v]*[0-9,])?)"
     rf"{_WS}*(?:\"([^\"\n]*)\")?{_WS}*;{_WS}*|[^\S\n]*)$",
     re.MULTILINE,
 )
@@ -130,7 +130,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     rows = _LINE_SCAN.findall(body)
     if len(rows) != body.count("\n") + 1:
         _diagnose(body, first_lineno)
-    columns = list(zip(*rows)) or [()] * 5
+    columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
     if "" in columns[0]:  # blank lines
         keep = columns[0]
         columns = [tuple(compress(column, keep)) for column in columns]
@@ -150,13 +150,13 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     n = len(ids)
     identity = list(range(n))
     if ids != identity:
-        order = sorted(range(n), key=ids.__getitem__)
-        if list(map(ids.__getitem__, order)) != identity:
+        if sorted(ids) != identity:
             seen = set(ids)
             if len(seen) != n:
                 _diagnose(body, first_lineno)  # a duplicate id
             missing = next(v for v in range(n) if v not in seen)
             raise FormatError(1, f"vertex ids are not contiguous: {missing} is missing")
+        order = sorted(range(n), key=ids.__getitem__)
         priority = tuple(map(priority.__getitem__, order))
         owner = tuple(map(owner.__getitem__, order))
         successors = list(map(successors.__getitem__, order))
