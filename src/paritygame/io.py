@@ -1,4 +1,4 @@
-"""Reading and writing games in the PGSolver text format.
+r"""Reading and writing games in the PGSolver text format.
 
 Grammar::
 
@@ -21,30 +21,40 @@ The reader accepts exactly this:
 - the header is optional, but when present it must give the max id.
 
 The body is read in one regular-expression scan over the whole text, its
-numbers converted by ``int`` in bulk; only when the scan rejects the text
-is it read again line by line, to name the first bad line in a
-:class:`FormatError`.  Internally the toolkit always uses min-parity
-winner semantics: parsing with ``convention="max"`` reflects the priorities
-as read, before the game is built, so every parse builds its game exactly
-once (writing converts back at the CLI boundary).
+numbers converted in bulk; only when the scan rejects the text is it read
+again line by line, to name the first bad line in a :class:`FormatError`.
+The body :func:`write_pgsolver` writes (lines ``<id> <priority> <owner>
+<succ>,...,<succ>;`` with single spaces and no name, LF ends, an optional
+final newline) skips the scan: one match checks it and one split cuts its
+fields.  Any other body takes the scan; both build the same game and
+raise the same errors.  The successor fields, once the match or the scan
+has limited them to digits, commas and ASCII whitespace, go to one JSON
+decode; those JSON refuses (leading zeros, a form feed or vertical tab,
+more digits than ``int`` reads) are read with ``int``.  Internally the
+toolkit always uses min-parity winner semantics: parsing with
+``convention="max"`` reflects the priorities as read, before the game is
+built, so every parse builds its game exactly once (writing converts back
+at the CLI boundary).
 
 A companion, equally line-oriented format stores solutions: a header
 ``solution <max-id>;`` followed by ``<id> <winner> (<move>)? ;`` per
 vertex, the move being present exactly when the winner owns the vertex.
 A solution is read against its game: one line for each of the game's
 vertices, in any order, and an optional header that declares the game's
-max id.
+max id.  It too is read in one scan, and line by line only to name a bad
+line.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, ge
-from typing import NoReturn
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, compress, islice, repeat, starmap
+from operator import add, eq, ge, itemgetter
+from typing import NoReturn, Sequence
 
-from .game import EVEN, ODD, Game, Strategy, _check_players, _check_successors, _reflect
+from .game import EVEN, ODD, Game, Strategy, _check_players, _reflect
 from .solvers import Solution
 
 
@@ -78,6 +88,19 @@ _LINE_SCAN = re.compile(
     rf"{_WS}*(?:\"([^\"\n]*)\")?{_WS}*;{_WS}*|[^\S\n]*)$",
     re.MULTILINE,
 )
+# The body ``write_pgsolver`` writes: vertex lines of single-space-separated
+# fields and no name, LF ends, an optional final newline.  Every repeat is
+# possessive: a greedy line repeat keeps backtracking state for each line
+# (6.8 MB at 10,000 lines), and no digit run has a digit to give back.  A
+# line break is taken with the line after it, leaving a final newline to
+# ``\n?``.  Python 3.10 has no possessive repeat: there every body takes
+# ``_LINE_SCAN``.
+_WRITER_LINE = r"[0-9]++ [0-9]++ [01] [0-9]++(?:,[0-9]++)*+;"
+try:
+    _WRITER_FORM: re.Pattern | None = re.compile(rf"{_WRITER_LINE}(?:\n{_WRITER_LINE})*+\n?")
+except re.error:
+    _WRITER_FORM = None
+_DROP_SEMICOLON = itemgetter(slice(-1))
 _OWNERS = {"0": EVEN, "1": ODD}
 
 
@@ -127,28 +150,36 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     # a header-only text leaves an empty body: one blank line
     body, first_lineno = (text, 1) if header_max is None else (rest, 2)
 
-    rows = _LINE_SCAN.findall(body)
-    if len(rows) != body.count("\n") + 1:
-        _diagnose(body, first_lineno)
-    columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
-    if "" in columns[0]:  # blank lines
-        keep = columns[0]
-        columns = [tuple(compress(column, keep)) for column in columns]
-    id_col, priority_col, owner_col, succ_col, name_col = columns
-    if not id_col:
-        raise FormatError(1, "no vertices in input")
+    if _WRITER_FORM is not None and _WRITER_FORM.fullmatch(body):
+        fields = body.split()
+        id_col, priority_col, owner_col = fields[0::4], fields[1::4], fields[2::4]
+        succ_col = list(map(_DROP_SEMICOLON, fields[3::4]))
+        del fields  # and the successor fields with their ``;``
+        names = None
+    else:
+        rows = _LINE_SCAN.findall(body)
+        if len(rows) != body.count("\n") + 1:
+            _diagnose(body, first_lineno)
+        columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
+        if "" in columns[0]:  # blank lines
+            keep = columns[0]
+            columns = [tuple(compress(column, keep)) for column in columns]
+        id_col, priority_col, owner_col, succ_col, name_col = columns
+        if not id_col:
+            raise FormatError(1, "no vertices in input")
+        names = tuple([nm or None for nm in name_col]) if any(name_col) else None
+
     try:
         ids = list(map(int, id_col))
         priority = tuple(map(int, priority_col))
-        flat = tuple(map(int, ",".join(succ_col).split(",")))
+        successors, top = _decode_successors(succ_col)
     except ValueError:  # a number too long for ``int``, or an empty field
         _diagnose(body, first_lineno)
     owner = tuple(map(_OWNERS.__getitem__, owner_col))
-    successors = _cut_successors(succ_col, flat)
-    names = tuple([nm or None for nm in name_col]) if any(name_col) else None
 
     n = len(ids)
     identity = list(range(n))
+    order = identity
     if ids != identity:
         if sorted(ids) != identity:
             seen = set(ids)
@@ -165,15 +196,44 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     _check_header_max(header_max, n)
     if convention == "max":
         priority = _reflect(priority)
-    if max(flat) >= n:
-        try:
-            _check_successors(successors, n)
-        except ValueError as exc:  # a dangling successor id
-            raise FormatError(1, str(exc)) from None
+    if top >= n:
+        # the least vertex with a dangling id, and its least such id, named
+        # at the vertex's line: the ``order[v]``-th line that is not blank
+        v = next(v for v, succs in enumerate(successors) if succs[-1] >= n)
+        succs = successors[v]
+        linenos = (k for k, raw in enumerate(body.split("\n"), first_lineno) if raw.strip())
+        raise FormatError(
+            next(islice(linenos, order[v], None)),
+            f"dangling successor id {succs[bisect_left(succs, n)]} at vertex {v}",
+        )
     return Game._from_normalised(priority, owner, tuple(successors), names)
 
 
-def _cut_successors(fields: tuple[str, ...], flat: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _decode_successors(fields: Sequence[str]) -> tuple[list[tuple[int, ...]], int]:
+    """The successor tuple of each successor field in ``fields``, and the
+    largest id of all.  A tuple that is not strictly ascending is
+    deduplicated and sorted, as ``Game`` does.  Raises :class:`ValueError`
+    for a field that is no comma list of numbers ``int`` converts.
+
+    The fields hold only digits, commas and ASCII whitespace, as a scan
+    has checked, so each reads as the body of a JSON array, and one
+    decode reads them all.  JSON refuses some of them (leading zeros, a
+    form feed or vertical tab, a number past ``int``'s digit limit, a bad
+    list): those are read with ``int``."""
+    try:
+        lists = json.loads("[[" + "],[".join(fields) + "]]")
+    except ValueError:
+        flat = tuple(map(int, ",".join(fields).split(",")))
+        return _cut_successors(fields, flat), max(flat)
+    flat = list(chain.from_iterable(lists))
+    for k in _unsorted(flat, list(accumulate(map(len, lists)))):
+        lists[k] = sorted(set(lists[k]))
+    # tuples, each list let go as it is converted
+    lists.reverse()
+    return list(map(tuple, starmap(lists.pop, repeat((), len(lists))))), max(flat)
+
+
+def _cut_successors(fields: Sequence[str], flat: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The successor tuple of each successor field in ``fields``, cut from
     ``flat``, the ids of all of them in order.  A tuple that is not
     strictly ascending is deduplicated and sorted, as ``Game`` does."""
@@ -181,12 +241,19 @@ def _cut_successors(fields: tuple[str, ...], flat: tuple[int, ...]) -> list[tupl
     commas = accumulate(map(str.count, fields, repeat(",")))
     ends = list(map(add, commas, range(1, len(fields) + 1)))
     successors = list(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
-    # a drop inside a tuple, not at a boundary between two, means that
-    # tuple is not strictly ascending
-    drops = set(compress(range(1, len(flat)), map(ge, flat, islice(flat, 1, None))))
-    for k in {bisect_right(ends, j) for j in drops.difference(ends)}:
+    for k in _unsorted(flat, ends):
         successors[k] = tuple(sorted(set(successors[k])))
     return successors
+
+
+def _unsorted(flat: Sequence[int], ends: list[int]) -> set[int]:
+    """The indices of the lists that are not strictly ascending, among
+    lists laid end to end in ``flat`` with the ``k``-th ending at
+    ``ends[k]``."""
+    # a drop inside a list, not at a boundary between two, means that
+    # list is not strictly ascending
+    drops = set(compress(range(1, len(flat)), map(ge, flat, islice(flat, 1, None))))
+    return {bisect_right(ends, j) for j in drops.difference(ends)}
 
 
 def _diagnose(body: str, first_lineno: int) -> NoReturn:
@@ -277,21 +344,72 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
 
 _SOLUTION_RE = re.compile(r"^\s*(\d+)\s+([01])(?:\s+(\d+))?\s*;\s*$", re.ASCII)
 _SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$", re.ASCII)
+# ``_SOLUTION_RE`` for every line of a body at once, as ``_LINE_SCAN`` is
+# ``_VERTEX_RE``; a line without a move leaves its move field empty.
+_SOLUTION_SCAN = re.compile(
+    rf"^(?:{_WS}*([0-9]+){_WS}+([01])(?:{_WS}+([0-9]+))?{_WS}*;{_WS}*|[^\S\n]*)$",
+    re.MULTILINE,
+)
 
 
 def parse_solution(text: str | bytes, game: Game) -> Solution:
     """Read solution text against ``game`` into the :class:`Solution` it
     states.  Text that breaks the format for this game raises
-    :class:`FormatError` naming the line.  ``bytes`` are decoded as UTF-8."""
+    :class:`FormatError` naming the line.  ``bytes`` are decoded as UTF-8.
+
+    Like the game reader, it reads the body in one scan and checks it in
+    bulk, and reads it again line by line only to name a bad line."""
     if isinstance(text, bytes):
         text = _decode_utf8(text)
+    first, _, rest = text.partition("\n")
+    header_max = _header_max(_SOLUTION_HEADER_RE, first)
+    body, first_lineno = (text, 1) if header_max is None else (rest, 2)
+
+    rows = _SOLUTION_SCAN.findall(body)
+    if len(rows) != body.count("\n") + 1:
+        _diagnose_solution(body, first_lineno, game)
+    id_col, winner_col, move_col = zip(*rows)  # a body has a line
+    if "" in id_col:  # blank lines
+        id_col, winner_col, move_col = (
+            tuple(compress(column, id_col)) for column in (id_col, winner_col, move_col)
+        )
     n, owner = game.vertex_count, game.owner
-    winner: list[int | None] = [None] * n
-    moves: tuple[dict[int, int], dict[int, int]] = ({}, {})  # by player
-    lines = text.split("\n")
-    header_max = _header_max(_SOLUTION_HEADER_RE, lines[0])
-    start = 0 if header_max is None else 1
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+    has_move = list(map(bool, move_col))
+    try:
+        ids = list(map(int, id_col))
+        move_list = list(map(int, compress(move_col, has_move)))
+    except ValueError:  # a number too long for ``int``
+        _diagnose_solution(body, first_lineno, game)
+    winners = list(map(_OWNERS.__getitem__, winner_col))
+    # each id inside the game and on one line, and a move exactly where
+    # the vertex's winner owns it
+    if (
+        max(ids, default=-1) >= n
+        or len(set(ids)) != len(ids)
+        or list(map(eq, map(owner.__getitem__, ids), winners)) != has_move
+    ):
+        _diagnose_solution(body, first_lineno, game)
+    if len(ids) != n:
+        seen = set(ids)
+        raise FormatError(1, f"vertex {next(v for v in range(n) if v not in seen)} has no line")
+    _check_header_max(header_max, n)
+
+    winner = winners
+    if ids != list(range(n)):
+        winner = list(map(winners.__getitem__, sorted(range(n), key=ids.__getitem__)))
+    moved = list(zip(compress(ids, has_move), move_list))
+    move_winners = list(compress(winners, has_move))
+    even, odd = (dict(compress(moved, map(eq, move_winners, repeat(p)))) for p in (EVEN, ODD))
+    return Solution(winner, Strategy(EVEN, even), Strategy(ODD, odd))
+
+
+def _diagnose_solution(body: str, first_lineno: int, game: Game) -> NoReturn:
+    """Raise the :class:`FormatError` of the first line of the solution
+    ``body`` that breaks the format for ``game``, reading it line by line,
+    as :func:`_diagnose` does for a game's body."""
+    n, owner = game.vertex_count, game.owner
+    seen: set[int] = set()
+    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
         if not raw.strip():
             continue
         m = _SOLUTION_RE.match(raw)
@@ -304,17 +422,13 @@ def parse_solution(text: str | bytes, game: Game) -> Solution:
             raise FormatError(lineno, "vertex id or move has too many digits") from None
         if vid >= n:
             raise FormatError(lineno, f"vertex id {vid} is outside the game's {n} vertices")
-        if winner[vid] is not None:
+        if vid in seen:
             raise FormatError(lineno, f"duplicate vertex id {vid}")
-        w = winner[vid] = int(m.group(2))
+        seen.add(vid)
+        w = int(m.group(2))
         if move is None and owner[vid] == w:
             raise FormatError(lineno, f"vertex {vid} is won by its owner {w}, but has no move")
-        if move is not None:
-            if owner[vid] != w:
-                raise FormatError(lineno, f"vertex {vid}: the solution gives a move, "
-                                  f"but its winner {w} does not own it")
-            moves[w][vid] = move
-    if None in winner:
-        raise FormatError(1, f"vertex {winner.index(None)} has no line")
-    _check_header_max(header_max, n)
-    return Solution(winner, Strategy(EVEN, moves[EVEN]), Strategy(ODD, moves[ODD]))
+        if move is not None and owner[vid] != w:
+            raise FormatError(lineno, f"vertex {vid}: the solution gives a move, "
+                              f"but its winner {w} does not own it")
+    raise RuntimeError("the bulk scan rejected a solution whose every line is well formed")

@@ -8,9 +8,10 @@ independently of the signature-refinement engine it cross-checks.
 :func:`solve_brute` enumerates one player's memoryless strategies and
 settles each by cycle analysis, independently of the solvers it
 cross-checks.
-:func:`reference_parse_pgsolver` reads PGSolver text one line at a time,
-as the library's reader did before it read the body in one scan; it is
-the reference that reader's results and errors are compared against.
+:func:`reference_parse_pgsolver` and :func:`reference_parse_solution`
+read game and solution text one line at a time, as the library's readers
+did before they read the body in one scan; they are the references those
+readers' results and errors are compared against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from typing import Callable, Iterable, Sequence
 from paritygame import EVEN, ODD, FormatError, Game, Partition, Solution, Strategy
 from paritygame.game import _reflect
 from paritygame.graphs import strongly_connected_components
-from paritygame.io import _HEADER_RE, _VERTEX_RE, _check_header_max, _decode_utf8, _header_max
+from paritygame.io import (
+    _HEADER_RE,
+    _SOLUTION_HEADER_RE,
+    _SOLUTION_RE,
+    _VERTEX_RE,
+    _check_header_max,
+    _decode_utf8,
+    _header_max,
+)
 
 
 def reference_infinite_path(
@@ -292,6 +301,7 @@ def reference_parse_pgsolver(text: str | bytes, convention: str = "min") -> Game
     owner: list[int] = []
     successors: list[list[int]] = []
     names: list[str | None] = []
+    linenos: list[int] = []
     # ``seen`` stays None while the ids run 0, 1, 2, ... in file order,
     # which rules out duplicates without a set lookup per line.
     seen: set[int] | None = None
@@ -330,6 +340,7 @@ def reference_parse_pgsolver(text: str | bytes, convention: str = "min") -> Game
         priority.append(prio)
         owner.append(int(owner_text))
         names.append(name)
+        linenos.append(lineno)
 
     if not ids:
         raise FormatError(1, "no vertices in input")
@@ -345,10 +356,53 @@ def reference_parse_pgsolver(text: str | bytes, convention: str = "min") -> Game
         owner = [owner[i] for i in order]
         successors = [successors[i] for i in order]
         names = [names[i] for i in order]
+        linenos = [linenos[i] for i in order]
     _check_header_max(header_max, n)
     if convention == "max":
         priority = _reflect(priority)
     try:
         return Game(priority, owner, successors, names)
-    except ValueError as exc:  # a dangling successor id
-        raise FormatError(1, str(exc)) from None
+    except ValueError as exc:  # a dangling successor id, named at its vertex's line
+        v = next(v for v, succs in enumerate(successors) if max(succs) >= n)
+        raise FormatError(linenos[v], str(exc)) from None
+
+
+def reference_parse_solution(text: str | bytes, game: Game) -> Solution:
+    """Read solution text against ``game`` into the :class:`Solution` it
+    states.  Text that breaks the format for this game raises
+    :class:`FormatError` naming the line.  ``bytes`` are decoded as UTF-8."""
+    if isinstance(text, bytes):
+        text = _decode_utf8(text)
+    n, owner = game.vertex_count, game.owner
+    winner: list[int | None] = [None] * n
+    moves: tuple[dict[int, int], dict[int, int]] = ({}, {})  # by player
+    lines = text.split("\n")
+    header_max = _header_max(_SOLUTION_HEADER_RE, lines[0])
+    start = 0 if header_max is None else 1
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        if not raw.strip():
+            continue
+        m = _SOLUTION_RE.match(raw)
+        if m is None:
+            raise FormatError(lineno, f"cannot parse solution line {raw.strip()!r}")
+        try:
+            vid = int(m.group(1))
+            move = None if m.group(3) is None else int(m.group(3))
+        except ValueError:
+            raise FormatError(lineno, "vertex id or move has too many digits") from None
+        if vid >= n:
+            raise FormatError(lineno, f"vertex id {vid} is outside the game's {n} vertices")
+        if winner[vid] is not None:
+            raise FormatError(lineno, f"duplicate vertex id {vid}")
+        w = winner[vid] = int(m.group(2))
+        if move is None and owner[vid] == w:
+            raise FormatError(lineno, f"vertex {vid} is won by its owner {w}, but has no move")
+        if move is not None:
+            if owner[vid] != w:
+                raise FormatError(lineno, f"vertex {vid}: the solution gives a move, "
+                                  f"but its winner {w} does not own it")
+            moves[w][vid] = move
+    if None in winner:
+        raise FormatError(1, f"vertex {winner.index(None)} has no line")
+    _check_header_max(header_max, n)
+    return Solution(winner, Strategy(EVEN, moves[EVEN]), Strategy(ODD, moves[ODD]))

@@ -1,14 +1,16 @@
 """PGSolver format parsing/writing and the solution format."""
 
 import re
+import tracemalloc
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import alternating_chain, assert_same_game, priority_ladder, solve_zielonka
-from oracles import reference_parse_pgsolver
+from oracles import reference_parse_pgsolver, reference_parse_solution
 from paritygame import (
     EVEN,
     ODD,
@@ -27,6 +29,7 @@ from paritygame import (
     write_pgsolver,
     write_solution,
 )
+import paritygame.io as pgio
 
 G1_TEXT = "parity 1;\n0 0 0 1;\n1 1 1 0;"
 # g1: vertex 0 is even-owned, vertex 1 odd-owned, and even wins both
@@ -58,11 +61,21 @@ def test_parse_duplicate_vertex_rejected():
 
 
 def test_parse_dangling_successor_rejected():
-    with pytest.raises(FormatError, match="dangling"):
-        parse_pgsolver("0 0 0 1,7;\n1 1 1 0;")
-    # the first id past the last vertex is dangling too
-    with pytest.raises(FormatError, match="dangling successor id 2 at vertex 1"):
-        parse_pgsolver("1 1 1 0,2;\n0 0 0 1;")
+    # the least vertex with a dangling id is named, with the least of its
+    # dangling ids, at that vertex's line
+    cases = [
+        ("0 0 0 1,7;\n1 1 1 0;", 1, "dangling successor id 7 at vertex 0"),
+        # the first id past the last vertex is dangling too
+        ("1 1 1 0,2;\n0 0 0 1;", 1, "dangling successor id 2 at vertex 1"),
+        ("0 0 0 0;\n1 0 0 0,5;", 2, "dangling successor id 5 at vertex 1"),
+        ("parity 2;\n0 0 0 0;\n\n1 0 0 1;\n2 0 0 9;", 5, "dangling successor id 9 at vertex 2"),
+        ("parity 3;\n0 0 0 0;\n\n3 0 0 8;\n1 0 0 1;\n2 0 0 9,7;", 6,
+         "dangling successor id 7 at vertex 2"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(FormatError, match=f"^line {line}: {message}$") as info:
+            parse_pgsolver(text)
+        assert info.value.line == line
 
 
 def test_parse_gap_in_ids_rejected():
@@ -496,6 +509,127 @@ def test_arbitrary_text_reads_as_the_reference_reads_it(text):
     _reads_as_the_reference_does(text)
 
 
+# ---------------------------------------------------------------------------
+# The lane for the body ``write_pgsolver`` writes: one match and one split
+# in place of the line scan, and the same games and errors.
+
+needs_lane = pytest.mark.skipif(
+    pgio._WRITER_FORM is None, reason="no possessive repeat: every body takes the line scan"
+)
+
+
+class _ScanSpy:
+    """Stands in for ``pgio._LINE_SCAN``, counting the bodies it scans."""
+
+    scan = pgio._LINE_SCAN
+
+    def __init__(self):
+        self.calls = 0
+
+    def findall(self, body):
+        self.calls += 1
+        return self.scan.findall(body)
+
+
+@st.composite
+def writer_texts(draw):
+    """``write_pgsolver`` text of a game without names, now and then varied
+    in ways the writer's form allows but the writer never writes: lines in
+    any order, leading zeros in ids, priorities and successors, successor
+    lists unsorted or with repeats, a dangling id, a missing line, a wrong
+    header or none, a final newline."""
+    g = draw(games())
+    header, *lines = write_pgsolver(Game(g.priority, g.owner, g.successors)).split("\n")
+    n = len(lines)
+    leading_zeros = draw(st.integers(0, 4)) == 0
+
+    def number(digits):
+        return "0" * draw(st.integers(0, 2)) + digits if leading_zeros else digits
+
+    rows = []
+    for line in lines:
+        vid, priority, owner, succs = line[:-1].split(" ")
+        succs = succs.split(",")
+        if draw(st.integers(0, 4)) == 0:
+            succs = draw(st.permutations(succs + draw(st.lists(st.sampled_from(succs), max_size=2))))
+        rows.append([number(vid), number(priority), owner, ",".join(map(number, succs))])
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from(rows))[3] += f",{n + draw(st.integers(0, 2))}"
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        del rows[draw(st.integers(0, n - 1))]
+    lines = [f"{vid} {priority} {owner} {succs};" for vid, priority, owner, succs in rows]
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    header = draw(st.sampled_from([header, header, f"parity {n};", None]))
+    text = "\n".join(lines if header is None else [header, *lines])
+    return text + "\n" if draw(st.booleans()) else text
+
+
+@PROPERTY
+@given(writer_texts())
+def test_writer_text_reads_as_the_reference_reads_it(text):
+    spy = _ScanSpy()
+    with mock.patch.object(pgio, "_LINE_SCAN", spy):
+        _reads_as_the_reference_does(text)
+    # one parse per convention, and without the lane each scans the body
+    assert spy.calls == (0 if pgio._WRITER_FORM is not None else 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'parity 1;\n0 0 0 1 "a";\n1 1 1 0;',
+        "parity 1;\n0 0 0 1;\n\n1 1 1 0;",
+        "parity 1;\n0 0 0 1;\n1\t1 1 0;",
+        "parity 1;\r\n0 0 0 1;\r\n1 1 1 0;\r\n",
+        "parity 1;\n0 0 0 1;\n1 1 1 0, 1;",
+    ],
+    ids=["name", "blank-line", "tab", "crlf", "comma-space"],
+)
+def test_text_outside_the_writers_form_takes_the_line_scan(text):
+    spy = _ScanSpy()
+    with mock.patch.object(pgio, "_LINE_SCAN", spy):
+        parse_pgsolver(text)
+    assert spy.calls == 1
+
+
+@needs_lane
+def test_the_writers_form_match_keeps_no_state_per_line():
+    # a greedy line repeat keeps backtracking state for every line:
+    # megabytes here
+    body = write_pgsolver(gen_random(20000, 5, 3, 1)).partition("\n")[2]
+    tracemalloc.start()
+    try:
+        assert pgio._WRITER_FORM.fullmatch(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_the_writers_form_reads_the_same_through_the_line_scan(monkeypatch):
+    texts = [
+        write_pgsolver(gen_random(300, 4, 6, 2)),
+        "parity 3;\n3 2 0 0,2,2;\n1 1 1 3,0;\n0 0 0 1;\n2 5 1 002;\n",
+    ]
+    with_lane = [parse_pgsolver(text, convention) for text in texts for convention in ("min", "max")]
+    monkeypatch.setattr(pgio, "_WRITER_FORM", None)
+    assert [parse_pgsolver(text, convention)
+            for text in texts for convention in ("min", "max")] == with_lane
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [("3,1,3", "0", "2,1"), ("01,2", "0"), ("1,\v2", "0,\f1"), ("1 ,\r2", "1, 0")],
+    ids=["json", "leading-zero", "form-feed", "ascii-space"],
+)
+def test_successor_fields_json_refuses_read_as_int_reads_them(fields):
+    # every field is one the line scan lets through
+    lists = [sorted(set(map(int, field.split(",")))) for field in fields]
+    successors, top = pgio._decode_successors(fields)
+    assert successors == list(map(tuple, lists)) and top == max(map(max, lists))
+
+
 def _solution_text(g, sol):
     return write_solution(g, sol.winner, sol.strategy_even, sol.strategy_odd)
 
@@ -542,3 +676,33 @@ def test_mutated_solution_text_raises_only_format_errors(g, data):
 @given(games(), st.text(max_size=60))
 def test_arbitrary_solution_text_raises_only_format_errors(g, text):
     _solution_parses_or_raises_format_error(text, g)
+
+
+def _solution_reads_as_the_reference_does(text, g):
+    try:
+        expected = reference_parse_solution(text, g)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            parse_solution(text, g)
+        assert (info.value.line, str(info.value)) == (exc.line, str(exc))
+    else:
+        assert parse_solution(text, g) == expected
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_permuted_or_mutated_solution_text_reads_as_the_reference_reads_it(g, data):
+    header, *lines = _solution_text(g, solve(g)).split("\n")
+    lines = data.draw(st.permutations(lines))
+    if data.draw(st.booleans()):
+        lines.insert(0, header)
+    text = "\n".join(lines)
+    if data.draw(st.booleans()):
+        text = _mutate(text, data)
+    _solution_reads_as_the_reference_does(text, g)
+
+
+@PROPERTY
+@given(games(), st.text(max_size=60) | st.text(' \t\r\n\v\f\x1c\u00a0;0123456789solution', max_size=40))
+def test_arbitrary_solution_text_reads_as_the_reference_reads_it(g, text):
+    _solution_reads_as_the_reference_does(text, g)
