@@ -120,7 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a game, print the solution")
     p_solve.add_argument("file")
     p_solve.add_argument(
-        "--algorithm", choices=ALGORITHMS, default="zielonka"
+        "--algorithm",
+        choices=ALGORITHMS,
+        default="zielonka",
+        help="solver (default: zielonka); spm can take seconds or minutes on "
+        "games with about as many priorities as vertices",
     )
     p_solve.set_defaults(run=_cmd_solve)
 

@@ -29,20 +29,22 @@ final newline) skips the scan: one match checks it and one split cuts its
 fields.  Any other body takes the scan; both build the same game and
 raise the same errors.  The successor fields, once the match or the scan
 has limited them to digits, commas and ASCII whitespace, go to one JSON
-decode; those JSON refuses (leading zeros, a form feed or vertical tab,
-more digits than ``int`` reads) are read with ``int``.  Internally the
-toolkit always uses min-parity winner semantics: parsing with
-``convention="max"`` reflects the priorities as read, before the game is
-built, so every parse builds its game exactly once (writing converts back
-at the CLI boundary).
+decode; when JSON refuses them (leading zeros, a form feed or vertical
+tab, more digits than ``int`` reads), each field is read with ``int``.
+Internally the toolkit always uses min-parity winner semantics: parsing
+with ``convention="max"`` reflects the priorities as read, before the game
+is built, so every parse builds its game exactly once (writing converts
+back at the CLI boundary).
 
 A companion, equally line-oriented format stores solutions: a header
 ``solution <max-id>;`` followed by ``<id> <winner> (<move>)? ;`` per
 vertex, the move being present exactly when the winner owns the vertex.
 A solution is read against its game: one line for each of the game's
 vertices, in any order, and an optional header that declares the game's
-max id.  It too is read in one scan, and line by line only to name a bad
-line.
+max id.  Its body is read by the core that reads a game's body outside
+the writer's form: the header split off, one scan, and a line-by-line
+reading only to name a bad line.  Each line grammar is stated once, and
+both the scan and that reading match it.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat, starmap
-from operator import add, eq, ge, itemgetter
-from typing import NoReturn, Sequence
+from operator import eq, ge, itemgetter
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .game import EVEN, ODD, Game, Strategy, _check_players, _reflect
 from .solvers import Solution
@@ -69,23 +72,32 @@ class FormatError(ValueError):
 # All patterns are ASCII-only: a Unicode ``\d`` would also take digits
 # such as "\u0661" or "\uff10", which ``int`` then converts.
 _HEADER_RE = re.compile(r"^\s*parity\s+(\d+)\s*;\s*$", re.ASCII)
-# The successor field runs from a digit to its last digit or comma; spelled
-# greedily rather than as a lazy ``[0-9][0-9,\s]*?`` it matches the same
-# text without retrying the rest of the pattern after every character.
-_VERTEX_RE = re.compile(
-    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9](?:[0-9,\s]*[0-9,])?))?\s*(?:\"([^\"]*)\")?\s*;\s*$",
-    re.ASCII,
-)
-# The same grammar for every line of a body at once: whitespace inside a
-# line is the ASCII whitespace of ``\s`` but the line break, and a line
-# holding only what ``str.strip`` removes (Unicode ``\s``, which is
-# ``str.isspace``) is blank.  No match crosses a line break, so every line
-# matches exactly when the matches number the lines.  Unlike
-# ``_VERTEX_RE`` it demands a successor list.
+_SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$", re.ASCII)
+# Whitespace inside a line is the ASCII whitespace of ``\s`` but the line
+# break.  A vertex line is a head (id, priority, owner), a successor field
+# and a tail (an optional name, then ``;``).  The successor field runs from
+# a digit to its last digit or comma; spelled greedily rather than as a
+# lazy ``[0-9][0-9,\s]*?`` it matches the same text without retrying the
+# rest of the pattern after every character.
 _WS = r"[ \t\r\f\v]"
-_LINE_SCAN = re.compile(
-    rf"^(?:{_WS}*([0-9]+){_WS}+([0-9]+){_WS}+([01]){_WS}+([0-9](?:[0-9, \t\r\f\v]*[0-9,])?)"
-    rf"{_WS}*(?:\"([^\"\n]*)\")?{_WS}*;{_WS}*|[^\S\n]*)$",
+_HEAD = rf"{_WS}*([0-9]+){_WS}+([0-9]+){_WS}+([01])"
+_SUCCESSORS = rf"{_WS}+([0-9](?:[0-9, \t\r\f\v]*[0-9,])?)"
+_TAIL = rf"{_WS}*(?:\"([^\"\n]*)\")?{_WS}*;{_WS}*"
+# One line, matched whole; its successor field is optional, so that a line
+# without one is named as such.
+_VERTEX_RE = re.compile(rf"{_HEAD}(?:{_SUCCESSORS})?{_TAIL}")
+# Every line of a body at once, each a vertex line or blank: a line holding
+# only what ``str.strip`` removes (Unicode ``\s``, which is
+# ``str.isspace``).  No match crosses a line break, so every line matches
+# exactly when the matches number the lines.  The successor field is
+# required here: an optional one made the scan 15% slower on the writer's
+# text of ``gen_random(10000, 5, 3, 1)``, LF or CRLF.
+_LINE_SCAN = re.compile(rf"^(?:{_HEAD}{_SUCCESSORS}{_TAIL}|[^\S\n]*)$", re.MULTILINE)
+# Solution lines the same way, and also matched one line at a time with
+# ``fullmatch``; a line without a move leaves its move field empty in a
+# scan and None in a match.
+_SOLUTION_SCAN = re.compile(
+    rf"^(?:{_WS}*([0-9]+){_WS}+([01])(?:{_WS}+([0-9]+))?{_WS}*;{_WS}*|[^\S\n]*)$",
     re.MULTILINE,
 )
 # The body ``write_pgsolver`` writes: vertex lines of single-space-separated
@@ -134,6 +146,47 @@ def _decode_utf8(data: bytes) -> str:
         raise FormatError(line, f"not UTF-8: {exc.reason}") from None
 
 
+def _split_header(text: str | bytes, header_re: re.Pattern) -> tuple[int | None, str, int]:
+    """The max id that the header of ``text`` declares (None when its first
+    line is no header), the body after the header and the number of the
+    body's first line.  ``bytes`` are decoded as UTF-8."""
+    if isinstance(text, bytes):
+        text = _decode_utf8(text)
+    first, _, rest = text.partition("\n")
+    header_max = _header_max(header_re, first)
+    # a header-only text leaves an empty body: one blank line
+    return (header_max, text, 1) if header_max is None else (header_max, rest, 2)
+
+
+def _scan(body: str, pattern: re.Pattern, diagnose: Callable[[], NoReturn]) -> list[tuple]:
+    """The columns of the groups that ``pattern`` finds in ``body``, one
+    row per line that is not blank.  ``pattern`` matches each line, blank
+    ones with an empty first group, and no match crosses a line break; when
+    the matches do not number the lines, some line breaks the format, and
+    ``diagnose`` raises its error."""
+    rows = pattern.findall(body)
+    if len(rows) != body.count("\n") + 1:
+        diagnose()
+    columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
+    if "" in columns[0]:  # blank lines
+        keep = columns[0]
+        columns = [tuple(compress(column, keep)) for column in columns]
+    return columns
+
+
+def _lines(body: str, first_lineno: int, pattern: re.Pattern, kind: str) -> Iterator[tuple]:
+    """The number and the ``pattern`` match of each line of ``body`` that
+    is not blank, read line by line; ``first_lineno`` is the number of its
+    first line in the whole text.  A line that ``pattern`` does not match
+    whole raises a :class:`FormatError` naming it as no ``kind`` line."""
+    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
+        if raw.strip():
+            m = pattern.fullmatch(raw)
+            if m is None:
+                raise FormatError(lineno, f"cannot parse {kind} line {raw.strip()!r}")
+            yield lineno, m
+
+
 def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     """Parse PGSolver text into a game.
 
@@ -143,12 +196,8 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
     """
     if convention not in ("min", "max"):
         raise ValueError(f"unknown priority convention {convention!r}")
-    if isinstance(text, bytes):
-        text = _decode_utf8(text)
-    first, _, rest = text.partition("\n")
-    header_max = _header_max(_HEADER_RE, first)
-    # a header-only text leaves an empty body: one blank line
-    body, first_lineno = (text, 1) if header_max is None else (rest, 2)
+    header_max, body, first_lineno = _split_header(text, _HEADER_RE)
+    diagnose = partial(_diagnose, body, first_lineno)
 
     if _WRITER_FORM is not None and _WRITER_FORM.fullmatch(body):
         fields = body.split()
@@ -157,14 +206,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         del fields  # and the successor fields with their ``;``
         names = None
     else:
-        rows = _LINE_SCAN.findall(body)
-        if len(rows) != body.count("\n") + 1:
-            _diagnose(body, first_lineno)
-        columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
-        if "" in columns[0]:  # blank lines
-            keep = columns[0]
-            columns = [tuple(compress(column, keep)) for column in columns]
-        id_col, priority_col, owner_col, succ_col, name_col = columns
+        id_col, priority_col, owner_col, succ_col, name_col = _scan(body, _LINE_SCAN, diagnose)
         if not id_col:
             raise FormatError(1, "no vertices in input")
         names = tuple([nm or None for nm in name_col]) if any(name_col) else None
@@ -174,7 +216,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         priority = tuple(map(int, priority_col))
         successors, top = _decode_successors(succ_col)
     except ValueError:  # a number too long for ``int``, or an empty field
-        _diagnose(body, first_lineno)
+        diagnose()
     owner = tuple(map(_OWNERS.__getitem__, owner_col))
 
     n = len(ids)
@@ -184,7 +226,7 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         if sorted(ids) != identity:
             seen = set(ids)
             if len(seen) != n:
-                _diagnose(body, first_lineno)  # a duplicate id
+                diagnose()  # a duplicate id
             missing = next(v for v in range(n) if v not in seen)
             raise FormatError(1, f"vertex ids are not contiguous: {missing} is missing")
         order = sorted(range(n), key=ids.__getitem__)
@@ -217,33 +259,19 @@ def _decode_successors(fields: Sequence[str]) -> tuple[list[tuple[int, ...]], in
 
     The fields hold only digits, commas and ASCII whitespace, as a scan
     has checked, so each reads as the body of a JSON array, and one
-    decode reads them all.  JSON refuses some of them (leading zeros, a
-    form feed or vertical tab, a number past ``int``'s digit limit, a bad
-    list): those are read with ``int``."""
+    decode reads them all.  When JSON refuses them (leading zeros, a form
+    feed or vertical tab, a number past ``int``'s digit limit, a bad
+    list), each field is read with ``int``."""
     try:
         lists = json.loads("[[" + "],[".join(fields) + "]]")
     except ValueError:
-        flat = tuple(map(int, ",".join(fields).split(",")))
-        return _cut_successors(fields, flat), max(flat)
+        lists = [list(map(int, field.split(","))) for field in fields]
     flat = list(chain.from_iterable(lists))
     for k in _unsorted(flat, list(accumulate(map(len, lists)))):
         lists[k] = sorted(set(lists[k]))
     # tuples, each list let go as it is converted
     lists.reverse()
     return list(map(tuple, starmap(lists.pop, repeat((), len(lists))))), max(flat)
-
-
-def _cut_successors(fields: Sequence[str], flat: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The successor tuple of each successor field in ``fields``, cut from
-    ``flat``, the ids of all of them in order.  A tuple that is not
-    strictly ascending is deduplicated and sorted, as ``Game`` does."""
-    # each field ends where the commas up to it say
-    commas = accumulate(map(str.count, fields, repeat(",")))
-    ends = list(map(add, commas, range(1, len(fields) + 1)))
-    successors = list(map(flat.__getitem__, map(slice, chain((0,), ends), ends)))
-    for k in _unsorted(flat, ends):
-        successors[k] = tuple(sorted(set(successors[k])))
-    return successors
 
 
 def _unsorted(flat: Sequence[int], ends: list[int]) -> set[int]:
@@ -262,12 +290,7 @@ def _diagnose(body: str, first_lineno: int) -> NoReturn:
     number of its first line in the whole text.  Called only when the
     bulk scan rejected ``body``, so some line does break it."""
     seen: set[int] = set()
-    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
-        m = _VERTEX_RE.match(raw)
-        if m is None:
-            if not raw.strip():
-                continue
-            raise FormatError(lineno, f"cannot parse vertex line {raw.strip()!r}")
+    for lineno, m in _lines(body, first_lineno, _VERTEX_RE, "vertex"):
         vid_text, prio_text, _, succ_field, _ = m.groups()
         # the fields are digits, so only a number longer than ``int``
         # converts can fail here
@@ -342,16 +365,6 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     return "\n".join(out)
 
 
-_SOLUTION_RE = re.compile(r"^\s*(\d+)\s+([01])(?:\s+(\d+))?\s*;\s*$", re.ASCII)
-_SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$", re.ASCII)
-# ``_SOLUTION_RE`` for every line of a body at once, as ``_LINE_SCAN`` is
-# ``_VERTEX_RE``; a line without a move leaves its move field empty.
-_SOLUTION_SCAN = re.compile(
-    rf"^(?:{_WS}*([0-9]+){_WS}+([01])(?:{_WS}+([0-9]+))?{_WS}*;{_WS}*|[^\S\n]*)$",
-    re.MULTILINE,
-)
-
-
 def parse_solution(text: str | bytes, game: Game) -> Solution:
     """Read solution text against ``game`` into the :class:`Solution` it
     states.  Text that breaks the format for this game raises
@@ -359,27 +372,16 @@ def parse_solution(text: str | bytes, game: Game) -> Solution:
 
     Like the game reader, it reads the body in one scan and checks it in
     bulk, and reads it again line by line only to name a bad line."""
-    if isinstance(text, bytes):
-        text = _decode_utf8(text)
-    first, _, rest = text.partition("\n")
-    header_max = _header_max(_SOLUTION_HEADER_RE, first)
-    body, first_lineno = (text, 1) if header_max is None else (rest, 2)
-
-    rows = _SOLUTION_SCAN.findall(body)
-    if len(rows) != body.count("\n") + 1:
-        _diagnose_solution(body, first_lineno, game)
-    id_col, winner_col, move_col = zip(*rows)  # a body has a line
-    if "" in id_col:  # blank lines
-        id_col, winner_col, move_col = (
-            tuple(compress(column, id_col)) for column in (id_col, winner_col, move_col)
-        )
+    header_max, body, first_lineno = _split_header(text, _SOLUTION_HEADER_RE)
+    diagnose = partial(_diagnose_solution, body, first_lineno, game)
+    id_col, winner_col, move_col = _scan(body, _SOLUTION_SCAN, diagnose)
     n, owner = game.vertex_count, game.owner
     has_move = list(map(bool, move_col))
     try:
         ids = list(map(int, id_col))
         move_list = list(map(int, compress(move_col, has_move)))
     except ValueError:  # a number too long for ``int``
-        _diagnose_solution(body, first_lineno, game)
+        diagnose()
     winners = list(map(_OWNERS.__getitem__, winner_col))
     # each id inside the game and on one line, and a move exactly where
     # the vertex's winner owns it
@@ -388,7 +390,7 @@ def parse_solution(text: str | bytes, game: Game) -> Solution:
         or len(set(ids)) != len(ids)
         or list(map(eq, map(owner.__getitem__, ids), winners)) != has_move
     ):
-        _diagnose_solution(body, first_lineno, game)
+        diagnose()
     if len(ids) != n:
         seen = set(ids)
         raise FormatError(1, f"vertex {next(v for v in range(n) if v not in seen)} has no line")
@@ -409,12 +411,7 @@ def _diagnose_solution(body: str, first_lineno: int, game: Game) -> NoReturn:
     as :func:`_diagnose` does for a game's body."""
     n, owner = game.vertex_count, game.owner
     seen: set[int] = set()
-    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
-        if not raw.strip():
-            continue
-        m = _SOLUTION_RE.match(raw)
-        if m is None:
-            raise FormatError(lineno, f"cannot parse solution line {raw.strip()!r}")
+    for lineno, m in _lines(body, first_lineno, _SOLUTION_SCAN, "solution"):
         try:
             vid = int(m.group(1))
             move = None if m.group(3) is None else int(m.group(3))

@@ -17,6 +17,7 @@ readers' results and errors are compared against.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
@@ -26,12 +27,19 @@ from paritygame.graphs import strongly_connected_components
 from paritygame.io import (
     _HEADER_RE,
     _SOLUTION_HEADER_RE,
-    _SOLUTION_RE,
-    _VERTEX_RE,
     _check_header_max,
     _decode_utf8,
     _header_max,
 )
+
+# The reference readers' own line grammar, stated apart from the library's
+# so that a change to the library's patterns shows against them: a vertex
+# line and a solution line, each matched from the start of one line.
+REFERENCE_VERTEX_RE = re.compile(
+    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+([0-9](?:[0-9,\s]*[0-9,])?))?\s*(?:\"([^\"]*)\")?\s*;\s*$",
+    re.ASCII,
+)
+REFERENCE_SOLUTION_RE = re.compile(r"^\s*(\d+)\s+([01])(?:\s+(\d+))?\s*;\s*$", re.ASCII)
 
 
 def reference_infinite_path(
@@ -309,7 +317,7 @@ def reference_parse_pgsolver(text: str | bytes, convention: str = "min") -> Game
     header_max = _header_max(_HEADER_RE, lines[0])
     start = 0 if header_max is None else 1
     for lineno, raw in enumerate(lines[start:], start=start + 1):
-        m = _VERTEX_RE.match(raw)
+        m = REFERENCE_VERTEX_RE.match(raw)
         if m is None:
             if not raw.strip():
                 continue
@@ -382,7 +390,7 @@ def reference_parse_solution(text: str | bytes, game: Game) -> Solution:
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         if not raw.strip():
             continue
-        m = _SOLUTION_RE.match(raw)
+        m = REFERENCE_SOLUTION_RE.match(raw)
         if m is None:
             raise FormatError(lineno, f"cannot parse solution line {raw.strip()!r}")
         try:

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import alternating_chain, assert_same_game, priority_ladder, solve_zielonka
-from oracles import reference_parse_pgsolver, reference_parse_solution
+from oracles import (
+    REFERENCE_SOLUTION_RE,
+    REFERENCE_VERTEX_RE,
+    reference_parse_pgsolver,
+    reference_parse_solution,
+)
 from paritygame import (
     EVEN,
     ODD,
@@ -507,6 +512,68 @@ def test_mutated_written_text_reads_as_the_reference_reads_it(g, data):
 @given(st.text(max_size=60) | st.text(' \t\r\n\v\f\x1c\u00a0,;"0123456789parity', max_size=40))
 def test_arbitrary_text_reads_as_the_reference_reads_it(text):
     _reads_as_the_reference_does(text)
+
+
+# ---------------------------------------------------------------------------
+# The library's line patterns against the reference readers' own: on any
+# single line, both fail or both give the same groups.
+
+# whitespace a line may hold between fields, and whitespace that only makes
+# a line blank
+GAPS = st.text(" \t\r\v\f\x1c\u00a0", max_size=2)
+LINE_CHARS = ' \t\r\v\f\x1c\u00a0,;"0123456789\u0661x'
+NUMBERS = st.builds(lambda zeros, value: zeros + str(value), st.sampled_from(["", "0"]),
+                    st.integers(0, 999))
+OWNERS = st.sampled_from("012")
+SUCCESSOR_FIELDS = st.just("") | st.builds(
+    str.join, st.sampled_from([",", ", ", ",\v", " ,"]), st.lists(NUMBERS, min_size=1, max_size=3)
+)
+LABELS = st.just("") | NAMES.map('"{}"'.format)
+SINGLE_LINES = st.text(LINE_CHARS, max_size=30) | st.text(
+    st.characters(blacklist_characters="\n"), max_size=40
+)
+
+
+@st.composite
+def lines_near(draw, *fields):
+    """One line of ``fields``, strategies for the text of each field, set
+    apart by runs of whitespace and ended by ``;`` or not; then now and
+    then a short span of it is replaced by a run of line characters."""
+
+    def gap(between_fields):
+        # one run in three may be empty or hold whitespace that is not ASCII
+        if draw(st.integers(0, 2)) == 0:
+            return draw(GAPS)
+        return draw(SEPARATORS if between_fields else st.sampled_from(["", " ", "\r", "\t\v"]))
+
+    first, *rest = fields
+    line = gap(False) + draw(first) + "".join(gap(True) + draw(field) for field in rest)
+    line += gap(False) + draw(st.sampled_from([";", ";", "", ";;"])) + gap(False)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(line)))
+        j = draw(st.integers(i, min(len(line), i + 4)))
+        line = line[:i] + draw(st.text(LINE_CHARS, max_size=3)) + line[j:]
+    return line
+
+
+def _groups(match):
+    return None if match is None else match.groups()
+
+
+@PROPERTY
+@given(lines_near(NUMBERS, NUMBERS, OWNERS, SUCCESSOR_FIELDS, LABELS) | SINGLE_LINES)
+def test_the_vertex_line_grammar_is_the_reference_readers(line):
+    assert _groups(pgio._VERTEX_RE.fullmatch(line)) == _groups(REFERENCE_VERTEX_RE.match(line))
+
+
+@PROPERTY
+@given(lines_near(NUMBERS, OWNERS, st.just("") | NUMBERS) | SINGLE_LINES)
+def test_the_solution_line_grammar_is_the_reference_readers(line):
+    # both readers skip a blank line before they match it, and the scan's
+    # other alternative matches it
+    if line.strip():
+        expected = _groups(REFERENCE_SOLUTION_RE.match(line))
+        assert _groups(pgio._SOLUTION_SCAN.fullmatch(line)) == expected
 
 
 # ---------------------------------------------------------------------------
