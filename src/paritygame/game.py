@@ -1,5 +1,6 @@
-"""Core parity game representation: games, memoryless strategies and
-their verifier (:func:`verify_strategy`), and priority conversion.
+"""Core parity game representation: games, memoryless strategies, the
+solutions that pair winners with strategies, the strategy verifier
+(:func:`verify_strategy`), and priority conversion.
 
 A parity game is a total directed graph whose vertices carry a natural
 priority and an owning player.  The winner of an infinite play is decided
@@ -181,6 +182,22 @@ class Strategy:
 
     player: int
     moves: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
+class Solution:
+    """Winner per vertex plus a winning strategy for each player, defined on
+    exactly the vertices that player owns and wins."""
+
+    winner: list[int]
+    strategy_even: Strategy
+    strategy_odd: Strategy
+
+    def region(self, player: int) -> list[int]:
+        return [v for v, w in enumerate(self.winner) if w == player]
+
+    def strategy(self, player: int) -> Strategy:
+        return self.strategy_even if player == EVEN else self.strategy_odd
 
 
 def _check_players(winner: Sequence, unit: str) -> None:

@@ -41,10 +41,9 @@ A companion, equally line-oriented format stores solutions: a header
 vertex, the move being present exactly when the winner owns the vertex.
 A solution is read against its game: one line for each of the game's
 vertices, in any order, and an optional header that declares the game's
-max id.  Its body is read by the core that reads a game's body outside
-the writer's form: the header split off, one scan, and a line-by-line
-reading only to name a bad line.  Each line grammar is stated once, and
-both the scan and that reading match it.
+max id.  Its body is read in one pass, line by line: each line is
+matched whole, converted and checked as it is read, so the first bad
+line raises its error.
 """
 
 from __future__ import annotations
@@ -54,11 +53,10 @@ import re
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat, starmap
-from operator import eq, ge, itemgetter
-from typing import Callable, Iterator, NoReturn, Sequence
+from operator import ge, itemgetter
+from typing import Iterator, NoReturn, Sequence
 
-from .game import EVEN, ODD, Game, Strategy, _check_players, _reflect
-from .solvers import Solution
+from .game import EVEN, ODD, Game, Solution, Strategy, _check_players, _reflect
 
 
 class FormatError(ValueError):
@@ -93,13 +91,9 @@ _VERTEX_RE = re.compile(rf"{_HEAD}(?:{_SUCCESSORS})?{_TAIL}")
 # required here: an optional one made the scan 15% slower on the writer's
 # text of ``gen_random(10000, 5, 3, 1)``, LF or CRLF.
 _LINE_SCAN = re.compile(rf"^(?:{_HEAD}{_SUCCESSORS}{_TAIL}|[^\S\n]*)$", re.MULTILINE)
-# Solution lines the same way, and also matched one line at a time with
-# ``fullmatch``; a line without a move leaves its move field empty in a
-# scan and None in a match.
-_SOLUTION_SCAN = re.compile(
-    rf"^(?:{_WS}*([0-9]+){_WS}+([01])(?:{_WS}+([0-9]+))?{_WS}*;{_WS}*|[^\S\n]*)$",
-    re.MULTILINE,
-)
+# One solution line, matched whole; a line without a move leaves its move
+# group None.
+_SOLUTION_RE = re.compile(rf"{_WS}*([0-9]+){_WS}+([01])(?:{_WS}+([0-9]+))?{_WS}*;{_WS}*")
 # The body ``write_pgsolver`` writes: vertex lines of single-space-separated
 # fields and no name, LF ends, an optional final newline.  Every repeat is
 # possessive: a greedy line repeat keeps backtracking state for each line
@@ -158,22 +152,6 @@ def _split_header(text: str | bytes, header_re: re.Pattern) -> tuple[int | None,
     return (header_max, text, 1) if header_max is None else (header_max, rest, 2)
 
 
-def _scan(body: str, pattern: re.Pattern, diagnose: Callable[[], NoReturn]) -> list[tuple]:
-    """The columns of the groups that ``pattern`` finds in ``body``, one
-    row per line that is not blank.  ``pattern`` matches each line, blank
-    ones with an empty first group, and no match crosses a line break; when
-    the matches do not number the lines, some line breaks the format, and
-    ``diagnose`` raises its error."""
-    rows = pattern.findall(body)
-    if len(rows) != body.count("\n") + 1:
-        diagnose()
-    columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
-    if "" in columns[0]:  # blank lines
-        keep = columns[0]
-        columns = [tuple(compress(column, keep)) for column in columns]
-    return columns
-
-
 def _lines(body: str, first_lineno: int, pattern: re.Pattern, kind: str) -> Iterator[tuple]:
     """The number and the ``pattern`` match of each line of ``body`` that
     is not blank, read line by line; ``first_lineno`` is the number of its
@@ -206,7 +184,16 @@ def parse_pgsolver(text: str | bytes, convention: str = "min") -> Game:
         del fields  # and the successor fields with their ``;``
         names = None
     else:
-        id_col, priority_col, owner_col, succ_col, name_col = _scan(body, _LINE_SCAN, diagnose)
+        # no match crosses a line break, so when the matches do not number
+        # the lines, some line breaks the format
+        rows = _LINE_SCAN.findall(body)
+        if len(rows) != body.count("\n") + 1:
+            diagnose()
+        columns = list(zip(*rows))  # a body has a line, so ``rows`` has a row
+        if "" in columns[0]:  # blank lines
+            keep = columns[0]
+            columns = [tuple(compress(column, keep)) for column in columns]
+        id_col, priority_col, owner_col, succ_col, name_col = columns
         if not id_col:
             raise FormatError(1, "no vertices in input")
         names = tuple([nm or None for nm in name_col]) if any(name_col) else None
@@ -340,7 +327,9 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     exactly at vertices owned by their winner.  Raises :class:`ValueError`
     naming the vertex when ``winner`` does not cover exactly the game's
     vertices, names a player other than 0 and 1, or a strategy lacks the
-    move of a vertex its owner wins, and for a game with no vertices."""
+    move of a vertex its owner wins or gives one there that is not an
+    ``int`` vertex id (a ``bool`` is not one), and for a game with no
+    vertices; moves the text leaves out are not checked."""
     _check_not_empty(game)
     n = game.vertex_count
     if len(winner) != n:
@@ -355,7 +344,10 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
         for v, o in enumerate(game.owner):
             w = winner[v]
             if o == w:
-                out.append(f"{v} {w} {moves[w][v]};")
+                move = moves[w][v]
+                if type(move) is not int or not 0 <= move < n:
+                    raise ValueError(f"vertex {v}: move {move!r} is not a vertex id in 0..{n - 1}")
+                out.append(f"{v} {w} {move};")
             else:
                 out.append(f"{v} {w};")
     except KeyError:
@@ -370,62 +362,33 @@ def parse_solution(text: str | bytes, game: Game) -> Solution:
     states.  Text that breaks the format for this game raises
     :class:`FormatError` naming the line.  ``bytes`` are decoded as UTF-8.
 
-    Like the game reader, it reads the body in one scan and checks it in
-    bulk, and reads it again line by line only to name a bad line."""
+    The body is read in one pass, line by line, so the first bad line
+    raises its error."""
     header_max, body, first_lineno = _split_header(text, _SOLUTION_HEADER_RE)
-    diagnose = partial(_diagnose_solution, body, first_lineno, game)
-    id_col, winner_col, move_col = _scan(body, _SOLUTION_SCAN, diagnose)
     n, owner = game.vertex_count, game.owner
-    has_move = list(map(bool, move_col))
-    try:
-        ids = list(map(int, id_col))
-        move_list = list(map(int, compress(move_col, has_move)))
-    except ValueError:  # a number too long for ``int``
-        diagnose()
-    winners = list(map(_OWNERS.__getitem__, winner_col))
-    # each id inside the game and on one line, and a move exactly where
-    # the vertex's winner owns it
-    if (
-        max(ids, default=-1) >= n
-        or len(set(ids)) != len(ids)
-        or list(map(eq, map(owner.__getitem__, ids), winners)) != has_move
-    ):
-        diagnose()
-    if len(ids) != n:
-        seen = set(ids)
-        raise FormatError(1, f"vertex {next(v for v in range(n) if v not in seen)} has no line")
-    _check_header_max(header_max, n)
-
-    winner = winners
-    if ids != list(range(n)):
-        winner = list(map(winners.__getitem__, sorted(range(n), key=ids.__getitem__)))
-    moved = list(zip(compress(ids, has_move), move_list))
-    move_winners = list(compress(winners, has_move))
-    even, odd = (dict(compress(moved, map(eq, move_winners, repeat(p)))) for p in (EVEN, ODD))
-    return Solution(winner, Strategy(EVEN, even), Strategy(ODD, odd))
-
-
-def _diagnose_solution(body: str, first_lineno: int, game: Game) -> NoReturn:
-    """Raise the :class:`FormatError` of the first line of the solution
-    ``body`` that breaks the format for ``game``, reading it line by line,
-    as :func:`_diagnose` does for a game's body."""
-    n, owner = game.vertex_count, game.owner
-    seen: set[int] = set()
-    for lineno, m in _lines(body, first_lineno, _SOLUTION_SCAN, "solution"):
+    winner: list = [None] * n
+    moves: tuple[dict[int, int], dict[int, int]] = ({}, {})  # by player
+    for lineno, m in _lines(body, first_lineno, _SOLUTION_RE, "solution"):
+        vid_text, winner_text, move_text = m.groups()
         try:
-            vid = int(m.group(1))
-            move = None if m.group(3) is None else int(m.group(3))
+            vid = int(vid_text)
+            move = None if move_text is None else int(move_text)
         except ValueError:
             raise FormatError(lineno, "vertex id or move has too many digits") from None
         if vid >= n:
             raise FormatError(lineno, f"vertex id {vid} is outside the game's {n} vertices")
-        if vid in seen:
+        if winner[vid] is not None:
             raise FormatError(lineno, f"duplicate vertex id {vid}")
-        seen.add(vid)
-        w = int(m.group(2))
-        if move is None and owner[vid] == w:
-            raise FormatError(lineno, f"vertex {vid} is won by its owner {w}, but has no move")
-        if move is not None and owner[vid] != w:
+        w = winner[vid] = _OWNERS[winner_text]
+        if move is None:
+            if owner[vid] == w:
+                raise FormatError(lineno, f"vertex {vid} is won by its owner {w}, but has no move")
+        elif owner[vid] != w:
             raise FormatError(lineno, f"vertex {vid}: the solution gives a move, "
                               f"but its winner {w} does not own it")
-    raise RuntimeError("the bulk scan rejected a solution whose every line is well formed")
+        else:
+            moves[w][vid] = move
+    if None in winner:
+        raise FormatError(1, f"vertex {winner.index(None)} has no line")
+    _check_header_max(header_max, n)
+    return Solution(winner, Strategy(EVEN, moves[EVEN]), Strategy(ODD, moves[ODD]))

@@ -32,28 +32,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 
-from .game import EVEN, ODD, Game, Strategy, verify_strategy
+from .game import EVEN, ODD, Game, Solution, Strategy, verify_strategy
 from .graphs import strongly_connected_components
 
 ALGORITHMS = ("zielonka", "spm")
-
-
-@dataclass
-class Solution:
-    """Winner per vertex plus a winning strategy for each player, defined on
-    exactly the vertices that player owns and wins."""
-
-    winner: list[int]
-    strategy_even: Strategy
-    strategy_odd: Strategy
-
-    def region(self, player: int) -> list[int]:
-        return [v for v, w in enumerate(self.winner) if w == player]
-
-    def strategy(self, player: int) -> Strategy:
-        return self.strategy_even if player == EVEN else self.strategy_odd
 
 
 def _attract(

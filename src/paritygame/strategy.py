@@ -30,9 +30,8 @@ reference the per-block pass is compared against.
 
 from __future__ import annotations
 
-from .game import EVEN, ODD, Game, Strategy, _check_players
+from .game import EVEN, ODD, Game, Solution, Strategy, _check_moves, _check_players
 from .reduction import Partition
-from .solvers import Solution
 
 
 def _lift_block(game: Game, partition: Partition, b: int, t: int, moves: dict[int, int]):
@@ -143,6 +142,7 @@ def lift_solution(
         strategy = quotient_solution.strategy(player)
         if strategy.player != player:
             raise ValueError("quotient strategy belongs to the other player")
+        _check_moves(strategy.moves)
         for c, t in strategy.moves.items():
             if not 0 <= c < quotient_game.vertex_count:
                 raise ValueError(f"quotient strategy moves at {c}, which is not a block")

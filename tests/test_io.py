@@ -6,7 +6,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import alternating_chain, assert_same_game, priority_ladder, solve_zielonka
@@ -569,11 +569,10 @@ def test_the_vertex_line_grammar_is_the_reference_readers(line):
 @PROPERTY
 @given(lines_near(NUMBERS, OWNERS, st.just("") | NUMBERS) | SINGLE_LINES)
 def test_the_solution_line_grammar_is_the_reference_readers(line):
-    # both readers skip a blank line before they match it, and the scan's
-    # other alternative matches it
+    # both readers skip a blank line before they match it
     if line.strip():
         expected = _groups(REFERENCE_SOLUTION_RE.match(line))
-        assert _groups(pgio._SOLUTION_SCAN.fullmatch(line)) == expected
+        assert _groups(pgio._SOLUTION_RE.fullmatch(line)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +714,28 @@ def test_parse_solution_inverts_write_solution_of_a_lifted_solution(g):
     reduced, vmap = quotient(g, part)
     sol = lift_solution(g, part, reduced, vmap, solve(reduced))
     assert parse_solution(_solution_text(g, sol), g) == sol
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_write_solution_writes_only_moves_its_reader_reads(g, data):
+    # a move that is no vertex id used to be written verbatim ("0 0 True;",
+    # "0 0 -1;"), in text that parse_solution refuses
+    sol = solve(g)
+    owned_won = [v for v in g.vertices() if g.owner[v] == sol.winner[v]]
+    assume(owned_won)
+    v = data.draw(st.sampled_from(owned_won))
+    n = g.vertex_count
+    move = data.draw(
+        st.integers(-2, n + 2) | st.integers() | st.booleans() | st.floats() | st.text(max_size=3)
+    )
+    sol.strategy(sol.winner[v]).moves[v] = move
+    try:
+        text = _solution_text(g, sol)
+    except ValueError as exc:
+        assert str(exc).startswith(f"vertex {v}: ")
+        return
+    assert parse_solution(text, g) == sol
 
 
 def _solution_parses_or_raises_format_error(text, g):

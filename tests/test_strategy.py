@@ -499,6 +499,23 @@ def test_lifting_rejects_a_quotient_move_at_no_block(block):
         lift_solution(g, part, reduced, vmap, qsol)
 
 
+@pytest.mark.parametrize(
+    "moves",
+    [{"a": 1}, {1.0: 1}, {True: 1}, {1: 1.0}, {1: True}],
+    ids=["text-block", "float-block", "bool-block", "float-move", "bool-move"],
+)
+def test_lifting_rejects_a_quotient_move_that_is_no_int(moves):
+    # EVEN's quotient strategy is {1: 1}; the first two used to raise
+    # TypeError, and the last three were read as block 1
+    g = gen_chain(5, 1, ODD, 0)
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    qsol = solve_zielonka(reduced)
+    qsol.strategy_even.moves = moves
+    with pytest.raises(ValueError, match="is not a vertex id"):
+        lift_solution(g, part, reduced, vmap, qsol)
+
+
 def test_lifting_rejects_a_missing_move_at_an_owned_won_block(g4):
     part, reduced, vmap = _g4_quotient(g4)
     qsol = Solution([EVEN, EVEN, ODD], Strategy(EVEN, {0: 1}), Strategy(ODD, {2: 2}))
