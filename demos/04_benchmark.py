@@ -1,18 +1,19 @@
-"""Measuring direct solving against reduce-then-solve.
+"""Measuring direct solving against reduce-then-solve, end to end.
 
-One record per (game, method, solver): original and reduced sizes plus
-wall-clock reduction and solving times, best of the configured
-repetitions.  The winner of every vertex is cross-checked across methods,
-so the harness doubles as a soundness test.
+One record per (game, method, solver): original and solved sizes plus the
+wall-clock time of every stage of the route (refine, quotient, solve,
+lift, verify), from the repetition with the least total.  The winner of
+every vertex is cross-checked across methods and both strategies are
+verified on the game, so the harness doubles as a soundness test.
 """
 
 from paritygame import ODD, gen_chain, gen_random
-from paritygame.bench import records_to_csv, run_benchmark
+from paritygame.bench import STAGES, records_to_csv, run_benchmark
 
 grid = [(f"chain-{n}", gen_chain(n, 1, ODD, 0)) for n in (100, 1000, 10000)]
 grid += [(f"random-{n}", gen_random(n, 3, 3, 7 + n)) for n in (50, 200, 500)]
 
-records = run_benchmark(grid, methods=("direct", "strong+solve", "stuttering+solve"),
+records = run_benchmark(grid, methods=("direct", "strong", "stuttering"),
                         solvers=("zielonka",), repetitions=3)
 print(records_to_csv(records))
 
@@ -21,7 +22,7 @@ print(records_to_csv(records))
 # two chain vertices (they count their distance to the sink).
 chain_rows = [r for r in records if r.game_id == "chain-10000"]
 for r in chain_rows:
-    print(f"# chain-10000 {r.method:>16}: solves {r.red_v:>6} vertices "
+    print(f"# chain-10000 {r.method:>10}: solves {r.red_v:>6} vertices "
           f"in {r.total_us/1000:.1f} ms total")
 
 # Per-game comparison in the style of a size/time scatter: each line is
@@ -32,7 +33,7 @@ by_game = {}
 for r in records:
     by_game.setdefault(r.game_id, {})[r.method] = r
 for game_id, methods in by_game.items():
-    direct, stut = methods["direct"], methods["stuttering+solve"]
+    direct, stut = methods["direct"], methods["stuttering"]
     print(f"# {game_id:>12} {direct.orig_v + direct.orig_e:>6} "
           f"{stut.red_v + stut.red_e:>9} {direct.total_us/1000:>10.3f} "
           f"{stut.total_us/1000:>9.3f}")
@@ -43,11 +44,11 @@ for game_id, methods in by_game.items():
 # the whole chain, so under SPM too the direct route needs no reduction.
 spm_records = run_benchmark(
     [("chain-1000", gen_chain(1000, 1, ODD, 0))],
-    methods=("direct", "stuttering+solve"),
+    methods=("direct", "stuttering"),
     solvers=("spm",),
     repetitions=1,
 )
-print("\n# small progress measures on chain-1000:")
+print("\n# small progress measures on chain-1000, ms per stage:")
 for r in spm_records:
-    print(f"# {r.method:>16}: {r.total_us/1000:>9.1f} ms "
-          f"(reduce {r.reduce_us/1000:.1f} + solve {r.solve_us/1000:.1f})")
+    stages = " + ".join(f"{stage} {r.stage_us[stage]/1000:.1f}" for stage in STAGES)
+    print(f"# {r.method:>10}: {r.total_us/1000:>7.1f} = {stages}")

@@ -1,15 +1,15 @@
-"""Benchmark harness: direct solving versus reduce-then-solve.
+"""Benchmark harness: direct solving versus reduce-then-solve, end to end.
 
-Each (game, method, solver) combination is timed, checked and recorded in
-turn.  Its record holds the original and reduced sizes and the wall-clock
-reduction and solving times (best of a configurable number of
-repetitions, microsecond resolution internally, milliseconds in the CSV).
-Outside the timed region, a reduced method's solution is lifted to the
-game, every combination's winner of every vertex is compared with the
-game's first combination, and both players' strategies are verified; a
-mismatch or a rejected strategy means a soundness bug and stops the run
-before a later combination is timed.  The CSV reports the winner of
-vertex 0.
+:func:`run_route` defines each route once: ``direct`` solves the game,
+``strong`` and ``stuttering`` refine it, solve the quotient and lift the
+solution; then both players' strategies are verified on the game.  Every
+stage runs through a ``call`` hook.  :func:`run_benchmark` times each
+(game, method, solver) in turn with a hook that adds each stage's time to
+its column.  A record holds the original and solved sizes, the stage
+times of the repetition with the least total (µs inside, ms in the CSV)
+and the number of vertices EVEN wins.  Every combination's winner vector
+must equal the game's first combination's, and its strategies must
+verify; else the run stops before a later combination is timed.
 """
 from __future__ import annotations
 
@@ -24,17 +24,39 @@ from .reduction import quotient, refine_strong, refine_stuttering
 from .solvers import ALGORITHMS, solve
 from .strategy import lift_solution
 
-METHODS = ("direct", "strong+solve", "stuttering+solve")
-CSV_SCHEMA_COMMENT = "# paritygame bench csv, schema v1; times are milliseconds"
+REFINE = {"strong": refine_strong, "stuttering": refine_stuttering}
+METHODS = ("direct", *REFINE)
+STAGES = ("refine", "quotient", "solve", "lift", "verify")
+CSV_SCHEMA_COMMENT = "# paritygame bench csv, schema v2; times are milliseconds"
 CSV_HEADER = (
     "game,method,solver,orig_v,orig_e,red_v,red_e,"
-    "t_reduce_ms,t_solve_ms,t_total_ms,winner_v0,runs"
+    "t_refine_ms,t_quotient_ms,t_solve_ms,t_lift_ms,t_verify_ms,t_total_ms,even_wins,runs"
 )
 
 
 class WinnerMismatchError(RuntimeError):
     """A soundness failure: different methods disagree on the winner of
     some vertex, or a strategy fails verification."""
+
+
+def run_route(game: Game, method: str, solver: str, call=lambda stage, fn, *args: fn(*args)):
+    """Solve ``game`` by ``method`` (one of :data:`METHODS`) with
+    ``solver``, running each stage as ``call(stage, fn, *args)``; returns
+    the game that was solved, the solution of ``game`` and the verdicts on
+    EVEN's and ODD's strategy."""
+    if method == "direct":
+        solved = game
+        solution = call("solve", solve, game, solver)
+    else:
+        part = call("refine", REFINE[method], game)
+        solved, vmap = call("quotient", quotient, game, part)
+        reduced = call("solve", solve, solved, solver)
+        solution = call("lift", lift_solution, game, part, solved, vmap, reduced)
+    verdicts = tuple(
+        call("verify", verify_strategy, game, p, solution.region(p), solution.strategy(p))
+        for p in (EVEN, ODD)
+    )
+    return solved, solution, verdicts
 
 
 @dataclass
@@ -46,48 +68,32 @@ class BenchRecord:
     orig_e: int
     red_v: int
     red_e: int
-    reduce_us: int
-    solve_us: int
-    winner_v0: int
+    stage_us: dict[str, int]  # µs per stage, in the order of STAGES
+    even_wins: int
     runs: int
 
     @property
     def total_us(self) -> int:
-        return self.reduce_us + self.solve_us
+        return sum(self.stage_us.values())
 
     def csv_fields(self) -> list[str]:
-        return [
-            self.game_id,
-            self.method,
-            self.solver,
-            str(self.orig_v),
-            str(self.orig_e),
-            str(self.red_v),
-            str(self.red_e),
-            f"{self.reduce_us / 1000:.3f}",
-            f"{self.solve_us / 1000:.3f}",
-            f"{self.total_us / 1000:.3f}",
-            str(self.winner_v0),
-            str(self.runs),
-        ]
+        times = (f"{us / 1000:.3f}" for us in (*self.stage_us.values(), self.total_us))
+        sizes = (self.orig_v, self.orig_e, self.red_v, self.red_e)
+        return [self.game_id, self.method, self.solver, *map(str, sizes), *times,
+                str(self.even_wins), str(self.runs)]
 
 
-def _timed(game: Game, method: str, solver: str):
-    """One run of ``method``: the reduce and solve times in µs, the game
-    solved, its solution, and the partition and block map (``None`` for
-    ``direct``)."""
-    if method == "direct":
+def _timed_route(game: Game, method: str, solver: str):
+    """One run: µs per stage, then :func:`run_route`'s result."""
+    stage_us = dict.fromkeys(STAGES, 0)
+
+    def timed(stage, fn, *args):
         t0 = time.perf_counter_ns()
-        solution = solve(game, solver)
-        return 0, (time.perf_counter_ns() - t0) // 1000, game, solution, None
-    refine = refine_strong if method == "strong+solve" else refine_stuttering
-    t0 = time.perf_counter_ns()
-    part = refine(game)
-    reduced, vmap = quotient(game, part)
-    t1 = time.perf_counter_ns()
-    solution = solve(reduced, solver)
-    t2 = time.perf_counter_ns()
-    return (t1 - t0) // 1000, (t2 - t1) // 1000, reduced, solution, (part, vmap)
+        result = fn(*args)
+        stage_us[stage] += (time.perf_counter_ns() - t0) // 1000
+        return result
+
+    return stage_us, *run_route(game, method, solver, timed)
 
 
 def run_benchmark(
@@ -96,30 +102,27 @@ def run_benchmark(
     solvers=("zielonka",),
     repetitions: int = 3,
 ) -> list[BenchRecord]:
-    """One record per (game, method, solver); raises
-    :class:`WinnerMismatchError` when methods disagree on a game or a
-    strategy, lifted for a reduced method, does not verify, and
+    """One record per (game, method, solver), a repeated method or solver
+    name counting once; raises :class:`WinnerMismatchError` when methods
+    disagree on a game or a strategy does not verify, and
     :class:`ValueError`, before timing anything, for an empty or unknown
-    method or solver list, a repetition count below 1 or a game with no
-    vertices."""
+    method or solver list, a repetition count that is not an ``int`` of at
+    least 1 or a game with no vertices."""
     if not methods or not set(methods) <= set(METHODS):
         raise ValueError(f"methods must be a non-empty choice of {', '.join(METHODS)}")
     if not solvers or not set(solvers) <= set(ALGORITHMS):
         raise ValueError(f"solvers must be a non-empty choice of {', '.join(ALGORITHMS)}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
+        raise ValueError(f"repetitions must be an int >= 1, not {repetitions!r}")
     for game_id, game in games:
         if not game.vertex_count:
             raise ValueError(f"game {game_id} has no vertices")
     records = []
     for game_id, game in games:
         ref = None
-        for method, solver in product(methods, solvers):
-            runs = (_timed(game, method, solver) for _ in range(repetitions))
-            reduce_us, solve_us, solved, solution, reduction = min(runs, key=lambda r: r[0] + r[1])
-            if reduction is not None:
-                part, vmap = reduction
-                solution = lift_solution(game, part, solved, vmap, solution)
+        for method, solver in product(dict.fromkeys(methods), dict.fromkeys(solvers)):
+            runs = (_timed_route(game, method, solver) for _ in range(repetitions))
+            stage_us, solved, solution, verdicts = min(runs, key=lambda r: sum(r[0].values()))
             winner = solution.winner
             if ref is None:
                 ref = f"{method}/{solver}", winner
@@ -129,10 +132,7 @@ def run_benchmark(
                     f"game {game_id}: {method}/{solver} and {ref[0]} "
                     f"disagree on the winner of vertex {v}"
                 )
-            for player in (EVEN, ODD):
-                result = verify_strategy(
-                    game, player, solution.region(player), solution.strategy(player)
-                )
+            for player, result in zip((EVEN, ODD), verdicts):
                 if not result:
                     raise WinnerMismatchError(
                         f"game {game_id}: {method}/{solver} strategy "
@@ -140,7 +140,7 @@ def run_benchmark(
                     )
             records.append(BenchRecord(
                 game_id, method, solver, game.vertex_count, game.edge_count,
-                solved.vertex_count, solved.edge_count, reduce_us, solve_us, winner[0],
+                solved.vertex_count, solved.edge_count, stage_us, winner.count(EVEN),
                 repetitions,
             ))
     return records

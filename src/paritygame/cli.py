@@ -2,10 +2,11 @@
 
 Subcommands: ``info``, ``solve``, ``reduce``, ``generate``, ``verify`` and
 ``bench``.  ``generate`` makes members of the ``random`` and ``chain``
-families; ``bench`` times and checks direct solving against
-reduce-then-solve on game files.  Exit codes: 0 on success, 1 on a domain
-failure (parse error, failed verification, a solution file that breaks
-its format, benchmark winner mismatch), 2 on usage errors.
+families; ``bench`` times every stage of each route on game files, lift
+and verify included.  Exit codes: 0 on success, 1 on a domain failure
+(parse error, failed verification, a solution file that breaks its
+format, benchmark winner mismatch) and, with no message, on a closed
+standard output, 2 on usage errors.
 
 Game files use the PGSolver format.  ``--convention`` states how priorities
 in files are read and written; it defaults to ``max``, matching the
@@ -15,9 +16,10 @@ surrounding tool ecosystem, while everything internal is min-parity.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import bench as bench_mod
+from .bench import METHODS, REFINE, WinnerMismatchError, records_to_csv, run_benchmark
 from .game import EVEN, ODD, Game, convert_priorities, verify_strategy
 from .generators import gen_chain, gen_random
 from .io import (
@@ -27,7 +29,7 @@ from .io import (
     write_pgsolver,
     write_solution,
 )
-from .reduction import quotient, refine_strong, refine_stuttering, write_partition
+from .reduction import quotient, write_partition
 from .solvers import ALGORITHMS, solve
 
 
@@ -61,27 +63,18 @@ _natural = _at_least(0, "a natural number")
 _positive = _at_least(1, "a positive integer")
 
 
-def _methods(text: str) -> tuple[str, ...]:
-    """An argparse ``type=`` converter for ``bench --methods``."""
-    aliases = {"strong": "strong+solve", "stuttering": "stuttering+solve"}
-    methods = tuple(aliases.get(tok, tok) for tok in text.split(",") if tok)
-    if methods == ("all",):
-        return bench_mod.METHODS
-    if not methods or not set(methods) <= set(bench_mod.METHODS):
-        raise argparse.ArgumentTypeError(
-            "--methods takes a comma list of direct, strong and stuttering, or all"
-        )
-    return methods
+def _names(option: str, names: tuple[str, ...]):
+    """An argparse ``type=`` converter to a comma list of ``names``, or all."""
 
+    def convert(text: str) -> tuple[str, ...]:
+        chosen = tuple(tok for tok in text.split(",") if tok)
+        if chosen == ("all",):
+            return names
+        if not chosen or not set(chosen) <= set(names):
+            raise argparse.ArgumentTypeError(f"{option} takes a comma list of {', '.join(names)}")
+        return chosen
 
-def _solvers(text: str) -> tuple[str, ...]:
-    """An argparse ``type=`` converter for ``bench --solvers``."""
-    solvers = tuple(tok for tok in text.split(",") if tok)
-    if not solvers or not set(solvers) <= set(ALGORITHMS):
-        raise argparse.ArgumentTypeError(
-            f"--solvers takes a comma list of {', '.join(ALGORITHMS)}"
-        )
-    return solvers
+    return convert
 
 
 def _read_game(path: str, convention: str) -> Game:
@@ -131,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="minimise a game")
     p_reduce.add_argument("file")
     p_reduce.add_argument(
-        "--equivalence", choices=("strong", "stuttering"), default="stuttering"
+        "--equivalence", choices=tuple(REFINE), default="stuttering"
     )
     p_reduce.add_argument("-o", "--output", help="quotient game file (default: stdout)")
     p_reduce.add_argument("--map", dest="map_file", help="write the block map here")
@@ -154,16 +147,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("solution")
     p_verify.set_defaults(run=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="benchmark direct vs reduce-then-solve")
+    p_bench = sub.add_parser("bench", help="time refine, quotient, solve, lift, verify per route")
     p_bench.add_argument("files", nargs="+", help="game files to benchmark")
     p_bench.add_argument(
-        "--methods", type=_methods, default="all",
-        help="comma list of direct,strong,stuttering or all",
+        "--methods", type=_names("--methods", METHODS), default="all",
+        help=f"comma list of {','.join(METHODS)} or all (default: all)",
     )
     p_bench.add_argument(
-        "--solvers", type=_solvers, default="zielonka", help="comma list of solvers"
+        "--solvers", type=_names("--solvers", ALGORITHMS), default="zielonka",
+        help=f"comma list of {','.join(ALGORITHMS)} or all (default: zielonka)",
     )
-    p_bench.add_argument("--repetitions", type=_positive, default=3)
+    p_bench.add_argument("--repetitions", type=_positive, default=3,
+                         help="runs per combination; the least total is kept (default: 3)")
     p_bench.add_argument("-o", "--output", help="CSV output file (default: stdout)")
     p_bench.set_defaults(run=_cmd_bench)
     return parser
@@ -187,8 +182,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reduce(args) -> int:
     game = _read_game(args.file, args.convention)
-    refine = refine_strong if args.equivalence == "strong" else refine_stuttering
-    part = refine(game)
+    part = REFINE[args.equivalence](game)
     reduced, _ = quotient(game, part)
     _write_text(args.output, _game_to_text(reduced, args.convention))
     if args.map_file:
@@ -228,13 +222,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     games = [(path, _read_game(path, args.convention)) for path in args.files]
-    records = bench_mod.run_benchmark(
-        games,
-        methods=args.methods,
-        solvers=args.solvers,
-        repetitions=args.repetitions,
-    )
-    _write_text(args.output, bench_mod.records_to_csv(records))
+    records = run_benchmark(games, args.methods, args.solvers, args.repetitions)
+    _write_text(args.output, records_to_csv(records))
     return 0
 
 
@@ -249,13 +238,22 @@ def cli_dispatch(argv: list[str]) -> int:
         return exc.code
     try:
         return args.run(args)
-    except (FormatError, OSError, ValueError, bench_mod.WinnerMismatchError) as exc:
+    except BrokenPipeError:
+        raise  # main's to handle: it is no domain failure
+    except (FormatError, OSError, ValueError, WinnerMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; devnull spares the exit's flush (Python docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

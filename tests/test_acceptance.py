@@ -217,11 +217,12 @@ def test_criterion_9_performance_and_harness():
         lines = text.splitlines()
         assert lines[0].startswith("#") and lines[1] == CSV_HEADER
         width = len(CSV_HEADER.split(","))
-        winners: dict[str, set[str]] = {}
+        even_wins: dict[str, set[int]] = {}
         for row in lines[2:]:
             cols = row.split(",")
             assert len(cols) == width
-            float(cols[7]), float(cols[8]), float(cols[9])
-            assert cols[10] in ("0", "1")
-            winners.setdefault(cols[0], set()).add(cols[10])
-        assert all(len(ws) == 1 for ws in winners.values())
+            [float(t) for t in cols[7:13]]  # five stages and the total
+            assert 0 <= int(cols[13]) <= int(cols[3])
+            even_wins.setdefault(cols[0], set()).add(int(cols[13]))
+        assert len(even_wins) == 20
+        assert all(len(ws) == 1 for ws in even_wins.values())

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: subcommands, conventions, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paritygame
 from paritygame import (
     ODD,
     Game,
@@ -238,7 +243,7 @@ def test_bench_large_chain_grid(tmp_path):
     rows = bench_rows(out)
     assert len(rows) == 2 * 3
     red_v = {(row[0], row[1]): row[5] for row in rows}
-    assert red_v[files[1], "stuttering+solve"] == "2"
+    assert red_v[files[1], "stuttering"] == "2"
     assert red_v[files[1], "direct"] == "10001"
 
 
@@ -308,6 +313,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["--repetitions", "0"], "argument --repetitions: must be a positive integer"),
         (["--methods", "foo"], "--methods takes a comma list of"),
         (["--methods", "all,direct"], "--methods takes a comma list of"),
+        (["--methods", "strong+solve"], "--methods takes a comma list of"),
         (["--methods", ","], "--methods takes a comma list of"),
         (["--solvers", "foo"], "--solvers takes a comma list of zielonka, spm\n"),
         (["--solvers", "brute"], "--solvers takes a comma list of zielonka, spm\n"),
@@ -420,3 +426,39 @@ def test_generate_offers_only_random_and_chain(capsys):
         assert "usage: paritygame generate" in captured.err, family
         assert "invalid choice" in captured.err, family
         assert captured.out == "", family
+
+
+def run_with_stdout_closed(argv, after_bytes):
+    """Run ``python -m paritygame *argv``, close its stdout once
+    ``after_bytes`` bytes are read, and return its exit code and stderr."""
+    path = [str(Path(paritygame.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "paritygame", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.read(after_bytes)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    return proc.returncode, err
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # ``solve big.gm | head -1`` printed "error: [Errno 32] Broken pipe";
+    # the solution, about 250 kB, cannot fit in the pipe
+    f = write_game(tmp_path / "chain.gm", write_pgsolver(gen_chain(30_000, 1, ODD, 0)))
+    assert run_with_stdout_closed(["--convention", "min", "solve", f], 16) == (1, b"")
+    # a short output that fails only in the flush at exit, if the pipe
+    # closes first, ends quietly as well
+    code, err = run_with_stdout_closed(["--convention", "min", "info", f], 0)
+    assert code in (0, 1) and err == b""
+
+
+def test_bench_lists_read_all_from_the_route_and_solver_tables(tmp_path):
+    f = generate(tmp_path, "chain", 5)
+    out = tmp_path / "bench.csv"
+    argv = ["--convention", "min", "bench", f, "--methods", "all", "--solvers", "all"]
+    assert cli_dispatch([*argv, "--repetitions", "1", "-o", str(out)]) == 0
+    assert [row[1:3] for row in bench_rows(out)] == [
+        [m, s] for m in ("direct", "strong", "stuttering") for s in ("zielonka", "spm")
+    ]
