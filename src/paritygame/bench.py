@@ -106,17 +106,15 @@ def run_benchmark(
     name counting once; raises :class:`WinnerMismatchError` when methods
     disagree on a game or a strategy does not verify, and
     :class:`ValueError`, before timing anything, for an empty or unknown
-    method or solver list, a repetition count that is not an ``int`` of at
-    least 1 or a game with no vertices."""
+    method or solver list or a repetition count that is not an ``int`` of
+    at least 1.  A game with no vertices runs every route like any other
+    and has no vertex for EVEN to win."""
     if not methods or not set(methods) <= set(METHODS):
         raise ValueError(f"methods must be a non-empty choice of {', '.join(METHODS)}")
     if not solvers or not set(solvers) <= set(ALGORITHMS):
         raise ValueError(f"solvers must be a non-empty choice of {', '.join(ALGORITHMS)}")
     if isinstance(repetitions, bool) or not isinstance(repetitions, int) or repetitions < 1:
         raise ValueError(f"repetitions must be an int >= 1, not {repetitions!r}")
-    for game_id, game in games:
-        if not game.vertex_count:
-            raise ValueError(f"game {game_id} has no vertices")
     records = []
     for game_id, game in games:
         ref = None

@@ -33,7 +33,12 @@ definition the divergence flags are checked against lives with the
 tests' oracles).  A stuttering signature is an ``int`` interned
 per call: a component whose inert successors all carry one signature,
 and that adds neither exits nor divergence to it, reuses its id, so only
-where successors disagree is an exit set built.  Both refinements are
+where successors disagree is an exit set built.  A loose vertex, one
+with no edge inside its initial class (not even a self-loop), never gains
+an inert edge, since blocks only split: its stuttering signature is its
+strong one, the set of its successor blocks, interned without exit or
+inner sets.  A quotient reads a one-member block's targets straight off
+its vertex's successors.  Both refinements are
 deterministic, since the coarsest stable partition is unique; the test
 suite checks them against relational greatest-fixpoint oracles and
 earlier engines.
@@ -218,7 +223,7 @@ def refine_strong(game: Game) -> Partition:
     )
 
 
-def _inert_components(game: Game, block_of: list[int]) -> tuple[list[list[int]], list[int]]:
+def _inert_components(game: Game, block_of: list[int]) -> tuple[list, list[int]]:
     """Strongly connected components of the inert graph of the initial
     ``block_of`` (the edges inside a block), sinks first, and the index of
     every vertex's component.
@@ -226,10 +231,14 @@ def _inert_components(game: Game, block_of: list[int]) -> tuple[list[list[int]],
     The order is built by peeling: a vertex becomes a component of its own
     once every inert successor other than itself is peeled.  What is left
     reaches an inert cycle, and only those vertices go through Tarjan,
-    whose output follows the peeled singletons.
+    whose output follows the peeled singletons.  A loose vertex, one with
+    no inert edge at all (not even a self-loop), is recorded as the bare
+    vertex rather than a one-member list; every other component is a list.
     """
     succ, pred = game.successors, game.predecessors
     waiting: list[int] = []  # inert successors other than the vertex, unpeeled
+    order: list[int] = []  # peeled vertices, sinks first
+    comps: list = []
     for v, ws in enumerate(succ):
         b = block_of[v]
         k = 0
@@ -237,7 +246,9 @@ def _inert_components(game: Game, block_of: list[int]) -> tuple[list[list[int]],
             if block_of[w] == b and w != v:
                 k += 1
         waiting.append(k)
-    order = [v for v, k in enumerate(waiting) if not k]
+        if not k:
+            order.append(v)
+            comps.append([v] if v in ws else v)
     comp_of = [0] * game.vertex_count
     for c, v in enumerate(order):
         comp_of[v] = c
@@ -247,7 +258,7 @@ def _inert_components(game: Game, block_of: list[int]) -> tuple[list[list[int]],
                 waiting[p] -= 1
                 if not waiting[p]:
                     order.append(p)
-    comps = [[v] for v in order]
+                    comps.append([p])
     if len(order) < game.vertex_count:
         left = [v for v, k in enumerate(waiting) if k]
         inert = {v: [w for w in succ[v] if block_of[w] == block_of[v]] for v in left}
@@ -280,10 +291,13 @@ def _stuttering_signer(
     every component of a batch.  A component whose inert successors
     outside it all carry one id, whose direct exits lie in that id's set
     and that adds no divergence takes that id without building a set; only
-    one whose successors disagree pays for a union.
+    one whose successors disagree pays for a union.  A loose vertex (a bare
+    ``int`` among the components) has no inert successor and no
+    divergence, so its key is the frozenset of its successor blocks.
     """
     comps, comp_of = _inert_components(game, block_of)
     succ = game.successors
+    block = block_of.__getitem__
     ids: dict[frozenset[int], int] = {}
     sets: list[frozenset[int]] = []
     current = [0] * len(comps)
@@ -292,30 +306,35 @@ def _stuttering_signer(
         """Sign the components ``cs``, in that order, into ``current``."""
         for c in cs:
             comp = comps[c]
-            b = block_of[comp[0]]
-            div = len(comp) > 1
-            exits: set[int] = set()
-            inner: set[int] = set()  # ids of inert successors outside comp
-            for v in comp:
-                for w in succ[v]:
-                    bw = block_of[w]
-                    if bw != b:
-                        exits.add(bw)
-                    elif comp_of[w] != c:
-                        inner.add(current[comp_of[w]])
-                    elif w == v:
-                        div = True
-            if len(inner) == 1:
-                (i,) = inner
-                key = sets[i]
-                if (not div or _DIVERGES in key) and key.issuperset(exits):
-                    current[c] = i
-                    continue
-            if div:
-                exits.add(_DIVERGES)
-            for i in inner:
-                exits |= sets[i]
-            key = frozenset(exits)
+            if type(comp) is int:
+                # a loose vertex never gains an inert edge, since blocks
+                # only split: its signature is its strong one
+                key = frozenset(map(block, succ[comp]))
+            else:
+                b = block_of[comp[0]]
+                div = len(comp) > 1
+                exits: set[int] = set()
+                inner: set[int] = set()  # ids of inert successors outside comp
+                for v in comp:
+                    for w in succ[v]:
+                        bw = block_of[w]
+                        if bw != b:
+                            exits.add(bw)
+                        elif comp_of[w] != c:
+                            inner.add(current[comp_of[w]])
+                        elif w == v:
+                            div = True
+                if len(inner) == 1:
+                    (i,) = inner
+                    key = sets[i]
+                    if (not div or _DIVERGES in key) and key.issuperset(exits):
+                        current[c] = i
+                        continue
+                if div:
+                    exits.add(_DIVERGES)
+                for i in inner:
+                    exits |= sets[i]
+                key = frozenset(exits)
             i = ids.setdefault(key, len(sets))
             if i == len(sets):
                 sets.append(key)
@@ -336,8 +355,23 @@ def _stuttering_signer(
 def _dirty_stuttering(game: Game, block_of: list[int], moved: Iterable[int]) -> set[int]:
     """Moved vertices and their predecessors, closed backwards under edges
     that are inert in the new partition: exactly the vertices whose exit
-    sets or divergence may have changed."""
+    sets or divergence may have changed.  A lone moved vertex is alone in
+    its block, so nothing re-signs it; when no predecessor of it has an
+    inert predecessor, its predecessor tuple is returned as it is, with no
+    set or stack built."""
     pred = game.predecessors
+    if len(moved) == 1:
+        ps = pred[moved[0]]
+        for p in ps:
+            b = block_of[p]
+            for q in pred[p]:
+                if block_of[q] == b:
+                    break
+            else:
+                continue
+            break
+        else:
+            return ps
     dirty = set(moved)
     stack: list[int] = []
     for u in moved:
@@ -386,9 +420,11 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
 
     Block priorities and owners come from the representative; a block
     whose members differ in either raises ``ValueError`` (a partition of
-    another game).  A block's successors are the blocks its members reach,
-    itself included exactly when it is divergent, which for a strong
-    partition means that a member has an intra-block edge.
+    another game); a one-member block cannot, and takes its targets
+    straight from its vertex's successors.  A block's successors are the
+    blocks its members reach, itself included exactly when it is
+    divergent, which for a strong partition means that a member has an
+    intra-block edge.
     """
     block_of = partition.block_of
     if len(block_of) != game.vertex_count:
@@ -399,11 +435,15 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     priority = tuple(map(game.priority.__getitem__, reps))
     owner = tuple(map(game.owner.__getitem__, reps))
     succ = game.successors
+    block = block_of.__getitem__
     successors = []
     for b, (members, divergent) in enumerate(zip(partition.blocks, partition.divergent)):
-        if len(members) > 1 and len({(game.priority[v], game.owner[v]) for v in members}) > 1:
-            raise ValueError(f"partition block {b} mixes priorities or owners")
-        targets = {block_of[w] for v in members for w in succ[v]}
+        if len(members) == 1:
+            targets = set(map(block, succ[members[0]]))
+        else:
+            if len({(game.priority[v], game.owner[v]) for v in members}) > 1:
+                raise ValueError(f"partition block {b} mixes priorities or owners")
+            targets = {block_of[w] for v in members for w in succ[v]}
         targets.discard(b)
         if divergent:
             targets.add(b)

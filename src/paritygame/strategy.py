@@ -16,9 +16,11 @@ successor and the play stays inside the block.
 
 :func:`lift_solution` carries a solved quotient back in one call: winners
 transfer along the block map, and each player's moves are computed in one
-pass per block that player owns and wins.  A one-member block needs no
-search: its vertex's least successor in ``t`` is its target and a direct
-exit.  A larger block groups its exit edges by the vertex of ``t`` they
+pass per block that player owns and wins.  A one-member block that
+leaves for ``t`` needs no search, and is lifted inline in that pass: its
+vertex's least successor in ``t`` is its target and a direct exit.  A
+larger block, or a divergent one that stays, goes to ``_lift_block``,
+which groups a larger block's exit edges by the vertex of ``t`` they
 enter and runs one backward breadth-first search per such vertex ``x``,
 least first, over in-block predecessors not yet claimed.  The search for
 ``x`` claims exactly the members whose target is ``x``, each with its
@@ -41,7 +43,7 @@ def _lift_block(game: Game, partition: Partition, b: int, t: int, moves: dict[in
     intra-block successor nearest an exit onto it, or the least
     intra-block successor when ``t`` is ``b``.  Targets and distances come
     from one ordered backward search per entry vertex (see the module
-    docstring)."""
+    docstring); a one-member block that leaves is lifted by the caller."""
     succ = game.successors
     vmap = partition.block_of
     members = partition.blocks[b]
@@ -54,15 +56,6 @@ def _lift_block(game: Game, partition: Partition, b: int, t: int, moves: dict[in
                 raise ValueError(f"divergent block member {v} has no intra-block move")
             moves[v] = stay
         return
-    if len(members) == 1:
-        # Most blocks of a barely reducible game are singletons: the least
-        # successor in t is both the target vertex and a direct exit.
-        (v,) = members
-        for w in succ[v]:
-            if vmap[w] == t:
-                moves[v] = w
-                return
-        raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
     entries: dict[int, list[int]] = {}  # members by the vertex of t they exit onto
     for v in members:
         for w in succ[v]:
@@ -137,22 +130,38 @@ def lift_solution(
             f"for {quotient_game.vertex_count} blocks"
         )
     _check_players(qwinner, "block")
+    succ, qsucc, blocks = game.successors, quotient_game.successors, partition.blocks
     lifted = []
     for player in (EVEN, ODD):
         strategy = quotient_solution.strategy(player)
         if strategy.player != player:
             raise ValueError("quotient strategy belongs to the other player")
-        _check_moves(strategy.moves)
-        for c, t in strategy.moves.items():
+        qmoves = strategy.moves
+        _check_moves(qmoves)
+        for c, t in qmoves.items():
             if not 0 <= c < quotient_game.vertex_count:
                 raise ValueError(f"quotient strategy moves at {c}, which is not a block")
-            if not quotient_game.has_edge(c, t):
+            if t not in qsucc[c]:
                 raise ValueError(f"quotient strategy move {c}->{t} is not an edge")
         moves: dict[int, int] = {}
-        for b in quotient_game.vertices():
+        for b, members in enumerate(blocks):
             if qwinner[b] == player and qowner[b] == player:
-                if b not in strategy.moves:
+                if b not in qmoves:
                     raise ValueError(f"quotient strategy undefined at winning block {b}")
-                _lift_block(game, partition, b, strategy.moves[b], moves)
+                t = qmoves[b]
+                if t == b or len(members) > 1:
+                    _lift_block(game, partition, b, t, moves)
+                    continue
+                # a one-member block leaves for t: its vertex's least
+                # successor in t is both its target vertex and a direct exit
+                (v,) = members
+                for w in succ[v]:
+                    if vmap[w] == t:
+                        moves[v] = w
+                        break
+                else:
+                    raise ValueError(
+                        f"block {b} has no exit onto target block {t}: unstable partition"
+                    )
         lifted.append(Strategy(player, dict(sorted(moves.items()))))
     return Solution([qwinner[b] for b in vmap], *lifted)

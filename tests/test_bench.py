@@ -187,12 +187,15 @@ def test_rejected_direct_strategy_aborts(monkeypatch):
         run_benchmark([("random-30", game)], ("direct",), repetitions=1)
 
 
-def test_rejects_a_game_with_no_vertices(monkeypatch):
-    # every stage accepts the empty game, and the record's winner of vertex
-    # 0 used to raise IndexError; no method may be timed first
-    monkeypatch.setattr(bench, "solve", None)
-    with pytest.raises(ValueError, match="game empty has no vertices"):
-        run_benchmark([("chain-3", gen_chain(3, 1, ODD, 0)), ("empty", Game([], [], []))])
+def test_an_empty_game_gives_one_record_per_method_and_solver():
+    # every stage accepts the empty game; no vertex, so none won by EVEN
+    records = run_benchmark(
+        [("empty", Game([], [], []))], bench.METHODS, ("zielonka", "spm"), repetitions=1
+    )
+    assert [(r.method, r.solver) for r in records] == [
+        (m, s) for m in bench.METHODS for s in ("zielonka", "spm")
+    ]
+    assert all(r.orig_v == 0 and r.even_wins == 0 for r in records)
 
 
 def test_rejects_unknown_method():

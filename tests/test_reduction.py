@@ -6,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import paritygame.bench
 import paritygame.cli
@@ -143,6 +143,15 @@ def test_quotient_rejects_a_non_total_game():
     # and marking it otherwise drops its only quotient edge.
     g = Game(priority=[0, 0], owner=[EVEN, EVEN], successors=[[1], [0]])
     part = Partition([0, 0], [[0, 1]], [False])
+    with pytest.raises(ValueError, match="^quotient block 0 has no successor"):
+        quotient(g, part)
+
+
+def test_quotient_rejects_a_non_total_one_member_block():
+    # the one-member path: a lone self-loop marked non-divergent leaves
+    # its block without a quotient edge
+    g = Game(priority=[0, 1], owner=[EVEN, ODD], successors=[[0], [0]])
+    part = Partition([0, 1], [[0], [1]], [False, False])
     with pytest.raises(ValueError, match="^quotient block 0 has no successor"):
         quotient(g, part)
 
@@ -435,3 +444,69 @@ def test_divergence_flags_come_from_the_refinement():
 @given(small_games(max_vertices=8, max_priority=2, max_successors=3))
 def test_divergence_flags_come_from_the_refinement_on_small_games(g):
     check_divergence_flags(g)
+
+
+def loose_vertices(g):
+    """Vertices with no edge inside their (priority, owner) class, not even
+    a self-loop: the ones stuttering refinement signs like strong
+    bisimulation."""
+    key = list(zip(g.priority, g.owner))
+    return [v for v, ws in enumerate(g.successors) if all(key[w] != key[v] for w in ws)]
+
+
+def check_loose_path(g):
+    """Stuttering blocks equal the oracle's, and exactly the loose vertices
+    are recorded as bare vertices among the inert components."""
+    assert refine_stuttering(g).blocks == partition_from_relation(g, oracle_stuttering_pairs(g))
+    comps, comp_of = paritygame.reduction._inert_components(
+        g, paritygame.reduction._initial_blocks(g)[0]
+    )
+    bare = [v for v in g.vertices() if type(comps[comp_of[v]]) is int]
+    assert bare == loose_vertices(g)
+    assert all(comps[comp_of[v]] == v for v in bare)
+
+
+def test_a_vertex_whose_only_inert_edge_is_a_self_loop_is_not_loose():
+    # 0 diverges on its self-loop, 1 and 2 on their 2-cycle, all exit to 3
+    # only: one block; signed as loose, 0 would split off
+    g = Game([1, 1, 1, 0], [EVEN] * 4, [[0, 3], [2, 3], [1, 3], [3]])
+    check_loose_path(g)
+    assert refine_stuttering(g).blocks == [[0, 1, 2], [3]]
+
+
+def test_a_tarjan_singleton_that_reaches_an_inert_cycle_is_not_loose():
+    # 0 is a component of its own that peeling never takes, since it steps
+    # into the inert cycle 1 <-> 2; 3 diverges on a self-loop; all four
+    # exit to 4 only and diverge, so they form one block
+    g = Game([1, 1, 1, 1, 0], [EVEN] * 5, [[1, 4], [2, 4], [1, 4], [3, 4], [4]])
+    check_loose_path(g)
+    assert refine_stuttering(g).blocks == [[0, 1, 2, 3], [4]]
+
+
+def test_a_vertex_whose_inert_edges_all_become_non_inert():
+    # 0's one inert edge goes to 1, which splits off in the first round:
+    # from then on 0 has no inert edge, but it was not loose, so the
+    # component path signs it; 4 keeps 0's company; 1 and 5 are loose,
+    # the sinks 2 and 3 are not
+    g = Game(
+        [1, 1, 0, 2, 1, 1],
+        [EVEN] * 6,
+        [[1, 3], [2], [2], [3], [1, 3], [3]],
+    )
+    check_loose_path(g)
+    part = refine_stuttering(g)
+    assert part.blocks == [[0, 4], [1], [2], [3], [5]]
+    assert all(part.block_of[w] != part.block_of[0] for w in g.successors[0])
+    assert loose_vertices(g) == [1, 5]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(small_games(max_vertices=10, max_priority=1, max_successors=3))
+def test_loose_and_non_loose_vertices_mixed(g):
+    assume(0 < len(loose_vertices(g)) < g.vertex_count)
+    check_loose_path(g)
+
+
+def test_nested_block_count_is_pinned():
+    # signing every one-member component as loose gave 5,384 blocks here
+    assert refine_stuttering(nested_game(2000)).block_count == 4168

@@ -452,6 +452,36 @@ def test_lifting_rejects_an_unstable_partition():
         mimick_next(Lifting(g, part, reduced, [0, 0, 1], qsol, EVEN), (1,))
 
 
+def test_lifting_rejects_a_one_member_block_with_no_exit_onto_its_target():
+    # all three blocks are singletons; the hand-built quotient has an edge
+    # 0 -> 2, but vertex 0 only moves to 1
+    g = Game(priority=[1, 0, 0], owner=[EVEN] * 3, successors=[[1], [1], [2]])
+    part = Partition(block_of=[0, 1, 2], blocks=[[0], [1], [2]], divergent=[False, True, True])
+    reduced = Game(priority=[1, 0, 0], owner=[EVEN] * 3, successors=[[1, 2], [1], [2]])
+    qsol = Solution([EVEN] * 3, Strategy(EVEN, {0: 2, 1: 1, 2: 2}), Strategy(ODD, {}))
+    with pytest.raises(
+        ValueError, match="^block 0 has no exit onto target block 2: unstable partition$"
+    ):
+        lift_solution(g, part, reduced, [0, 1, 2], qsol)
+
+
+def test_a_divergent_one_member_block_that_stays_takes_its_self_loop():
+    # EVEN wins vertex 1 by staying on its priority-0 self-loop, although
+    # its least successor is 0; the quotient of singletons is the game
+    g = Game(priority=[1, 0], owner=[ODD, EVEN], successors=[[0], [0, 1]])
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    assert part.blocks == [[0], [1]] and reduced == g
+    lifted = lift_solution(g, part, reduced, vmap, solve_zielonka(reduced))
+    assert lifted.winner == [ODD, EVEN]
+    assert lifted.strategy(EVEN).moves == {1: 1}
+    assert lifted.strategy(ODD).moves == {0: 0}
+    # the same stay on a one-member block marked non-divergent is refused
+    part = dataclasses.replace(part, divergent=[True, False])
+    with pytest.raises(ValueError, match="stays at non-divergent block 1"):
+        lift_solution(g, part, reduced, vmap, solve_zielonka(reduced))
+
+
 def _g4_quotient(g4):
     """g4's stuttering partition and quotient, which is g4 itself: blocks
     0 and 1 are won by EVEN and owned by it, block 2 by ODD."""
