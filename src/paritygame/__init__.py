@@ -6,6 +6,7 @@ from .game import (
     EVEN,
     ODD,
     Game,
+    Solution,
     Strategy,
     VerifyResult,
     convert_priorities,
@@ -20,7 +21,7 @@ from .reduction import (
     refine_stuttering,
     write_partition,
 )
-from .solvers import Solution, solve
+from .solvers import solve
 from .strategy import lift_solution
 
 __version__ = "0.1.0"

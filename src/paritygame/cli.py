@@ -22,13 +22,7 @@ import sys
 from .bench import METHODS, REFINE, WinnerMismatchError, records_to_csv, run_benchmark
 from .game import EVEN, ODD, Game, convert_priorities, verify_strategy
 from .generators import gen_chain, gen_random
-from .io import (
-    FormatError,
-    parse_pgsolver,
-    parse_solution,
-    write_pgsolver,
-    write_solution,
-)
+from .io import parse_pgsolver, parse_solution, write_pgsolver, write_solution
 from .reduction import quotient, write_partition
 from .solvers import ALGORITHMS, solve
 
@@ -240,7 +234,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return args.run(args)
     except BrokenPipeError:
         raise  # main's to handle: it is no domain failure
-    except (FormatError, OSError, ValueError, WinnerMismatchError) as exc:
+    except (OSError, ValueError, WinnerMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,11 +76,13 @@ _SOLUTION_HEADER_RE = re.compile(r"^\s*solution\s+(\d+)\s*;\s*$", re.ASCII)
 # and a tail (an optional name, then ``;``).  The successor field runs from
 # a digit to its last digit or comma; spelled greedily rather than as a
 # lazy ``[0-9][0-9,\s]*?`` it matches the same text without retrying the
-# rest of the pattern after every character.
+# rest of the pattern after every character.  Each whitespace run of the
+# tail has one owner, a name taking the run after it, so a line that fails
+# after a long run backtracks through it once, not once per way to split it.
 _WS = r"[ \t\r\f\v]"
 _HEAD = rf"{_WS}*([0-9]+){_WS}+([0-9]+){_WS}+([01])"
 _SUCCESSORS = rf"{_WS}+([0-9](?:[0-9, \t\r\f\v]*[0-9,])?)"
-_TAIL = rf"{_WS}*(?:\"([^\"\n]*)\")?{_WS}*;{_WS}*"
+_TAIL = rf"{_WS}*(?:\"([^\"\n]*)\"{_WS}*)?;{_WS}*"
 # One line, matched whole; its successor field is optional, so that a line
 # without one is named as such.
 _VERTEX_RE = re.compile(rf"{_HEAD}(?:{_SUCCESSORS})?{_TAIL}")

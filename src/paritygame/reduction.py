@@ -9,18 +9,21 @@ initial (priority, owner) partition:
   agree on (a) whether an infinite path can stay inside the block and
   (b) which other blocks are reachable after a run of intra-block edges.
 
-One engine serves both, with a signature function per equivalence, for a
-batch of vertices and for a lone one.  Its state is flat: the block of
-every vertex, the size of every block and a cached signature per vertex.
-Each round re-signs only the dirty vertices of non-singleton blocks (those
-whose signature the previous round's splits may have changed) and splits
-off exactly the members whose signature changed, so a round's
-bookkeeping grows with what changed in it, not with the game.  A lone
-dirty vertex skips the round: it is signed and split off on its own, so
-a cascade of one-vertex splits (a chain) costs its splits, not a round
-each.  One ascending pass over the block map then builds the sorted
-member lists and numbers the blocks by their least member; each
-refinement reads the divergence flags off its own result.
+One engine call, one signer per equivalence: ``_refine(game, signer)`` is
+the whole refinement, and a signer supplies the signature of a batch of
+vertices and of a lone one, the vertices a round's moves make dirty, and
+the divergence of a block of several members.  The engine's state is
+flat: the block of every vertex, the size of every block and a cached
+signature per vertex.  Each round re-signs only the dirty vertices of
+non-singleton blocks (those whose signature the previous round's splits
+may have changed) and splits off exactly the members whose signature
+changed, so a round's bookkeeping grows with what changed in it, not
+with the game.  A lone dirty vertex skips the round: it is signed and
+split off on its own, so a cascade of one-vertex splits (a chain) costs
+its splits, not a round each.  One ascending pass over the block map
+then builds the sorted member lists, numbers the blocks by their least
+member and flags them: a one-member block diverges iff its vertex has a
+self-loop, a larger one as the signer says of its least member.
 Stuttering refinement orders the initial inert graph (the edges inside a
 (priority, owner) class) once, sinks first: blocks only split and inert
 cycles never do (Groote and Vaandrager, ICALP 1990), so that order of its
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .game import Game
 from .graphs import strongly_connected_components
@@ -86,40 +89,27 @@ def _initial_blocks(game: Game) -> tuple[list[int], list[int]]:
     return block_of, size
 
 
-def _finalize(block_of: list[int], diverges) -> Partition:
-    """Renumber ``block_of`` in place by least member and collect the
-    sorted member lists, both in one ascending pass; then flag each block
-    by ``diverges(members)``."""
-    final = [-1] * (max(block_of, default=-1) + 1)
-    blocks: list[list[int]] = []
-    for v, b in enumerate(block_of):
-        f = final[b]
-        if f < 0:
-            f = final[b] = len(blocks)
-            blocks.append([v])
-        else:
-            blocks[f].append(v)
-        block_of[v] = f
-    return Partition(block_of, blocks, list(map(diverges, blocks)))
+def _refine(game: Game, signer) -> Partition:
+    """Coarsest refinement of the (priority, owner) partition of ``game``
+    that is stable for the signatures of ``signer``: blocks numbered by
+    least member, sorted member lists and divergence flags.
 
-
-def _refine(block_of: list[int], size: list[int], sign, next_dirty, sign_one) -> list:
-    """Dirty-set signature refinement shared by both equivalences, from
-    the initial ``block_of`` and block ``size`` (refined in place); returns
-    the signature cache.
-
+    ``signer(game, block_of)`` is called once with the initial block map,
+    which the engine then refines in place, and returns four functions.
     ``sign(dirty)`` returns the new signature of every vertex in the list
-    ``dirty``, and ``next_dirty(moved)``, as any iterable without
-    duplicates, the vertices whose signature a round's moves may have
-    changed.  ``sign_one(v)`` is the signature of a lone vertex ``v``.
-    The state is ``block_of`` and the size of every block, no member
-    sets.  Blocks stay signature-uniform between rounds, so a
-    round splits off exactly the members whose signature changed, never
-    rescanning the remainder.  A round costs what changed in it: a block
-    with one changed member splits that member off directly.  Nothing
-    here is sorted: the order of the dirty vertices and of the changed
-    blocks only picks the interim block ids, which ``_finalize``
-    renumbers.
+    ``dirty``, and ``sign_one(v)`` that of a lone vertex ``v``.
+    ``next_dirty(moved)`` returns, as any iterable without duplicates,
+    the vertices whose signature a round's moves may have changed.
+    ``diverges(v)`` says, once the partition is stable, whether the block
+    of ``v``, a least member of a block of several, is divergent; a
+    one-member block is divergent iff its vertex has a self-loop.
+
+    The state is ``block_of``, the size of every block and a signature
+    cache, no member sets.  Blocks stay signature-uniform between rounds,
+    so a round splits off exactly the members whose signature changed,
+    never rescanning the remainder.  Nothing in the rounds is sorted: the
+    order of the dirty vertices and of the changed blocks only picks the
+    interim block ids, which the final pass renumbers.
 
     A round with one dirty vertex skips the round machinery: the vertex is
     signed alone and, if its signature changed, split off, and the dirty
@@ -128,6 +118,8 @@ def _refine(block_of: list[int], size: list[int], sign, next_dirty, sign_one) ->
     each.  Members of singleton blocks are never re-signed: a singleton
     cannot split, and no other vertex reads its signature.
     """
+    block_of, size = _initial_blocks(game)
+    sign, sign_one, next_dirty, diverges = signer(game, block_of)
     sig: list = [None] * len(block_of)
     dirty = [v for v, b in enumerate(block_of) if size[b] > 1]
     while dirty:
@@ -155,14 +147,6 @@ def _refine(block_of: list[int], size: list[int], sign, next_dirty, sign_one) ->
         moved: list[int] = []
         for b in changed:
             touched = changed[b]
-            if len(touched) == 1:
-                # a lone changed member leaves a block of several
-                v = touched[0]
-                size[b] -= 1
-                block_of[v] = len(size)
-                size.append(1)
-                moved.append(v)
-                continue
             groups: dict[object, list[int]] = {}
             for v in touched:
                 groups.setdefault(sig[v], []).append(v)
@@ -185,20 +169,33 @@ def _refine(block_of: list[int], size: list[int], sign, next_dirty, sign_one) ->
                     block_of[v] = new_id
                 moved.extend(part)
         dirty = [v for v in next_dirty(moved) if size[block_of[v]] > 1]
-    return sig
+    # free the signature cache first, so the member lists can reuse its memory
+    del sig
+    # renumber ``block_of`` in place by least member and collect the
+    # sorted member lists, both in one ascending pass
+    final = [-1] * len(size)
+    blocks: list[list[int]] = []
+    for v, b in enumerate(block_of):
+        f = final[b]
+        if f < 0:
+            f = final[b] = len(blocks)
+            blocks.append([v])
+        else:
+            blocks[f].append(v)
+        block_of[v] = f
+    succ = game.successors
+    divergent = [diverges(vs[0]) if len(vs) > 1 else vs[0] in succ[vs[0]] for vs in blocks]
+    return Partition(block_of, blocks, divergent)
 
 
-def refine_strong(game: Game) -> Partition:
-    """Coarsest refinement of the initial partition in which all members of
-    a block have identical sets of successor blocks (strong bisimilarity).
+def _strong_signer(game: Game, block_of: list[int]) -> tuple:
+    """Signer for ``_refine`` of strong bisimilarity over ``block_of``.
 
     A vertex's signature is the frozenset of its successor blocks, so only
     the predecessors of vertices that changed block are re-signed.
     Members of a block reach the same blocks, so a block is divergent iff
-    its representative has an intra-block successor: for a one-member
-    block, a self-loop.
+    its least member has an intra-block successor.
     """
-    block_of, size = _initial_blocks(game)
     succ, pred = game.successors, game.predecessors
     block = block_of.__getitem__
 
@@ -214,13 +211,21 @@ def refine_strong(game: Game) -> Partition:
             return pred[moved[0]]
         return {p for u in moved for p in pred[u]}
 
-    _refine(block_of, size, sign, next_dirty, sign_one)
-    return _finalize(
-        block_of,
-        lambda vs: block_of[vs[0]] in map(block, succ[vs[0]])
-        if len(vs) > 1
-        else vs[0] in succ[vs[0]],
-    )
+    def diverges(v: int) -> bool:
+        return block_of[v] in map(block, succ[v])
+
+    return sign, sign_one, next_dirty, diverges
+
+
+def refine_strong(game: Game) -> Partition:
+    """Coarsest refinement of the initial partition in which all members of
+    a block have identical sets of successor blocks (strong bisimilarity).
+
+    A vertex's signature is the frozenset of its successor blocks.  A
+    block is divergent iff a member has an intra-block successor: for a
+    one-member block, a self-loop.
+    """
+    return _refine(game, _strong_signer)
 
 
 def _inert_components(game: Game, block_of: list[int]) -> tuple[list, list[int]]:
@@ -273,12 +278,9 @@ def _inert_components(game: Game, block_of: list[int]) -> tuple[list, list[int]]
 _DIVERGES = -1
 
 
-def _stuttering_signer(
-    game: Game, block_of: list[int]
-) -> tuple[Callable[[list[int]], list[int]], Callable[[int], int], list[frozenset[int]]]:
-    """Signature functions for ``_refine`` over the inert components of the
-    initial ``block_of`` (which ``_refine`` refines in place), for a batch
-    and for a lone vertex, and their table of exit sets by signature id.
+def _stuttering_signer(game: Game, block_of: list[int]) -> tuple:
+    """Signer for ``_refine`` of stuttering equivalence over the inert
+    components of the initial ``block_of``.
 
     A signature is an ``int`` id, interned per call, of the frozenset of
     blocks a component exits to after inert steps, plus ``_DIVERGES`` when
@@ -294,6 +296,9 @@ def _stuttering_signer(
     one whose successors disagree pays for a union.  A loose vertex (a bare
     ``int`` among the components) has no inert successor and no
     divergence, so its key is the frozenset of its successor blocks.
+    The dirty rule is ``_dirty_stuttering``.  A block of several members
+    diverges iff its members' signature holds ``_DIVERGES``; a singleton
+    is never re-signed, so its ``current`` entry may be stale.
     """
     comps, comp_of = _inert_components(game, block_of)
     succ = game.successors
@@ -349,7 +354,10 @@ def _stuttering_signer(
         sign_components((c,))
         return current[c]
 
-    return sign, sign_one, sets
+    def diverges(v: int) -> bool:
+        return _DIVERGES in sets[current[comp_of[v]]]
+
+    return sign, sign_one, partial(_dirty_stuttering, game, block_of), diverges
 
 
 def _dirty_stuttering(game: Game, block_of: list[int], moved: Iterable[int]) -> set[int]:
@@ -401,18 +409,10 @@ def refine_stuttering(game: Game) -> Partition:
     (those that moved, their predecessors, and whatever reaches them by
     intra-block edges) in one sinks-first order of the initial inert
     graph's components, built by peeling before any Tarjan call.  A block
-    of several members takes its flag from a member's final signature; a
-    one-member block diverges iff its vertex has a self-loop.
+    of several members takes its flag from its least member's final
+    signature; a one-member block diverges iff its vertex has a self-loop.
     """
-    block_of, size = _initial_blocks(game)
-    sign, sign_one, sets = _stuttering_signer(game, block_of)
-    next_dirty = partial(_dirty_stuttering, game, block_of)
-    sig = _refine(block_of, size, sign, next_dirty, sign_one)
-    succ = game.successors
-    return _finalize(
-        block_of,
-        lambda vs: _DIVERGES in sets[sig[vs[0]]] if len(vs) > 1 else vs[0] in succ[vs[0]],
-    )
+    return _refine(game, _stuttering_signer)
 
 
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:

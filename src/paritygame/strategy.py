@@ -105,7 +105,8 @@ def lift_solution(
 
     Raises ``ValueError`` unless ``partition``, strong or stuttering,
     covers ``game``'s vertices with the block map ``vmap``, the quotient
-    game has one vertex per block, the quotient winner vector gives a
+    game has one vertex per block, each with the priority and owner of
+    its block's least member, the quotient winner vector gives a
     player for exactly the quotient's vertices, and each quotient strategy
     belongs to its player, moves only at blocks and along quotient edges,
     is defined at every won block its player owns and stays only on
@@ -123,14 +124,27 @@ def lift_solution(
             f"quotient of {quotient_game.vertex_count} vertices "
             f"for a partition of {partition.block_count} blocks"
         )
-    qwinner, qowner = quotient_solution.winner, quotient_game.owner
+    blocks, priority, owner = partition.blocks, game.priority, game.owner
+    qpriority, qowner = quotient_game.priority, quotient_game.owner
+    if [priority[m[0]] for m in blocks] != list(qpriority) or (
+        [owner[m[0]] for m in blocks] != list(qowner)
+    ):
+        b, v = next(
+            (b, m[0])
+            for b, m in enumerate(blocks)
+            if (qpriority[b], qowner[b]) != (priority[m[0]], owner[m[0]])
+        )
+        raise ValueError(
+            f"quotient block {b} differs in priority or owner from its least member {v}"
+        )
+    qwinner = quotient_solution.winner
     if len(qwinner) != quotient_game.vertex_count:
         raise ValueError(
             f"quotient winner vector of length {len(qwinner)} "
             f"for {quotient_game.vertex_count} blocks"
         )
     _check_players(qwinner, "block")
-    succ, qsucc, blocks = game.successors, quotient_game.successors, partition.blocks
+    succ, qsucc = game.successors, quotient_game.successors
     lifted = []
     for player in (EVEN, ODD):
         strategy = quotient_solution.strategy(player)

@@ -11,12 +11,13 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
+    Solution,
     Strategy,
     quotient,
     refine_stuttering,
 )
 from paritygame.generators import Xoshiro256StarStar
-from paritygame.solvers import Solution, _solution, _zielonka
+from paritygame.solvers import _solution, _zielonka
 
 from lifting_reference import Lifting, Path, distance, mimick_next
 

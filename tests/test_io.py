@@ -1,6 +1,7 @@
 """PGSolver format parsing/writing and the solution format."""
 
 import re
+import time
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -118,6 +119,40 @@ def test_header_max_id_too_long_for_int_raises_format_error(parse, keyword):
 def test_parse_syntax_error_carries_line():
     with pytest.raises(FormatError, match="line 2"):
         parse_pgsolver("0 0 0 0;\nnot a vertex;")
+
+
+# 100,000 characters of the whitespace a line may hold
+LONG_RUN = " \t\f\v\r" * 20_000
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_pgsolver, f"0 0 0 1{LONG_RUN}x;"),
+        (parse_pgsolver, f'0 0 0 1{LONG_RUN}"v"x;'),
+        (parse_pgsolver, f'0 0 0 1 "v"{LONG_RUN}x;'),
+        (parse_pgsolver, f"0 0 0{LONG_RUN}x;"),
+        (partial(parse_solution, game=G1), f"0 0{LONG_RUN}x;"),
+        (parse_pgsolver, f"parity{LONG_RUN}x;\n0 0 0 0;"),
+        (partial(parse_solution, game=G1), f"solution{LONG_RUN}x;\n0 0 1;\n1 0;"),
+    ],
+    ids=[
+        "gap-before-semicolon",
+        "gap-before-name",
+        "gap-after-name",
+        "gap-before-no-successors",
+        "solution-line",
+        "game-header",
+        "solution-header",
+    ],
+)
+def test_a_long_whitespace_run_then_a_bad_character_fails_fast(parse, text):
+    # a pattern that could split the run between two repeats would try
+    # every split before failing: quadratic in the run
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match="^line 1: "):
+        parse(text)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_parse_is_whitespace_tolerant():

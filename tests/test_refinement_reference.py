@@ -442,20 +442,26 @@ LANE_FAMILIES = {
 
 def _signing_trace(monkeypatch) -> list[str]:
     """A list that every later refinement appends ``"B"`` to for each
-    batched signing and ``"L"`` for each lone-vertex one."""
+    batched signing and ``"L"`` for each lone-vertex one, through a wrapper
+    around the signer the engine is given."""
     trace: list[str] = []
     refine = reduction._refine
 
-    def traced(block_of, size, sign, next_dirty, sign_one):
-        def sign_batch(dirty):
-            trace.append("B")
-            return sign(dirty)
+    def traced(game, signer):
+        def traced_signer(game, block_of):
+            sign, sign_one, next_dirty, diverges = signer(game, block_of)
 
-        def sign_lone(v):
-            trace.append("L")
-            return sign_one(v)
+            def sign_batch(dirty):
+                trace.append("B")
+                return sign(dirty)
 
-        return refine(block_of, size, sign_batch, next_dirty, sign_lone)
+            def sign_lone(v):
+                trace.append("L")
+                return sign_one(v)
+
+            return sign_batch, sign_lone, next_dirty, diverges
+
+        return refine(game, traced_signer)
 
     monkeypatch.setattr(reduction, "_refine", traced)
     return trace

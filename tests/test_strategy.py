@@ -644,3 +644,27 @@ def test_reduce_then_solve_is_near_linear_on_long_chains(game):
         res = verify_strategy(game, player, solution.region(player), solution.strategy(player))
         assert res.ok, (player, res)
     assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.parametrize(
+    "change, block",
+    [
+        (lambda q: Game(q.priority, [1 - o for o in q.owner], q.successors), 0),
+        (lambda q: Game([p + 1 for p in q.priority], q.owner, q.successors), 0),
+        (lambda q: Game(q.priority[:3] + (q.priority[3] + 2,) + q.priority[4:], q.owner,
+                        q.successors), 3),
+    ],
+    ids=["flipped-owners", "shifted-priorities", "one-shifted-priority"],
+)
+def test_lifting_rejects_a_quotient_game_that_is_not_its_partitions(change, block):
+    # with the owners flipped the lifted strategies used to fail
+    # verification: EVEN's opponent escaped its region, and ODD's strategy
+    # was undefined inside its own
+    g = gen_random(30, 3, 3, 5)
+    part = refine_stuttering(g)
+    reduced, vmap = quotient(g, part)
+    other = change(reduced)
+    rep = part.blocks[block][0]
+    message = f"^quotient block {block} differs in priority or owner from its least member {rep}$"
+    with pytest.raises(ValueError, match=message):
+        lift_solution(g, part, other, vmap, solve(other))
