@@ -153,9 +153,13 @@ class Game:
 
 
 def _check_successors(successors: Sequence[Iterable[int]], n: int) -> None:
-    """Raise naming the first vertex without a successor or with one that
-    is not an ``int`` id in ``0..n-1``."""
+    """Raise naming the first vertex whose successors are not iterable, or
+    that has no successor or one that is not an ``int`` id in ``0..n-1``."""
     for v, succs in enumerate(successors):
+        if not isinstance(succs, Iterable):
+            raise ValueError(
+                f"vertex {v}: successors must be an iterable of vertex ids, not {succs!r}"
+            )
         if not succs:
             raise ValueError(f"vertex {v} has no successor")
         for w in succs:

@@ -10,30 +10,30 @@ initial (priority, owner) partition:
   (b) which other blocks are reachable after a run of intra-block edges.
 
 One engine call, one signer per equivalence: ``_refine(game, signer)`` is
-the whole refinement, and a signer supplies the signature of a batch of
-vertices and of a lone one, the vertices a round's moves make dirty, and
-the divergence of a block of several members.  The engine's state is
+the whole refinement, and a signer supplies three functions: the
+signature of a batch of vertices, the vertices a round's moves make dirty
+and the divergence of a block of several members.  The engine's state is
 flat: the block of every vertex, the size of every block and a cached
 signature per vertex.  Each round re-signs only the dirty vertices of
 non-singleton blocks (those whose signature the previous round's splits
 may have changed) and splits off exactly the members whose signature
 changed, so a round's bookkeeping grows with what changed in it, not
-with the game.  A lone dirty vertex skips the round: it is signed and
-split off on its own, so a cascade of one-vertex splits (a chain) costs
-its splits, not a round each.  One ascending pass over the block map
-then builds the sorted member lists, numbers the blocks by their least
-member and flags them: a one-member block diverges iff its vertex has a
-self-loop, a larger one as the signer says of its least member.
+with the game.  A lone dirty vertex skips the round: its signature has
+always changed, so it is split off on its own without being signed, and a
+cascade of one-vertex splits (a chain) costs its splits, not a round or a
+signing each.  One ascending pass over the block map then builds the
+sorted member lists, numbers the blocks by their least member and flags
+them: a one-member block diverges iff its vertex has a self-loop, a
+larger one as the signer says of its least member.
 Stuttering refinement orders the initial inert graph (the edges inside a
 (priority, owner) class) once, sinks first: blocks only split and inert
 cycles never do (Groote and Vaandrager, ICALP 1990), so that order of its
-strongly connected components serves every round, and a lone dirty
-vertex is a one-member component.  Peeling, which takes a vertex once its
-other inert successors are taken, orders everything that reaches no
-inert cycle; Tarjan runs only on the rest, which is the library's only
-condensation of the block-internal graph (lifting needs none, and the
-definition the divergence flags are checked against lives with the
-tests' oracles).  A stuttering signature is an ``int`` interned
+strongly connected components serves every round.  Peeling, which takes a
+vertex once its other inert successors are taken, orders everything that
+reaches no inert cycle; Tarjan runs only on the rest, which is the
+library's only condensation of the block-internal graph (lifting needs
+none, and the definition the divergence flags are checked against lives
+with the tests' oracles).  A stuttering signature is an ``int`` interned
 per call: a component whose inert successors all carry one signature,
 and that adds neither exits nor divergence to it, reuses its id, so only
 where successors disagree is an exit set built.  A loose vertex, one
@@ -95,11 +95,11 @@ def _refine(game: Game, signer) -> Partition:
     least member, sorted member lists and divergence flags.
 
     ``signer(game, block_of)`` is called once with the initial block map,
-    which the engine then refines in place, and returns four functions.
+    which the engine then refines in place, and returns three functions.
     ``sign(dirty)`` returns the new signature of every vertex in the list
-    ``dirty``, and ``sign_one(v)`` that of a lone vertex ``v``.
-    ``next_dirty(moved)`` returns, as any iterable without duplicates,
-    the vertices whose signature a round's moves may have changed.
+    ``dirty``.  ``next_dirty(moved)`` returns, as any iterable without
+    duplicates, the vertices whose signature a round's moves may have
+    changed.
     ``diverges(v)`` says, once the partition is stable, whether the block
     of ``v``, a least member of a block of several, is divergent; a
     one-member block is divergent iff its vertex has a self-loop.
@@ -112,23 +112,38 @@ def _refine(game: Game, signer) -> Partition:
     interim block ids, which the final pass renumbers.
 
     A round with one dirty vertex skips the round machinery: the vertex is
-    signed alone and, if its signature changed, split off, and the dirty
-    set it leaves is followed the same way for as long as it holds one
-    vertex.  A split cascade (a chain) thus costs its splits, not a round
-    each.  Members of singleton blocks are never re-signed: a singleton
-    cannot split, and no other vertex reads its signature.
+    split off unsigned, and the dirty set it leaves is followed the same
+    way for as long as it holds one vertex.  A split cascade (a chain)
+    thus costs its splits, not a round each.  Members of singleton blocks
+    are never re-signed: a singleton cannot split, and no other vertex
+    reads its signature.
+
+    The lone split is always right.  Blocks only split, and every vertex
+    that moves takes a block id that did not exist before, so a lone dirty
+    vertex ``v`` is a direct predecessor of a vertex ``w`` that sits in a
+    block id created by the step just before.  For strong signatures
+    every dirty vertex is such a predecessor.  For stuttering ones, ``v``
+    did not move: a vertex that moved alone is a singleton, filtered out,
+    and a moved part of two or more vertices puts all of them in the
+    dirty set.  Nor was ``v`` reached only through the inert closure: an
+    inert predecessor shares its block with the vertex it precedes, which
+    would then be dirty too.  A strong signature, the set of successor
+    blocks, thus gains ``w``'s new id.  A stuttering one gains it as a
+    direct exit, since ``v`` lies outside ``w``'s block, and no shortcut
+    can return the old id, since every interned set predates the new one.
+    So ``v``'s new signature differs from its cached one, and from those of
+    its block-mates: they are not dirty, so theirs predate the new id.
     """
     block_of, size = _initial_blocks(game)
-    sign, sign_one, next_dirty, diverges = signer(game, block_of)
+    sign, next_dirty, diverges = signer(game, block_of)
     sig: list = [None] * len(block_of)
     dirty = [v for v, b in enumerate(block_of) if size[b] > 1]
     while dirty:
         if len(dirty) == 1:
+            # the lone dirty vertex's signature has changed (see above): it
+            # leaves a block of several, and as a singleton needs no
+            # cached signature
             v = dirty[0]
-            if sign_one(v) == sig[v]:
-                break
-            # the lone dirty vertex leaves a block of several; as a
-            # singleton it needs no cached signature
             size[block_of[v]] -= 1
             block_of[v] = len(size)
             size.append(1)
@@ -189,7 +204,8 @@ def _refine(game: Game, signer) -> Partition:
 
 
 def _strong_signer(game: Game, block_of: list[int]) -> tuple:
-    """Signer for ``_refine`` of strong bisimilarity over ``block_of``.
+    """Signer for ``_refine`` of strong bisimilarity over ``block_of``:
+    ``sign``, ``next_dirty`` and ``diverges``.
 
     A vertex's signature is the frozenset of its successor blocks, so only
     the predecessors of vertices that changed block are re-signed.
@@ -198,9 +214,6 @@ def _strong_signer(game: Game, block_of: list[int]) -> tuple:
     """
     succ, pred = game.successors, game.predecessors
     block = block_of.__getitem__
-
-    def sign_one(v: int) -> frozenset[int]:
-        return frozenset(map(block, succ[v]))
 
     def sign(dirty: list[int]) -> list[frozenset[int]]:
         return [frozenset(map(block, succ[v])) for v in dirty]
@@ -214,7 +227,7 @@ def _strong_signer(game: Game, block_of: list[int]) -> tuple:
     def diverges(v: int) -> bool:
         return block_of[v] in map(block, succ[v])
 
-    return sign, sign_one, next_dirty, diverges
+    return sign, next_dirty, diverges
 
 
 def refine_strong(game: Game) -> Partition:
@@ -280,7 +293,8 @@ _DIVERGES = -1
 
 def _stuttering_signer(game: Game, block_of: list[int]) -> tuple:
     """Signer for ``_refine`` of stuttering equivalence over the inert
-    components of the initial ``block_of``.
+    components of the initial ``block_of``: ``sign``, ``next_dirty`` and
+    ``diverges``.
 
     A signature is an ``int`` id, interned per call, of the frozenset of
     blocks a component exits to after inert steps, plus ``_DIVERGES`` when
@@ -288,17 +302,16 @@ def _stuttering_signer(game: Game, block_of: list[int]) -> tuple:
     first.  A component never splits and its edges stay inert, so the
     dirty set is a union of components, whose members share the signature
     ``current[c]``; an inert successor in another component was signed
-    earlier this round, or is clean and its id still exact.  A lone dirty
-    vertex is therefore a one-member component, and one body signs it and
-    every component of a batch.  A component whose inert successors
-    outside it all carry one id, whose direct exits lie in that id's set
-    and that adds no divergence takes that id without building a set; only
-    one whose successors disagree pays for a union.  A loose vertex (a bare
-    ``int`` among the components) has no inert successor and no
-    divergence, so its key is the frozenset of its successor blocks.
-    The dirty rule is ``_dirty_stuttering``.  A block of several members
-    diverges iff its members' signature holds ``_DIVERGES``; a singleton
-    is never re-signed, so its ``current`` entry may be stale.
+    earlier this round, or is clean and its id still exact.  A component
+    whose inert successors outside it all carry one id, whose direct exits
+    lie in that id's set and that adds no divergence takes that id without
+    building a set; only one whose successors disagree pays for a union.
+    A loose vertex (a bare ``int`` among the components) has no inert
+    successor and no divergence, so its key is the frozenset of its
+    successor blocks.  The dirty rule is ``_dirty_stuttering``.  A block
+    of several members diverges iff its members' signature holds
+    ``_DIVERGES``; a singleton is never re-signed, and one split off alone
+    is never signed, so its ``current`` entry may be stale.
     """
     comps, comp_of = _inert_components(game, block_of)
     succ = game.successors
@@ -307,9 +320,8 @@ def _stuttering_signer(game: Game, block_of: list[int]) -> tuple:
     sets: list[frozenset[int]] = []
     current = [0] * len(comps)
 
-    def sign_components(cs: Iterable[int]) -> None:
-        """Sign the components ``cs``, in that order, into ``current``."""
-        for c in cs:
+    def sign(dirty: list[int]) -> list[int]:
+        for c in sorted({comp_of[v] for v in dirty}):
             comp = comps[c]
             if type(comp) is int:
                 # a loose vertex never gains an inert edge, since blocks
@@ -344,20 +356,12 @@ def _stuttering_signer(game: Game, block_of: list[int]) -> tuple:
             if i == len(sets):
                 sets.append(key)
             current[c] = i
-
-    def sign(dirty: list[int]) -> list[int]:
-        sign_components(sorted({comp_of[v] for v in dirty}))
         return [current[comp_of[v]] for v in dirty]
-
-    def sign_one(v: int) -> int:
-        c = comp_of[v]
-        sign_components((c,))
-        return current[c]
 
     def diverges(v: int) -> bool:
         return _DIVERGES in sets[current[comp_of[v]]]
 
-    return sign, sign_one, partial(_dirty_stuttering, game, block_of), diverges
+    return sign, partial(_dirty_stuttering, game, block_of), diverges
 
 
 def _dirty_stuttering(game: Game, block_of: list[int], moved: Iterable[int]) -> set[int]:
@@ -415,22 +419,30 @@ def refine_stuttering(game: Game) -> Partition:
     return _refine(game, _stuttering_signer)
 
 
+def _check_block_map(game: Game, partition: Partition) -> None:
+    """Raise ``ValueError`` unless the block map of ``partition`` has one
+    entry per vertex of ``game`` and names only blocks the partition lists."""
+    block_of, n = partition.block_of, game.vertex_count
+    if len(block_of) != n:
+        raise ValueError(f"partition of {len(block_of)} vertices for a game of {n}")
+    if n and not (0 <= min(block_of) and max(block_of) < len(partition.blocks)):
+        raise ValueError("partition block map names a block the partition does not list")
+
+
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     """Quotient game of a stable partition plus the vertex-to-block map.
 
     Block priorities and owners come from the representative; a block
     whose members differ in either raises ``ValueError`` (a partition of
-    another game); a one-member block cannot, and takes its targets
-    straight from its vertex's successors.  A block's successors are the
+    another game), as does a block map of another length or one naming a
+    block the partition does not list; a one-member block cannot differ,
+    and takes its targets straight from its vertex's successors.  A block's successors are the
     blocks its members reach, itself included exactly when it is
     divergent, which for a strong partition means that a member has an
     intra-block edge.
     """
+    _check_block_map(game, partition)
     block_of = partition.block_of
-    if len(block_of) != game.vertex_count:
-        raise ValueError(
-            f"partition of {len(block_of)} vertices for a game of {game.vertex_count}"
-        )
     reps = [members[0] for members in partition.blocks]
     priority = tuple(map(game.priority.__getitem__, reps))
     owner = tuple(map(game.owner.__getitem__, reps))

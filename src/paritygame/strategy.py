@@ -33,7 +33,7 @@ reference the per-block pass is compared against.
 from __future__ import annotations
 
 from .game import EVEN, ODD, Game, Solution, Strategy, _check_moves, _check_players
-from .reduction import Partition
+from .reduction import Partition, _check_block_map
 
 
 def _lift_block(game: Game, partition: Partition, b: int, t: int, moves: dict[int, int]):
@@ -104,19 +104,17 @@ def lift_solution(
     player's vertices of every block the player owns and wins.
 
     Raises ``ValueError`` unless ``partition``, strong or stuttering,
-    covers ``game``'s vertices with the block map ``vmap``, the quotient
-    game has one vertex per block, each with the priority and owner of
-    its block's least member, the quotient winner vector gives a
-    player for exactly the quotient's vertices, and each quotient strategy
-    belongs to its player, moves only at blocks and along quotient edges,
-    is defined at every won block its player owns and stays only on
-    divergent blocks; and when a block it lifts has a member with no
-    in-block route onto the quotient move (an unstable partition).
+    covers ``game``'s vertices with the block map ``vmap``, which names
+    only blocks the partition lists, the quotient game has one vertex per
+    block, each with the priority and owner of its block's least member,
+    the quotient winner vector gives a player for exactly the quotient's
+    vertices, and each quotient strategy belongs to its player, moves only
+    at blocks and along quotient edges, is defined at every won block its
+    player owns and stays only on divergent blocks; and when a block it
+    lifts has a member with no in-block route onto the quotient move (an
+    unstable partition).
     """
-    if len(partition.block_of) != game.vertex_count:
-        raise ValueError(
-            f"partition of {len(partition.block_of)} vertices for a game of {game.vertex_count}"
-        )
+    _check_block_map(game, partition)
     if vmap != partition.block_of:
         raise ValueError("vmap does not match the partition")
     if quotient_game.vertex_count != partition.block_count:

@@ -79,6 +79,9 @@ def test_constructed_games_build_predecessors_on_first_read():
         (([0], [0], [[0]], [0]), "vertex 0: name must be a string, not 0"),
         (([0], [0], [[0]], [b""]), "vertex 0: name must be a string, not b''"),
         (([0], [0], [[0]], [False]), "vertex 0: name must be a string, not False"),
+        # an entry that is not iterable raised a bare TypeError
+        (([0], [0], [5]), "vertex 0: successors must be an iterable of vertex ids, not 5"),
+        (([0, 0], [0, 0], [[1], 7]), "vertex 1: successors must be an iterable of vertex ids, not 7"),
     ],
 )
 def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, message):
@@ -224,6 +227,11 @@ def test_convert_priorities_all_equal_stay_equal():
     g = Game(priority=[3, 3], owner=[EVEN, ODD], successors=[[1], [0]])
     converted = convert_priorities(g, "min_to_max")
     assert len(set(converted.priority)) == 1
+
+
+def test_convert_priorities_rejects_an_unknown_direction(g1):
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$"):
+        convert_priorities(g1, "sideways")
 
 
 def test_convert_priorities_involution():

@@ -77,6 +77,10 @@ def test_gen_random_rejects_bad_parameters():
         gen_random(0, 3, 3, 1)
     with pytest.raises(ValueError):
         gen_random(5, 0, 3, 1)
+    with pytest.raises(ValueError, match="^pmax must be >= 0$"):
+        gen_random(5, 3, -1, 1)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        gen_chain(0, 1, ODD, 0)
 
 
 def test_gen_random_owner_distribution():

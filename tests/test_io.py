@@ -56,6 +56,11 @@ def test_parse_single_self_loop():
     assert g.successors == ((0,),)
 
 
+def test_parse_rejects_an_unknown_convention():
+    with pytest.raises(ValueError, match="^unknown priority convention 'mid'$"):
+        parse_pgsolver("parity 0;\n0 0 0 0;\n", "mid")
+
+
 def test_parse_empty_successor_list_rejected():
     with pytest.raises(FormatError, match="empty successor"):
         parse_pgsolver("parity 1;\n0 0 0 1;\n1 1 1;")

@@ -163,6 +163,18 @@ def test_quotient_rejects_a_partition_of_another_game(n, o_chain):
         quotient(gen_chain(n, 1, o_chain, 0), part)
 
 
+def test_quotient_rejects_a_block_map_naming_a_block_it_does_not_list():
+    # vertex 2 sits in block 2 of a two-block partition: the quotient was a
+    # two-vertex Game whose vertex 1 moved to vertex 2
+    g = Game([0, 0, 1], [EVEN, EVEN, EVEN], [[1], [0], [2]])
+    for block_of in ([0, 0, 2], [-1, -1, 1]):
+        bad = Partition(block_of, [[0, 1], [2]], [True, True])
+        with pytest.raises(
+            ValueError, match="^partition block map names a block the partition does not list$"
+        ):
+            quotient(g, bad)
+
+
 def test_quotient_rejects_a_partition_whose_blocks_mix_priorities_or_owners():
     # a same-size partition of another game: its one block used to become
     # a vertex of priority 0 owned by EVEN, and lifting a solution of that

@@ -442,24 +442,32 @@ LANE_FAMILIES = {
 
 def _signing_trace(monkeypatch) -> list[str]:
     """A list that every later refinement appends ``"B"`` to for each
-    batched signing and ``"L"`` for each lone-vertex one, through a wrapper
-    around the signer the engine is given."""
+    vertex a batched signing signs and ``"L"`` for each lone-vertex split,
+    through a wrapper around the signer the engine is given.  The engine
+    splits a lone vertex off unsigned, so a ``next_dirty`` call with no
+    signing since the previous one marks a lone split."""
     trace: list[str] = []
     refine = reduction._refine
 
     def traced(game, signer):
         def traced_signer(game, block_of):
-            sign, sign_one, next_dirty, diverges = signer(game, block_of)
+            sign, next_dirty, diverges = signer(game, block_of)
+            signed = False
 
             def sign_batch(dirty):
-                trace.append("B")
+                nonlocal signed
+                signed = True
+                trace.extend("B" * len(dirty))
                 return sign(dirty)
 
-            def sign_lone(v):
-                trace.append("L")
-                return sign_one(v)
+            def next_dirty_after(moved):
+                nonlocal signed
+                if not signed:
+                    trace.append("L")
+                signed = False
+                return next_dirty(moved)
 
-            return sign_batch, sign_lone, next_dirty, diverges
+            return sign_batch, next_dirty_after, diverges
 
         return refine(game, traced_signer)
 
@@ -502,3 +510,21 @@ def test_lane_cascades_match_the_dict_of_sets_reference(family, monkeypatch):
                 if stretch == 1:
                     # the lane was left for a round, and entered after one
                     assert "LB" in signings and "BL" in signings, signings
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "make, engine, signed",
+    [
+        (lambda: gen_chain(800, 1, EVEN, 0), refine_strong, 800),
+        (lambda: alternating_chain(400), refine_stuttering, 400),
+    ],
+    ids=["even-chain-strong", "alternating-chain-stuttering"],
+)
+def test_a_split_cascade_signs_each_vertex_once(make, engine, signed, seed, monkeypatch):
+    # the first round signs every vertex of a block of several; after it,
+    # each lone dirty vertex is split off unsigned (a lane that signed it
+    # again would make 1,598 and 797 signings)
+    trace = _signing_trace(monkeypatch)
+    engine(relabelled(make(), seed))
+    assert trace.count("B") == signed

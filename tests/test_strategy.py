@@ -565,6 +565,16 @@ def test_lifting_rejects_a_stay_on_a_non_divergent_block():
         lift_solution(g, part, reduced, vmap, qsol)
 
 
+def test_lifting_rejects_a_divergent_block_member_with_no_intra_block_move():
+    # block {0, 1} is marked divergent, and EVEN wins it by staying, but
+    # vertex 0 only moves to block 1
+    g = Game([0, 0, 1], [EVEN, EVEN, EVEN], [[2], [1], [2]])
+    part = Partition([0, 0, 1], [[0, 1], [2]], [True, True])
+    reduced, vmap = quotient(g, part)
+    with pytest.raises(ValueError, match="^divergent block member 0 has no intra-block move$"):
+        lift_solution(g, part, reduced, vmap, solve(reduced))
+
+
 def test_lifting_rejects_a_strategy_of_the_wrong_player(g4):
     part, reduced, vmap = _g4_quotient(g4)
     qsol = Solution([EVEN, EVEN, ODD], Strategy(ODD, {0: 1, 1: 1}), Strategy(ODD, {2: 2}))
@@ -594,6 +604,18 @@ def test_lifting_rejects_a_partition_of_another_game(other, message):
     _, p5, r5, v5, s5 = _chain5_solution()
     with pytest.raises(ValueError, match=f"^{message}$"):
         lift_solution(other, p5, r5, v5, s5)
+
+
+def test_lifting_rejects_a_block_map_naming_a_block_it_does_not_list():
+    # vertex 2 sits in block 2 of a two-block partition; this raised a
+    # bare IndexError
+    g = Game([0, 0, 1], [EVEN, EVEN, EVEN], [[1], [0], [2]])
+    reduced, _ = quotient(g, refine_stuttering(g))
+    bad = Partition([0, 0, 2], [[0, 1], [2]], [True, True])
+    with pytest.raises(
+        ValueError, match="^partition block map names a block the partition does not list$"
+    ):
+        lift_solution(g, bad, reduced, bad.block_of, solve(reduced))
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
