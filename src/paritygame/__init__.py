@@ -16,13 +16,13 @@ from .generators import gen_chain, gen_random
 from .io import FormatError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
 from .reduction import (
     Partition,
+    lift_solution,
     quotient,
     refine_strong,
     refine_stuttering,
     write_partition,
 )
 from .solvers import solve
-from .strategy import lift_solution
 
 __version__ = "0.1.0"
 

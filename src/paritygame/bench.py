@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .game import EVEN, ODD, Game, verify_strategy
-from .reduction import quotient, refine_strong, refine_stuttering
+from .reduction import lift_solution, quotient, refine_strong, refine_stuttering
 from .solvers import ALGORITHMS, solve
-from .strategy import lift_solution
 
 REFINE = {"strong": refine_strong, "stuttering": refine_stuttering}
 METHODS = ("direct", *REFINE)

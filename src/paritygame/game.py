@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import strongly_connected_components
 
@@ -70,6 +70,10 @@ class Game:
             for v, p in enumerate(priority):
                 if type(p) is not int or p < 0:
                     raise ValueError(f"vertex {v}: priority must be a natural number")
+        if any(issubclass(t, Iterator) for t in set(map(type, successors))):
+            # a one-shot iterator reads empty when scanned again for the
+            # culprit below, so each is read into a tuple first
+            successors = [tuple(s) if isinstance(s, Iterator) else s for s in successors]
         try:
             successors = tuple(map(tuple, map(sorted, map(set, successors))))
         except TypeError:

@@ -45,6 +45,26 @@ its vertex's successors.  Both refinements are
 deterministic, since the coarsest stable partition is unique; the test
 suite checks them against relational greatest-fixpoint oracles and
 earlier engines.
+
+A stable partition, strong or stuttering (a strong one is
+stuttering-stable too), is quotiented by :func:`quotient`, and
+:func:`lift_solution` carries a solved quotient back; both first check
+that the partition describes the game.  Winners transfer along the block
+map.  Take a member ``v``, owned by the lifting player, of a block ``b``
+it wins whose quotient move goes to another block ``t``.  Its target
+vertex is the least vertex of ``t`` reachable from ``v`` by intra-block
+moves and one exit edge; ``v`` moves straight there when that is an
+edge, else to the intra-block successor fewest intra-block steps from an
+exit onto it, the least on ties.  Where the quotient strategy stays (a
+divergent block's self-loop), ``v`` takes its least intra-block
+successor.  A one-member block that leaves is lifted inline: its
+vertex's least successor in ``t`` is its target and a direct exit.
+``_lift_block`` lifts the rest with one backward breadth-first search
+per vertex ``x`` of ``t`` that an exit enters, least first, over
+in-block predecessors not yet claimed; the search for ``x`` claims
+exactly the members whose target is ``x``, each with its distance to an
+exit onto it.  The path-level construction that defines the same moves
+is the tests' reference (``tests/lifting_reference.py``).
 """
 
 from __future__ import annotations
@@ -53,7 +73,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
-from .game import Game
+from .game import EVEN, ODD, Game, Solution, Strategy, _check_moves, _check_players
 from .graphs import strongly_connected_components
 
 
@@ -419,14 +439,28 @@ def refine_stuttering(game: Game) -> Partition:
     return _refine(game, _stuttering_signer)
 
 
-def _check_block_map(game: Game, partition: Partition) -> None:
-    """Raise ``ValueError`` unless the block map of ``partition`` has one
-    entry per vertex of ``game`` and names only blocks the partition lists."""
-    block_of, n = partition.block_of, game.vertex_count
+def _check_flags(partition: Partition) -> None:
+    """Raise ``ValueError`` unless ``partition`` has one divergence flag per block."""
+    flags, blocks = len(partition.divergent), len(partition.blocks)
+    if flags != blocks:
+        raise ValueError(f"partition of {blocks} blocks has {flags} divergence flags")
+
+
+def _check_partition(game: Game, partition: Partition) -> None:
+    """Raise ``ValueError`` unless ``partition`` describes ``game``: a block
+    map with one entry per vertex that names only blocks the partition
+    lists, one divergence flag per block, no empty block and as many
+    members in all blocks as the game has vertices."""
+    block_of, blocks, n = partition.block_of, partition.blocks, game.vertex_count
     if len(block_of) != n:
         raise ValueError(f"partition of {len(block_of)} vertices for a game of {n}")
-    if n and not (0 <= min(block_of) and max(block_of) < len(partition.blocks)):
+    if n and not (0 <= min(block_of) and max(block_of) < len(blocks)):
         raise ValueError("partition block map names a block the partition does not list")
+    _check_flags(partition)
+    if not all(blocks):
+        raise ValueError(f"partition block {blocks.index([])} is empty")
+    if sum(map(len, blocks)) != n:
+        raise ValueError(f"partition blocks list {sum(map(len, blocks))} members for {n} vertices")
 
 
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
@@ -434,14 +468,16 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
 
     Block priorities and owners come from the representative; a block
     whose members differ in either raises ``ValueError`` (a partition of
-    another game), as does a block map of another length or one naming a
-    block the partition does not list; a one-member block cannot differ,
-    and takes its targets straight from its vertex's successors.  A block's successors are the
-    blocks its members reach, itself included exactly when it is
-    divergent, which for a strong partition means that a member has an
-    intra-block edge.
+    another game), as does a partition that does not describe the game: a
+    block map of another length or naming a block the partition does not
+    list, a divergence flag count other than the block count, an empty
+    block, or blocks whose sizes do not add up to the vertex count.  A
+    one-member block cannot differ, and takes its targets straight from
+    its vertex's successors.  A block's successors are the blocks its
+    members reach, itself included exactly when it is divergent, which for
+    a strong partition means that a member has an intra-block edge.
     """
-    _check_block_map(game, partition)
+    _check_partition(game, partition)
     block_of = partition.block_of
     reps = [members[0] for members in partition.blocks]
     priority = tuple(map(game.priority.__getitem__, reps))
@@ -465,8 +501,148 @@ def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     return Game._from_normalised(priority, owner, tuple(successors)), list(block_of)
 
 
+def _lift_block(game: Game, partition: Partition, b: int, t: int, moves: dict[int, int]):
+    """Record in ``moves`` the lifted move of every member of winning
+    block ``b``, owned by the lifting player, whose quotient move goes to
+    ``t``: the direct edge to the member's target vertex, else the
+    intra-block successor nearest an exit onto it, or the least
+    intra-block successor when ``t`` is ``b``.  Targets and distances come
+    from one ordered backward search per entry vertex (see the module
+    docstring); a one-member block that leaves is lifted by the caller."""
+    succ = game.successors
+    vmap = partition.block_of
+    members = partition.blocks[b]
+    if t == b:
+        if not partition.divergent[b]:
+            raise ValueError(f"quotient strategy stays at non-divergent block {b}")
+        for v in members:
+            stay = next((w for w in succ[v] if vmap[w] == b), None)
+            if stay is None:
+                raise ValueError(f"divergent block member {v} has no intra-block move")
+            moves[v] = stay
+        return
+    entries: dict[int, list[int]] = {}  # members by the vertex of t they exit onto
+    for v in members:
+        for w in succ[v]:
+            if vmap[w] == t:
+                entries.setdefault(w, []).append(v)
+    # Every vertex on an in-block route from v to its target vertex shares
+    # it, so the search for x claims exactly the members whose target is x,
+    # each at its shortest distance from an exit onto x.
+    target: dict[int, int] = {}
+    dist: dict[int, int] = {}
+    pred = game.predecessors
+    for x in sorted(entries):
+        frontier = [v for v in entries[x] if v not in dist]
+        for v in frontier:
+            target[v] = x
+            dist[v] = 1
+        for w in frontier:  # grows while it is read: a FIFO queue
+            d = dist[w] + 1
+            for q in pred[w]:
+                if vmap[q] == b and q not in dist:
+                    target[q] = x
+                    dist[q] = d
+                    frontier.append(q)
+    if len(dist) != len(members):
+        raise ValueError(f"block {b} has no exit onto target block {t}: unstable partition")
+    for v in members:
+        x = target[v]
+        d = dist[v] - 1
+        if d == 0:
+            moves[v] = x
+        else:
+            # the least in-block successor one step nearer the same target
+            moves[v] = next(u for u in succ[v] if dist.get(u) == d and target[u] == x)
+
+
+def lift_solution(
+    game: Game,
+    partition: Partition,
+    quotient_game: Game,
+    vmap: list[int],
+    quotient_solution: Solution,
+) -> Solution:
+    """Full solution of the original game out of a solved quotient: winners
+    transfer along the block map, and each player's strategy is lifted
+    block by block (see the module docstring for the rule) on the
+    player's vertices of every block the player owns and wins.
+
+    Raises ``ValueError`` unless ``partition``, strong or stuttering,
+    describes ``game`` as :func:`quotient` requires, with the block map
+    ``vmap``, the quotient game has one vertex per block, each with the
+    priority and owner of its block's least member, the quotient winner
+    vector gives a player for exactly the quotient's vertices, and each
+    quotient strategy belongs to its player, moves only at blocks and
+    along quotient edges, is defined at every won block its player owns
+    and stays only on divergent blocks; and when a block it lifts has a
+    member with no in-block route onto the quotient move (an unstable
+    partition).
+    """
+    _check_partition(game, partition)
+    if vmap != partition.block_of:
+        raise ValueError("vmap does not match the partition")
+    blocks, priority, owner = partition.blocks, game.priority, game.owner
+    qn = quotient_game.vertex_count
+    if qn != len(blocks):
+        raise ValueError(f"quotient of {qn} vertices for a partition of {len(blocks)} blocks")
+    qpriority, qowner = quotient_game.priority, quotient_game.owner
+    if [priority[m[0]] for m in blocks] != list(qpriority) or (
+        [owner[m[0]] for m in blocks] != list(qowner)
+    ):
+        b, v = next(
+            (b, m[0])
+            for b, m in enumerate(blocks)
+            if (qpriority[b], qowner[b]) != (priority[m[0]], owner[m[0]])
+        )
+        raise ValueError(
+            f"quotient block {b} differs in priority or owner from its least member {v}"
+        )
+    qwinner = quotient_solution.winner
+    if len(qwinner) != qn:
+        raise ValueError(f"quotient winner vector of length {len(qwinner)} for {qn} blocks")
+    _check_players(qwinner, "block")
+    succ, qsucc = game.successors, quotient_game.successors
+    lifted = []
+    for player in (EVEN, ODD):
+        strategy = quotient_solution.strategy(player)
+        if strategy.player != player:
+            raise ValueError("quotient strategy belongs to the other player")
+        qmoves = strategy.moves
+        _check_moves(qmoves)
+        for c, t in qmoves.items():
+            if not 0 <= c < qn:
+                raise ValueError(f"quotient strategy moves at {c}, which is not a block")
+            if t not in qsucc[c]:
+                raise ValueError(f"quotient strategy move {c}->{t} is not an edge")
+        moves: dict[int, int] = {}
+        for b, members in enumerate(blocks):
+            if qwinner[b] == player and qowner[b] == player:
+                if b not in qmoves:
+                    raise ValueError(f"quotient strategy undefined at winning block {b}")
+                t = qmoves[b]
+                if t == b or len(members) > 1:
+                    _lift_block(game, partition, b, t, moves)
+                    continue
+                # a one-member block leaves for t: its vertex's least
+                # successor in t is both its target vertex and a direct exit
+                (v,) = members
+                for w in succ[v]:
+                    if vmap[w] == t:
+                        moves[v] = w
+                        break
+                else:
+                    raise ValueError(
+                        f"block {b} has no exit onto target block {t}: unstable partition"
+                    )
+        lifted.append(Strategy(player, dict(sorted(moves.items()))))
+    return Solution([qwinner[b] for b in vmap], *lifted)
+
+
 def write_partition(partition: Partition) -> str:
-    """Debug dump: one line ``<vertex> <block> <divergent{0,1}>`` per vertex."""
+    """Debug dump: one line ``<vertex> <block> <divergent{0,1}>`` per vertex.
+    Raises ``ValueError`` unless there is one divergence flag per block."""
+    _check_flags(partition)
     lines = []
     for v, b in enumerate(partition.block_of):
         lines.append(f"{v} {b} {1 if partition.divergent[b] else 0}")

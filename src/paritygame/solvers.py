@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 
 from .game import EVEN, ODD, Game, Solution, Strategy, verify_strategy
 from .graphs import strongly_connected_components
@@ -191,14 +191,16 @@ class _SpmHalf:
     vertices that may lift.
 
     A measure is one integer in mixed radix, one digit per priority of the
-    opponent's parity, the lowest most significant: a digit's radix is one
-    more than the number of vertices carrying its priority, and top is the
-    product of all radices.  Tuple order is then integer order.  A vertex
-    of priority ``p`` may carry ``m - m % keep[p] + step[p]`` above a
-    successor measured ``m < top``: ``keep[p]`` is the weight of the least
-    significant digit that ``p`` keeps, which is ``p``'s own when ``p`` has
-    the opponent's parity; ``step[p]`` is then that weight, else 0, and the
-    addition carries over the digits at their bound, up to top.
+    opponent's parity that the game has, the lowest most significant: a
+    digit's radix is one more than the number of vertices carrying its
+    priority, and top is the product of all radices.  Tuple order is then
+    integer order, and the layout grows with the priorities present, not
+    with the largest one.  A vertex of priority ``p`` may carry
+    ``m - m % keep[p] + step[p]`` above a successor measured ``m < top``:
+    ``keep[p]`` is the weight of the least significant digit that ``p``
+    keeps, which is ``p``'s own when ``p`` has the opponent's parity;
+    ``step[p]`` is then that weight, else 0, and the addition carries over
+    the digits at their bound, up to top.
 
     Chaotic iteration from any measure below the least fixpoint reaches
     that fixpoint, in any order of lifts (Jurdziński, STACS 2000): every
@@ -215,12 +217,10 @@ class _SpmHalf:
 
     def __init__(self, game: Game, player: int):
         priority = game.priority
-        count = [0] * (max(priority, default=0) + 1)
-        for p in priority:
-            count[p] += 1
-        keep = [0] * len(count)
+        count = Counter(priority)
+        keep: dict[int, int] = {}
         top = 1
-        for p in reversed(range(len(count))):
+        for p in sorted(count, reverse=True):
             keep[p] = top
             if p % 2 != player:
                 top *= count[p] + 1

@@ -11,6 +11,7 @@ from paritygame import (
     EVEN,
     ODD,
     Game,
+    Partition,
     Solution,
     Strategy,
     quotient,
@@ -20,6 +21,20 @@ from paritygame.generators import Xoshiro256StarStar
 from paritygame.solvers import _solution, _zielonka
 
 from lifting_reference import Lifting, Path, distance, mimick_next
+
+
+# partitions that do not describe GAME_OF_THREE, with the error each
+# raises: one flag for two blocks, an empty block, a vertex listed twice
+GAME_OF_THREE = Game([0, 0, 1], [EVEN] * 3, [[1], [0], [2]])
+MALFORMED_PARTITIONS = [
+    (Partition([0, 0, 1], [[0, 1], [2]], [True]), "partition of 2 blocks has 1 divergence flags"),
+    (Partition([0, 0, 1], [[0, 1], []], [True, True]), "partition block 1 is empty"),
+    (
+        Partition([0, 0, 1], [[0, 1], [2], [2]], [True] * 3),
+        "partition blocks list 4 members for 3 vertices",
+    ),
+]
+MALFORMED_IDS = ["flag-count", "empty-block", "vertex-twice"]
 
 
 def assert_same_game(a: Game, b: Game):

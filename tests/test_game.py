@@ -90,6 +90,16 @@ def test_constructor_rejects_bad_fields_naming_the_first_bad_vertex(fields, mess
     assert str(exc.value) == message
 
 
+def test_constructor_names_the_bad_vertex_of_one_shot_iterator_entries():
+    # both raised a bare TypeError: the sets consumed the iterators before
+    # sorting or hashing failed, and the rescan found them empty
+    with pytest.raises(ValueError) as exc:
+        Game([0, 0], [0, 0], [iter([1]), iter(['a', 0])])
+    assert str(exc.value) == "vertex 1: successor 'a' is not a vertex id"
+    with pytest.raises(ValueError, match="^vertex 1: "):
+        Game([0, 0], [0, 0], [iter([1]), iter([[0]])])
+
+
 def test_non_int_fields_never_reach_the_writer():
     # write_pgsolver(Game([0.5, True], ...)) used to write "0.5" and "True"
     with pytest.raises(ValueError, match="^vertex 0: priority must be a natural number$"):

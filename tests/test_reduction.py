@@ -1,22 +1,15 @@
 """Partition refinement, quotients and the relational oracles."""
 
 import ast
-import inspect
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 
-import paritygame.bench
-import paritygame.cli
-import paritygame.game
-import paritygame.generators
-import paritygame.graphs
-import paritygame.io
 import paritygame.reduction
 import paritygame.solvers
-import paritygame.strategy
 
 from paritygame import (
     EVEN,
@@ -33,6 +26,9 @@ from paritygame import (
 )
 
 from helpers import (
+    GAME_OF_THREE,
+    MALFORMED_IDS,
+    MALFORMED_PARTITIONS,
     alternating_chain,
     assert_same_game,
     gen_branch,
@@ -175,6 +171,21 @@ def test_quotient_rejects_a_block_map_naming_a_block_it_does_not_list():
             quotient(g, bad)
 
 
+@pytest.mark.parametrize("bad, message", MALFORMED_PARTITIONS, ids=MALFORMED_IDS)
+def test_quotient_rejects_a_partition_that_does_not_describe_the_game(bad, message):
+    # the first gave a quotient with two priorities and one successor
+    # tuple, the second a bare IndexError, the third a block no vertex maps to
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quotient(GAME_OF_THREE, bad)
+
+
+def test_write_partition_rejects_a_divergence_flag_count_other_than_the_block_count():
+    # this raised a bare IndexError
+    bad, message = MALFORMED_PARTITIONS[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_partition(bad)
+
+
 def test_quotient_rejects_a_partition_whose_blocks_mix_priorities_or_owners():
     # a same-size partition of another game: its one block used to become
     # a vertex of priority 0 owned by EVEN, and lifting a solution of that
@@ -185,25 +196,18 @@ def test_quotient_rejects_a_partition_whose_blocks_mix_priorities_or_owners():
         quotient(g, part)
 
 
+_PACKAGE = Path(paritygame.__file__).parent
+
+
 @pytest.mark.parametrize(
-    "module",
-    [
-        paritygame.bench,
-        paritygame.cli,
-        paritygame.game,
-        paritygame.generators,
-        paritygame.graphs,
-        paritygame.io,
-        paritygame.reduction,
-        paritygame.solvers,
-        paritygame.strategy,
-    ],
+    "path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: f"paritygame.{path.stem}"
 )
-def test_library_invariants_are_not_asserts(module):
-    # assert statements vanish under ``python -O``; invariants must raise
-    tree = ast.parse(inspect.getsource(module))
+def test_library_invariants_are_not_asserts(path):
+    # assert statements vanish under ``python -O``; invariants must raise.
+    # Parsed, not imported: importing ``__main__`` would run the CLI.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == [], f"{module.__name__}: assert statements on lines {lines}"
+    assert lines == [], f"{path.name}: assert statements on lines {lines}"
 
 
 def test_strong_refines_stuttering():

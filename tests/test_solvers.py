@@ -3,6 +3,7 @@ brute-force oracle, and the preprocessing driver behind ``solve``."""
 
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -338,6 +339,20 @@ def test_spm_driver_is_linear_on_a_chain_that_preprocessing_leaves_whole():
     t0 = time.perf_counter()
     assert_solves(g, solve(g, "spm"), [ODD] * 20001)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_spm_memory_follows_the_priorities_present_not_the_largest():
+    # the measure layout held one entry per priority value up to the
+    # largest: 16 MB here, gigabytes for a priority of 10**9 + 1
+    g = Game([0, 10**6 + 1], [EVEN, ODD], [[1], [0]])
+    tracemalloc.start()
+    try:
+        sol = solve(g, "spm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert_solves(g, sol, [EVEN, EVEN])
 
 
 # ---------------------------------------------------------------------------

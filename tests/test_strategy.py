@@ -27,6 +27,9 @@ from paritygame.generators import Xoshiro256StarStar
 from paritygame.graphs import strongly_connected_components
 
 from helpers import (
+    GAME_OF_THREE,
+    MALFORMED_IDS,
+    MALFORMED_PARTITIONS,
     PathStrategyOracle,
     alternating_chain,
     gen_divergent_pair,
@@ -604,6 +607,14 @@ def test_lifting_rejects_a_partition_of_another_game(other, message):
     _, p5, r5, v5, s5 = _chain5_solution()
     with pytest.raises(ValueError, match=f"^{message}$"):
         lift_solution(other, p5, r5, v5, s5)
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_PARTITIONS, ids=MALFORMED_IDS)
+def test_lifting_rejects_a_partition_that_does_not_describe_the_game(bad, message):
+    # the first lifted a solution, the second raised a bare IndexError
+    reduced = quotient(GAME_OF_THREE, refine_stuttering(GAME_OF_THREE))[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lift_solution(GAME_OF_THREE, bad, reduced, bad.block_of, solve(reduced))
 
 
 def test_lifting_rejects_a_block_map_naming_a_block_it_does_not_list():
