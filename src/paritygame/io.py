@@ -331,8 +331,13 @@ def write_solution(game: Game, winner, strategy_even: Strategy, strategy_odd: St
     vertices, names a player other than 0 and 1, or a strategy lacks the
     move of a vertex its owner wins or gives one there that is not an
     ``int`` vertex id (a ``bool`` is not one), and for a game with no
-    vertices; moves the text leaves out are not checked."""
+    vertices or a strategy of the other player (in
+    :func:`~paritygame.verify_strategy`'s words); moves the text leaves
+    out are not checked."""
     _check_not_empty(game)
+    for player, strategy in ((EVEN, strategy_even), (ODD, strategy_odd)):
+        if strategy.player != player:
+            raise ValueError(f"the strategy belongs to player {strategy.player}, not {player}")
     n = game.vertex_count
     if len(winner) != n:
         raise ValueError(

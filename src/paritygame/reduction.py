@@ -21,10 +21,11 @@ changed, so a round's bookkeeping grows with what changed in it, not
 with the game.  A lone dirty vertex skips the round: its signature has
 always changed, so it is split off on its own without being signed, and a
 cascade of one-vertex splits (a chain) costs its splits, not a round or a
-signing each.  One ascending pass over the block map then builds the
-sorted member lists, numbers the blocks by their least member and flags
-them: a one-member block diverges iff its vertex has a self-loop, a
-larger one as the signer says of its least member.
+signing each.  A final pass numbers the blocks by their least member
+and flags them: a one-member block diverges iff its vertex has a
+self-loop, a larger one as the signer says of any member.  The block map
+and the flags are the whole :class:`Partition`, which derives the sorted
+member lists itself.
 Stuttering refinement orders the initial inert graph (the edges inside a
 (priority, owner) class) once, sinks first: blocks only split and inert
 cycles never do (Groote and Vaandrager, ICALP 1990), so that order of its
@@ -46,16 +47,20 @@ deterministic, since the coarsest stable partition is unique; the test
 suite checks them against relational greatest-fixpoint oracles and
 earlier engines.
 
-A stable partition, strong or stuttering (a strong one is
+A :class:`Partition` is its block map and one divergence flag per block;
+its constructor derives the member lists and raises ``ValueError`` for a
+block id that is not an ``int`` naming a flag, or a flag no vertex maps
+to.  A stable partition, strong or stuttering (a strong one is
 stuttering-stable too), is quotiented by :func:`quotient`, and
 :func:`lift_solution` carries a solved quotient back; both first check
-that the partition describes the game.  Winners transfer along the block
-map.  Take a member ``v``, owned by the lifting player, of a block ``b``
-it wins whose quotient move goes to another block ``t``.  Its target
-vertex is the least vertex of ``t`` reachable from ``v`` by intra-block
-moves and one exit edge; ``v`` moves straight there when that is an
-edge, else to the intra-block successor fewest intra-block steps from an
-exit onto it, the least on ties.  Where the quotient strategy stays (a
+that the partition has as many vertices as the game, and each raises
+``ValueError`` where the partition's blocks and the game disagree.
+Winners transfer along the block map.  Take a member ``v``, owned by
+the lifting player, of a block ``b`` it wins whose quotient move goes to
+another block ``t``.  Its target vertex is the least vertex of ``t``
+reachable from ``v`` by intra-block moves and one exit edge; ``v`` moves
+straight there when that is an edge, else to the intra-block successor
+fewest intra-block steps from an exit onto it, the least on ties.  Where the quotient strategy stays (a
 divergent block's self-loop), ``v`` takes its least intra-block
 successor.  A one-member block that leaves is lifted inline: its
 vertex's least successor in ``t`` is its target and a direct exit.
@@ -69,7 +74,7 @@ is the tests' reference (``tests/lifting_reference.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
 
@@ -79,19 +84,43 @@ from .graphs import strongly_connected_components
 
 @dataclass
 class Partition:
-    """Disjoint blocks over the vertex set.
+    """Disjoint blocks over the vertex set, given by the block of every
+    vertex and one divergence flag per block.
 
-    ``blocks`` maps dense block ids to sorted vertex lists, the block
-    representative being the least member.  ``divergent`` flags (per block)
-    record whether an infinite path can stay inside the block from the
-    representative, and from every member once the partition is stable.
-    A stable partition of either equivalence, strong or stuttering, can be
-    quotiented and a solved quotient lifted through it.
+    ``block_of`` maps each vertex to its block id, and ``divergent`` flags
+    (per block) record whether an infinite path can stay inside the block
+    from every member once the partition is stable.  ``blocks`` is derived
+    from ``block_of``: the members of each block, ascending, so the block
+    representative is the least member.  A stable partition of either
+    equivalence, strong or stuttering, can be quotiented and a solved
+    quotient lifted through it.
+
+    Raises :class:`ValueError` naming the first vertex whose block is not
+    an ``int`` (a ``bool`` is not one) in ``range(k)``, where ``k`` is the
+    number of divergence flags, or the first block id in that range that
+    no vertex has.
     """
 
     block_of: list[int]
-    blocks: list[list[int]]
     divergent: list[bool]
+    blocks: list[list[int]] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        block_of, k = self.block_of, len(self.divergent)
+        # ``0 <= b < k`` compares by value, so ``True`` and ``0.0`` would
+        # pass it; the scans run in C, and the loop only names the culprit
+        if block_of and not (
+            set(map(type, block_of)) <= {int} and 0 <= min(block_of) <= max(block_of) < k
+        ):
+            for v, b in enumerate(block_of):
+                if type(b) is not int or not 0 <= b < k:
+                    raise ValueError(f"vertex {v}: block {b!r} is not an int in range({k})")
+        blocks: list[list[int]] = [[] for _ in range(k)]
+        for v, b in enumerate(block_of):
+            blocks[b].append(v)
+        if not all(blocks):
+            raise ValueError(f"partition block {blocks.index([])} has no vertex")
+        self.blocks = blocks
 
     @property
     def block_count(self) -> int:
@@ -111,8 +140,8 @@ def _initial_blocks(game: Game) -> tuple[list[int], list[int]]:
 
 def _refine(game: Game, signer) -> Partition:
     """Coarsest refinement of the (priority, owner) partition of ``game``
-    that is stable for the signatures of ``signer``: blocks numbered by
-    least member, sorted member lists and divergence flags.
+    that is stable for the signatures of ``signer``: the block map,
+    blocks numbered by least member, and the divergence flags.
 
     ``signer(game, block_of)`` is called once with the initial block map,
     which the engine then refines in place, and returns three functions.
@@ -121,7 +150,7 @@ def _refine(game: Game, signer) -> Partition:
     duplicates, the vertices whose signature a round's moves may have
     changed.
     ``diverges(v)`` says, once the partition is stable, whether the block
-    of ``v``, a least member of a block of several, is divergent; a
+    of ``v``, any member of a block of several, is divergent; a
     one-member block is divergent iff its vertex has a self-loop.
 
     The state is ``block_of``, the size of every block and a signature
@@ -129,7 +158,8 @@ def _refine(game: Game, signer) -> Partition:
     so a round splits off exactly the members whose signature changed,
     never rescanning the remainder.  Nothing in the rounds is sorted: the
     order of the dirty vertices and of the changed blocks only picks the
-    interim block ids, which the final pass renumbers.
+    interim block ids, which the final pass renumbers by least member in
+    C-level passes; no member lists are built here.
 
     A round with one dirty vertex skips the round machinery: the vertex is
     split off unsigned, and the dirty set it leaves is followed the same
@@ -206,21 +236,15 @@ def _refine(game: Game, signer) -> Partition:
         dirty = [v for v in next_dirty(moved) if size[block_of[v]] > 1]
     # free the signature cache first, so the member lists can reuse its memory
     del sig
-    # renumber ``block_of`` in place by least member and collect the
-    # sorted member lists, both in one ascending pass
-    final = [-1] * len(size)
-    blocks: list[list[int]] = []
-    for v, b in enumerate(block_of):
-        f = final[b]
-        if f < 0:
-            f = final[b] = len(blocks)
-            blocks.append([v])
-        else:
-            blocks[f].append(v)
-        block_of[v] = f
+    # the blocks in least-member order, each with its last member: any
+    # member gives a stable block's flag, since strong members reach the
+    # same blocks and stuttering ones share their signature
+    last = dict(zip(block_of, range(len(block_of))))
     succ = game.successors
-    divergent = [diverges(vs[0]) if len(vs) > 1 else vs[0] in succ[vs[0]] for vs in blocks]
-    return Partition(block_of, blocks, divergent)
+    divergent = [diverges(v) if size[b] > 1 else v in succ[v] for b, v in last.items()]
+    block_of[:] = map(dict(zip(last, range(len(last)))).__getitem__, block_of)
+    del last
+    return Partition(block_of, divergent)
 
 
 def _strong_signer(game: Game, block_of: list[int]) -> tuple:
@@ -230,7 +254,7 @@ def _strong_signer(game: Game, block_of: list[int]) -> tuple:
     A vertex's signature is the frozenset of its successor blocks, so only
     the predecessors of vertices that changed block are re-signed.
     Members of a block reach the same blocks, so a block is divergent iff
-    its least member has an intra-block successor.
+    any one member has an intra-block successor.
     """
     succ, pred = game.successors, game.predecessors
     block = block_of.__getitem__
@@ -329,9 +353,10 @@ def _stuttering_signer(game: Game, block_of: list[int]) -> tuple:
     A loose vertex (a bare ``int`` among the components) has no inert
     successor and no divergence, so its key is the frozenset of its
     successor blocks.  The dirty rule is ``_dirty_stuttering``.  A block
-    of several members diverges iff its members' signature holds
-    ``_DIVERGES``; a singleton is never re-signed, and one split off alone
-    is never signed, so its ``current`` entry may be stale.
+    of several members diverges iff the signature they share holds
+    ``_DIVERGES``, so any member answers for it; a singleton is never
+    re-signed, and one split off alone is never signed, so its ``current``
+    entry may be stale.
     """
     comps, comp_of = _inert_components(game, block_of)
     succ = game.successors
@@ -433,49 +458,34 @@ def refine_stuttering(game: Game) -> Partition:
     (those that moved, their predecessors, and whatever reaches them by
     intra-block edges) in one sinks-first order of the initial inert
     graph's components, built by peeling before any Tarjan call.  A block
-    of several members takes its flag from its least member's final
-    signature; a one-member block diverges iff its vertex has a self-loop.
+    of several members takes its flag from the final signature its
+    members share; a one-member block diverges iff its vertex has a
+    self-loop.
     """
     return _refine(game, _stuttering_signer)
 
 
-def _check_flags(partition: Partition) -> None:
-    """Raise ``ValueError`` unless ``partition`` has one divergence flag per block."""
-    flags, blocks = len(partition.divergent), len(partition.blocks)
-    if flags != blocks:
-        raise ValueError(f"partition of {blocks} blocks has {flags} divergence flags")
-
-
 def _check_partition(game: Game, partition: Partition) -> None:
-    """Raise ``ValueError`` unless ``partition`` describes ``game``: a block
-    map with one entry per vertex that names only blocks the partition
-    lists, one divergence flag per block, no empty block and as many
-    members in all blocks as the game has vertices."""
-    block_of, blocks, n = partition.block_of, partition.blocks, game.vertex_count
-    if len(block_of) != n:
-        raise ValueError(f"partition of {len(block_of)} vertices for a game of {n}")
-    if n and not (0 <= min(block_of) and max(block_of) < len(blocks)):
-        raise ValueError("partition block map names a block the partition does not list")
-    _check_flags(partition)
-    if not all(blocks):
-        raise ValueError(f"partition block {blocks.index([])} is empty")
-    if sum(map(len, blocks)) != n:
-        raise ValueError(f"partition blocks list {sum(map(len, blocks))} members for {n} vertices")
+    """Raise ``ValueError`` unless ``partition`` has one block map entry
+    per vertex of ``game``; :class:`Partition` itself checks that its block
+    ids and flags agree."""
+    n = len(partition.block_of)
+    if n != game.vertex_count:
+        raise ValueError(f"partition of {n} vertices for a game of {game.vertex_count}")
 
 
 def quotient(game: Game, partition: Partition) -> tuple[Game, list[int]]:
     """Quotient game of a stable partition plus the vertex-to-block map.
 
-    Block priorities and owners come from the representative; a block
-    whose members differ in either raises ``ValueError`` (a partition of
-    another game), as does a partition that does not describe the game: a
-    block map of another length or naming a block the partition does not
-    list, a divergence flag count other than the block count, an empty
-    block, or blocks whose sizes do not add up to the vertex count.  A
-    one-member block cannot differ, and takes its targets straight from
-    its vertex's successors.  A block's successors are the blocks its
-    members reach, itself included exactly when it is divergent, which for
-    a strong partition means that a member has an intra-block edge.
+    Block priorities and owners come from the representative, the least
+    member.  Raises ``ValueError`` for a partition of another game: a
+    block map of another length, or a block whose members differ in
+    priority or owner.  A malformed block map never gets here, since
+    :class:`Partition` refuses it.  A one-member block cannot differ, and
+    takes its targets straight from its vertex's successors.  A block's
+    successors are the blocks its members reach, itself included exactly
+    when it is divergent, which for a strong partition means that a
+    member has an intra-block edge.
     """
     _check_partition(game, partition)
     block_of = partition.block_of
@@ -568,16 +578,16 @@ def lift_solution(
     block by block (see the module docstring for the rule) on the
     player's vertices of every block the player owns and wins.
 
-    Raises ``ValueError`` unless ``partition``, strong or stuttering,
-    describes ``game`` as :func:`quotient` requires, with the block map
-    ``vmap``, the quotient game has one vertex per block, each with the
-    priority and owner of its block's least member, the quotient winner
-    vector gives a player for exactly the quotient's vertices, and each
-    quotient strategy belongs to its player, moves only at blocks and
-    along quotient edges, is defined at every won block its player owns
-    and stays only on divergent blocks; and when a block it lifts has a
-    member with no in-block route onto the quotient move (an unstable
-    partition).
+    Raises ``ValueError`` unless ``partition``, strong or stuttering, has
+    one block map entry per vertex of ``game`` (:class:`Partition` checks
+    the rest of its own shape) and the block map ``vmap``, the quotient
+    game has one vertex per block, each with the priority and owner of
+    its block's least member, the quotient winner vector gives a player
+    for exactly the quotient's vertices, and each quotient strategy
+    belongs to its player, moves only at blocks and along quotient edges,
+    is defined at every won block its player owns and stays only on
+    divergent blocks; and when a block it lifts has a member with no
+    in-block route onto the quotient move (an unstable partition).
     """
     _check_partition(game, partition)
     if vmap != partition.block_of:
@@ -641,8 +651,8 @@ def lift_solution(
 
 def write_partition(partition: Partition) -> str:
     """Debug dump: one line ``<vertex> <block> <divergent{0,1}>`` per vertex.
-    Raises ``ValueError`` unless there is one divergence flag per block."""
-    _check_flags(partition)
+    It checks nothing: :class:`Partition` has already refused a block map
+    that names a block without a divergence flag."""
     lines = []
     for v, b in enumerate(partition.block_of):
         lines.append(f"{v} {b} {1 if partition.divergent[b] else 0}")

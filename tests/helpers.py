@@ -23,18 +23,15 @@ from paritygame.solvers import _solution, _zielonka
 from lifting_reference import Lifting, Path, distance, mimick_next
 
 
-# partitions that do not describe GAME_OF_THREE, with the error each
-# raises: one flag for two blocks, an empty block, a vertex listed twice
+# arguments of Partition that would not describe GAME_OF_THREE, with the
+# error its constructor raises: one flag for two blocks, a block no
+# vertex maps to
 GAME_OF_THREE = Game([0, 0, 1], [EVEN] * 3, [[1], [0], [2]])
 MALFORMED_PARTITIONS = [
-    (Partition([0, 0, 1], [[0, 1], [2]], [True]), "partition of 2 blocks has 1 divergence flags"),
-    (Partition([0, 0, 1], [[0, 1], []], [True, True]), "partition block 1 is empty"),
-    (
-        Partition([0, 0, 1], [[0, 1], [2], [2]], [True] * 3),
-        "partition blocks list 4 members for 3 vertices",
-    ),
+    (([0, 0, 1], [True]), r"vertex 2: block 1 is not an int in range\(1\)"),
+    (([0, 0, 2], [True] * 3), "partition block 1 has no vertex"),
 ]
-MALFORMED_IDS = ["flag-count", "empty-block", "vertex-twice"]
+MALFORMED_IDS = ["flag-count", "empty-block"]
 
 
 def assert_same_game(a: Game, b: Game):
@@ -186,6 +183,26 @@ def comb(spine: int, every: int, depth: int, tooth_priority: int, stretch: int =
                     successors.append([p])
             level = below
     return Game(priority, [x // stretch % 2 for x in distance], successors)
+
+
+def stretch(game: Game, k: int) -> Game:
+    """``game`` with every edge ``v -> w`` subdivided into a path through
+    ``k`` fresh vertices that carry ``v``'s priority and owner.  The base
+    vertices keep their ids, the fresh ones follow in edge order, and the
+    set of priorities a play sees infinitely often stays the same."""
+    priority, owner = list(game.priority), list(game.owner)
+    successors: list[list[int]] = [[] for _ in priority]
+    for v, ws in enumerate(game.successors):
+        for w in ws:
+            u = v
+            for _ in range(k):
+                successors[u].append(len(priority))
+                u = len(priority)
+                successors.append([])
+                priority.append(game.priority[v])
+                owner.append(game.owner[v])
+            successors[u].append(w)
+    return Game(priority, owner, successors)
 
 
 def priority_ladder(n: int) -> Game:

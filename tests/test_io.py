@@ -345,6 +345,21 @@ def test_write_solution_rejects_inconsistent_input():
 
 
 @pytest.mark.parametrize(
+    "winner", [[EVEN, EVEN], [ODD, EVEN]], ids=["owner-wins", "no-owner-wins"]
+)
+def test_write_solution_rejects_a_strategy_of_the_other_player(winner):
+    # with the strategies swapped, the first said vertex 0's winner had no
+    # move there, and the second, where no vertex is won by its owner, was
+    # written without a word
+    g = Game([0, 1], [EVEN, ODD], [[1], [0]])
+    even, odd = Strategy(EVEN, {0: 1}), Strategy(ODD, {})
+    with pytest.raises(ValueError, match="^the strategy belongs to player 1, not 0$"):
+        write_solution(g, winner, odd, even)
+    with pytest.raises(ValueError, match="^the strategy belongs to player 0, not 1$"):
+        write_solution(g, winner, even, even)
+
+
+@pytest.mark.parametrize(
     "winner, vertex",
     [([2, 0], 0), ([EVEN, -1], 1), ([ODD, None], 1), ([EVEN, "1"], 1), ([True, 0], 0), ([ODD, 0.0], 1)],
 )

@@ -1,6 +1,7 @@
 """Partition refinement, quotients and the relational oracles."""
 
 import ast
+import dataclasses
 import time
 from pathlib import Path
 from unittest import mock
@@ -16,9 +17,12 @@ from paritygame import (
     ODD,
     Game,
     Partition,
+    Solution,
+    Strategy,
     convert_priorities,
     gen_chain,
     gen_random,
+    lift_solution,
     quotient,
     refine_strong,
     refine_stuttering,
@@ -138,7 +142,7 @@ def test_quotient_rejects_a_non_total_game():
     # quotient block without a successor: the 2-cycle's one block diverges,
     # and marking it otherwise drops its only quotient edge.
     g = Game(priority=[0, 0], owner=[EVEN, EVEN], successors=[[1], [0]])
-    part = Partition([0, 0], [[0, 1]], [False])
+    part = Partition([0, 0], [False])
     with pytest.raises(ValueError, match="^quotient block 0 has no successor"):
         quotient(g, part)
 
@@ -147,7 +151,7 @@ def test_quotient_rejects_a_non_total_one_member_block():
     # the one-member path: a lone self-loop marked non-divergent leaves
     # its block without a quotient edge
     g = Game(priority=[0, 1], owner=[EVEN, ODD], successors=[[0], [0]])
-    part = Partition([0, 1], [[0], [1]], [False, False])
+    part = Partition([0, 1], [False, False])
     with pytest.raises(ValueError, match="^quotient block 0 has no successor"):
         quotient(g, part)
 
@@ -161,29 +165,80 @@ def test_quotient_rejects_a_partition_of_another_game(n, o_chain):
 
 def test_quotient_rejects_a_block_map_naming_a_block_it_does_not_list():
     # vertex 2 sits in block 2 of a two-block partition: the quotient was a
-    # two-vertex Game whose vertex 1 moved to vertex 2
+    # two-vertex Game whose vertex 1 moved to vertex 2.  The partition
+    # itself now refuses the block map, before quotient sees it.
     g = Game([0, 0, 1], [EVEN, EVEN, EVEN], [[1], [0], [2]])
-    for block_of in ([0, 0, 2], [-1, -1, 1]):
-        bad = Partition(block_of, [[0, 1], [2]], [True, True])
+    for block_of, v, b in (([0, 0, 2], 2, 2), ([-1, -1, 1], 0, -1)):
         with pytest.raises(
-            ValueError, match="^partition block map names a block the partition does not list$"
+            ValueError, match=rf"^vertex {v}: block {b} is not an int in range\(2\)$"
         ):
-            quotient(g, bad)
+            quotient(g, Partition(block_of, [True, True]))
 
 
-@pytest.mark.parametrize("bad, message", MALFORMED_PARTITIONS, ids=MALFORMED_IDS)
-def test_quotient_rejects_a_partition_that_does_not_describe_the_game(bad, message):
+@pytest.mark.parametrize("args, message", MALFORMED_PARTITIONS, ids=MALFORMED_IDS)
+def test_quotient_rejects_a_partition_that_does_not_describe_the_game(args, message):
     # the first gave a quotient with two priorities and one successor
-    # tuple, the second a bare IndexError, the third a block no vertex maps to
+    # tuple, the second a bare IndexError; the partition now refuses both
     with pytest.raises(ValueError, match=f"^{message}$"):
-        quotient(GAME_OF_THREE, bad)
+        quotient(GAME_OF_THREE, Partition(*args))
 
 
 def test_write_partition_rejects_a_divergence_flag_count_other_than_the_block_count():
-    # this raised a bare IndexError
-    bad, message = MALFORMED_PARTITIONS[0]
+    # this raised a bare IndexError; the partition now refuses it
+    args, message = MALFORMED_PARTITIONS[0]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        write_partition(bad)
+        write_partition(Partition(*args))
+
+
+@pytest.mark.parametrize(
+    "block_of, message",
+    [
+        ([0.0, 1], r"vertex 0: block 0\.0 is not an int in range\(2\)"),
+        ([0, True], r"vertex 1: block True is not an int in range\(2\)"),
+        (["0", 1], r"vertex 0: block '0' is not an int in range\(2\)"),
+        ([0, -1, 1], r"vertex 1: block -1 is not an int in range\(2\)"),
+        ([1, 0, 2], r"vertex 2: block 2 is not an int in range\(2\)"),
+        ([0, 0], "partition block 1 has no vertex"),
+    ],
+    ids=["float", "bool", "str", "negative", "no-flag", "no-vertex"],
+)
+def test_partition_refuses_a_block_id_that_is_not_an_int_naming_a_flag(block_of, message):
+    # 0.0 and True passed the partition checks, and quotient then built a
+    # Game with successor ids True and 0.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Partition(block_of, [False, False])
+
+
+def test_partition_derives_ascending_member_lists():
+    # the member lists used to be an argument, trusted as given
+    part = Partition([2, 0, 1, 0, 2, 1], [False, True, False])
+    assert part.blocks == [[1, 3], [2, 5], [0, 4]]
+    assert part.block_count == 3
+    assert Partition([], []).blocks == []
+    # equality reads the block map and the flags, of which the members follow
+    assert part == Partition([2, 0, 1, 0, 2, 1], [False, True, False])
+
+
+def test_replacing_a_field_of_a_partition_derives_its_members_again():
+    part = Partition([0, 0, 1], [False, False])
+    flagged = dataclasses.replace(part, divergent=[True, False])
+    assert flagged.blocks == [[0, 1], [2]] and flagged.blocks is not part.blocks
+    assert flagged.divergent == [True, False]
+    assert dataclasses.replace(part, block_of=[1, 0, 0]).blocks == [[1, 2], [0]]
+    with pytest.raises(ValueError, match="^partition block 1 has no vertex$"):
+        dataclasses.replace(part, block_of=[0, 0, 0])
+
+
+def test_quotient_and_lift_take_each_block_from_the_block_map():
+    # member lists [[1], [0], [2]] against this block map gave quotient
+    # block 0 vertex 1's priority and owner, and lift_solution went on
+    g = Game([0, 1, 0], [ODD, EVEN, EVEN], [[2], [2], [2]])
+    part = Partition([0, 1, 2], [False, False, True])
+    reduced, vmap = quotient(g, part)
+    assert reduced.priority == g.priority and reduced.owner == g.owner
+    assert reduced.successors == ((2,), (2,), (2,))
+    qsol = Solution([EVEN] * 3, Strategy(EVEN, {1: 2, 2: 2}), Strategy(ODD, {}))
+    assert lift_solution(g, part, reduced, vmap, qsol).strategy_even.moves == {1: 2, 2: 2}
 
 
 def test_quotient_rejects_a_partition_whose_blocks_mix_priorities_or_owners():

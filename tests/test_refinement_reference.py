@@ -181,7 +181,7 @@ def _finalize(game: Game, block_of: list[int], blocks: dict[int, list[int]], equ
     for b, vs in enumerate(ordered):
         for v in vs:
             final_of[v] = b
-    part = Partition(block_of=final_of, blocks=ordered, divergent=[False] * len(ordered))
+    part = Partition(block_of=final_of, divergent=[False] * len(ordered))
     flags = compute_divergent(game, part)
     for b, vs in enumerate(ordered):
         flag = flags[vs[0]]

@@ -446,7 +446,7 @@ def test_lift_strategy_matches_path_level_selector():
 def test_lifting_rejects_an_unstable_partition():
     # block {0, 1} is not stable: 0 exits to the sink, 1 only loops
     g = Game(priority=[1, 1, 0], owner=[EVEN] * 3, successors=[[2], [1], [2]])
-    part = Partition(block_of=[0, 0, 1], blocks=[[0, 1], [2]], divergent=[False, True])
+    part = Partition(block_of=[0, 0, 1], divergent=[False, True])
     reduced = Game(priority=[1, 0], owner=[EVEN, EVEN], successors=[[1], [1]])
     qsol = Solution([EVEN, EVEN], Strategy(EVEN, {0: 1, 1: 1}), Strategy(ODD, {}))
     with pytest.raises(ValueError, match="unstable"):
@@ -459,7 +459,7 @@ def test_lifting_rejects_a_one_member_block_with_no_exit_onto_its_target():
     # all three blocks are singletons; the hand-built quotient has an edge
     # 0 -> 2, but vertex 0 only moves to 1
     g = Game(priority=[1, 0, 0], owner=[EVEN] * 3, successors=[[1], [1], [2]])
-    part = Partition(block_of=[0, 1, 2], blocks=[[0], [1], [2]], divergent=[False, True, True])
+    part = Partition(block_of=[0, 1, 2], divergent=[False, True, True])
     reduced = Game(priority=[1, 0, 0], owner=[EVEN] * 3, successors=[[1, 2], [1], [2]])
     qsol = Solution([EVEN] * 3, Strategy(EVEN, {0: 2, 1: 1, 2: 2}), Strategy(ODD, {}))
     with pytest.raises(
@@ -572,7 +572,7 @@ def test_lifting_rejects_a_divergent_block_member_with_no_intra_block_move():
     # block {0, 1} is marked divergent, and EVEN wins it by staying, but
     # vertex 0 only moves to block 1
     g = Game([0, 0, 1], [EVEN, EVEN, EVEN], [[2], [1], [2]])
-    part = Partition([0, 0, 1], [[0, 1], [2]], [True, True])
+    part = Partition([0, 0, 1], [True, True])
     reduced, vmap = quotient(g, part)
     with pytest.raises(ValueError, match="^divergent block member 0 has no intra-block move$"):
         lift_solution(g, part, reduced, vmap, solve(reduced))
@@ -609,24 +609,22 @@ def test_lifting_rejects_a_partition_of_another_game(other, message):
         lift_solution(other, p5, r5, v5, s5)
 
 
-@pytest.mark.parametrize("bad, message", MALFORMED_PARTITIONS, ids=MALFORMED_IDS)
-def test_lifting_rejects_a_partition_that_does_not_describe_the_game(bad, message):
-    # the first lifted a solution, the second raised a bare IndexError
+@pytest.mark.parametrize("args, message", MALFORMED_PARTITIONS, ids=MALFORMED_IDS)
+def test_lifting_rejects_a_partition_that_does_not_describe_the_game(args, message):
+    # the first lifted a solution, the second raised a bare IndexError;
+    # the partition now refuses both
     reduced = quotient(GAME_OF_THREE, refine_stuttering(GAME_OF_THREE))[0]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        lift_solution(GAME_OF_THREE, bad, reduced, bad.block_of, solve(reduced))
+        lift_solution(GAME_OF_THREE, Partition(*args), reduced, args[0], solve(reduced))
 
 
 def test_lifting_rejects_a_block_map_naming_a_block_it_does_not_list():
     # vertex 2 sits in block 2 of a two-block partition; this raised a
-    # bare IndexError
+    # bare IndexError, and the partition now refuses it
     g = Game([0, 0, 1], [EVEN, EVEN, EVEN], [[1], [0], [2]])
     reduced, _ = quotient(g, refine_stuttering(g))
-    bad = Partition([0, 0, 2], [[0, 1], [2]], [True, True])
-    with pytest.raises(
-        ValueError, match="^partition block map names a block the partition does not list$"
-    ):
-        lift_solution(g, bad, reduced, bad.block_of, solve(reduced))
+    with pytest.raises(ValueError, match=r"^vertex 2: block 2 is not an int in range\(2\)$"):
+        lift_solution(g, Partition([0, 0, 2], [True, True]), reduced, [0, 0, 2], solve(reduced))
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
