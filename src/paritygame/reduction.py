@@ -60,9 +60,9 @@ the lifting player, of a block ``b`` it wins whose quotient move goes to
 another block ``t``.  Its target vertex is the least vertex of ``t``
 reachable from ``v`` by intra-block moves and one exit edge; ``v`` moves
 straight there when that is an edge, else to the intra-block successor
-fewest intra-block steps from an exit onto it, the least on ties.  Where the quotient strategy stays (a
-divergent block's self-loop), ``v`` takes its least intra-block
-successor.  A one-member block that leaves is lifted inline: its
+fewest intra-block steps from an exit onto it, the least on ties.  Where
+the quotient strategy stays (a divergent block's self-loop), ``v`` takes
+its least intra-block successor.  A one-member block that leaves is lifted inline: its
 vertex's least successor in ``t`` is its target and a direct exit.
 ``_lift_block`` lifts the rest with one backward breadth-first search
 per vertex ``x`` of ``t`` that an exit enters, least first, over
@@ -115,11 +115,17 @@ class Partition:
             for v, b in enumerate(block_of):
                 if type(b) is not int or not 0 <= b < k:
                     raise ValueError(f"vertex {v}: block {b!r} is not an int in range({k})")
-        blocks: list[list[int]] = [[] for _ in range(k)]
+        # a block's list starts as ``[v]``, so a one-member block's list
+        # holds one slot, not the four that appending to ``[]`` reserves
+        blocks: list = [None] * k
         for v, b in enumerate(block_of):
-            blocks[b].append(v)
-        if not all(blocks):
-            raise ValueError(f"partition block {blocks.index([])} has no vertex")
+            members = blocks[b]
+            if members is None:
+                blocks[b] = [v]
+            else:
+                members.append(v)
+        if None in blocks:
+            raise ValueError(f"partition block {blocks.index(None)} has no vertex")
         self.blocks = blocks
 
     @property
@@ -158,8 +164,8 @@ def _refine(game: Game, signer) -> Partition:
     so a round splits off exactly the members whose signature changed,
     never rescanning the remainder.  Nothing in the rounds is sorted: the
     order of the dirty vertices and of the changed blocks only picks the
-    interim block ids, which the final pass renumbers by least member in
-    C-level passes; no member lists are built here.
+    interim block ids, which the final pass renumbers by least member
+    without building member lists: :class:`Partition` derives those.
 
     A round with one dirty vertex skips the round machinery: the vertex is
     split off unsigned, and the dirty set it leaves is followed the same
@@ -236,14 +242,18 @@ def _refine(game: Game, signer) -> Partition:
         dirty = [v for v in next_dirty(moved) if size[block_of[v]] > 1]
     # free the signature cache first, so the member lists can reuse its memory
     del sig
-    # the blocks in least-member order, each with its last member: any
-    # member gives a stable block's flag, since strong members reach the
-    # same blocks and stuttering ones share their signature
-    last = dict(zip(block_of, range(len(block_of))))
+    # number the blocks by least member and flag each as its least member
+    # says (any member gives a stable block's flag, since strong members
+    # reach the same blocks and stuttering ones share their signature);
+    # ``diverges`` reads the interim ids, so renumber only after
+    final = [-1] * len(size)
+    divergent: list[bool] = []
     succ = game.successors
-    divergent = [diverges(v) if size[b] > 1 else v in succ[v] for b, v in last.items()]
-    block_of[:] = map(dict(zip(last, range(len(last)))).__getitem__, block_of)
-    del last
+    for v, b in enumerate(block_of):
+        if final[b] < 0:
+            final[b] = len(divergent)
+            divergent.append(diverges(v) if size[b] > 1 else v in succ[v])
+    block_of[:] = map(final.__getitem__, block_of)
     return Partition(block_of, divergent)
 
 
@@ -597,17 +607,15 @@ def lift_solution(
     if qn != len(blocks):
         raise ValueError(f"quotient of {qn} vertices for a partition of {len(blocks)} blocks")
     qpriority, qowner = quotient_game.priority, quotient_game.owner
-    if [priority[m[0]] for m in blocks] != list(qpriority) or (
-        [owner[m[0]] for m in blocks] != list(qowner)
+    reps = [m[0] for m in blocks]
+    if list(map(priority.__getitem__, reps)) != list(qpriority) or (
+        list(map(owner.__getitem__, reps)) != list(qowner)
     ):
-        b, v = next(
-            (b, m[0])
-            for b, m in enumerate(blocks)
-            if (qpriority[b], qowner[b]) != (priority[m[0]], owner[m[0]])
-        )
-        raise ValueError(
-            f"quotient block {b} differs in priority or owner from its least member {v}"
-        )
+        for b, v in enumerate(reps):
+            if (qpriority[b], qowner[b]) != (priority[v], owner[v]):
+                raise ValueError(
+                    f"quotient block {b} differs in priority or owner from its least member {v}"
+                )
     qwinner = quotient_solution.winner
     if len(qwinner) != qn:
         raise ValueError(f"quotient winner vector of length {len(qwinner)} for {qn} blocks")
@@ -653,7 +661,5 @@ def write_partition(partition: Partition) -> str:
     """Debug dump: one line ``<vertex> <block> <divergent{0,1}>`` per vertex.
     It checks nothing: :class:`Partition` has already refused a block map
     that names a block without a divergence flag."""
-    lines = []
-    for v, b in enumerate(partition.block_of):
-        lines.append(f"{v} {b} {1 if partition.divergent[b] else 0}")
-    return "\n".join(lines)
+    flags = partition.divergent
+    return "\n".join(f"{v} {b} {1 if flags[b] else 0}" for v, b in enumerate(partition.block_of))
